@@ -10,6 +10,9 @@ z column and its bounds, so neighbor probes warm-start from the parent basis.
 Local optimality at the per-polyhedron optimum is certified by probing every
 single flip of an active kink (both signs for pinned kinks): if no probe LP
 strictly decreases the objective, the point is declared a local minimizer.
+A flip whose column z_i is nonbasic in the parent's basis is first priced
+from the parent LP's duals: if z_i's new reduced cost cannot let it enter,
+the parent basis stays optimal and the flip is certified without an LP.
 Probes double as the step to the next polyhedron, which makes descent of the
 accepted chain unconditional.  A visited-signature set guards against
 tolerance-induced cycling; monotone decrease makes genuine revisits
@@ -113,6 +116,24 @@ class _Lifted:
         psi = sol.objective + form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
 
+    def keeps_basis(self, sol, i: int, f: int) -> bool:
+        """True when the optimal basis of ``sol`` stays optimal after kink i
+        is flipped to sign f, so the child LP's value is the parent's.
+
+        The child LP differs from the parent only in column z_i: its
+        L-entries, its cost and its bounds.  If z_i is nonbasic (at 0, or
+        fixed out by presolve when sigma_i = 0), the parent basis stays
+        primal feasible and every other reduced cost is unchanged; it stays
+        optimal unless z_i's new reduced cost lets it move in direction f.
+        """
+        if sol.basis is None or self.form.n + i in sol.basis.cols:
+            return False
+        form = self.form
+        col = -form.M[:, i] - f * form.L[:, i]
+        col[i] += 1.0
+        rc = form.b[i] + f * form.babs[i] + col @ sol.dual_eq[:form.s]
+        return bool(f * rc >= 0.0)
+
 
 def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
@@ -196,11 +217,14 @@ def aasm_minimize(
             sig2 = sigma.copy()
             sig2[i] = f
             key = _sig_key(sig2)
-            if key in probe_cache:
-                sol2, psi2 = probe_cache[key]
-            else:
-                sol2, psi2 = ws.solve(sig2, hint=sol.basis)
-                probe_cache[key] = (sol2, psi2)
+            if key not in probe_cache:
+                if ws.keeps_basis(sol, i, f):
+                    # the parent's value, certified without an LP; the
+                    # accepted chain only descends, so it never qualifies
+                    probe_cache[key] = (None, psi)
+                else:
+                    probe_cache[key] = ws.solve(sig2, hint=sol.basis)
+            sol2, psi2 = probe_cache[key]
             if psi2 < psi - tol_dec:
                 if key in visited:
                     improving_but_visited = True

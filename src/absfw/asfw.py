@@ -147,10 +147,11 @@ def asfw_run(
     trace = RunTrace()
     status = RunStatus.MAX_ITERS
     t_start = time.perf_counter()
+    rec = evaluate(tape, x)
 
     for t in range(max_iters):
-        fbar = evaluate(tape, x).y
-        form = abs_linearize(tape, x)
+        fbar = rec.y
+        form = abs_linearize(tape, x, rec)
 
         if rule.kind == SHORT_STEP:
             sub = affine_substitute(form, 1.0, -x)
@@ -194,13 +195,14 @@ def asfw_run(
             status = RunStatus.EXACT_GAP_ZERO
             break
         x_next = (1.0 - alpha) * x + alpha * v
-        if rule.monotone and evaluate(tape, x_next).y >= fbar:
+        rec_next = evaluate(tape, x_next)
+        if rule.monotone and rec_next.y >= fbar:
             continue  # keep the current iterate
-        x = x_next
+        x, rec = x_next, rec_next
 
     return RunResult(
         x_final=x,
-        f_final=evaluate(tape, x).y,
+        f_final=rec.y,
         status=status,
         trace=trace,
     )

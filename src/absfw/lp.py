@@ -94,6 +94,7 @@ class _Simplex:
         self.Binv = np.zeros((self.m, self.m))
         self.xB = np.zeros(self.m)
         self._since_refactor = 0
+        self._fresh = False  # Binv and xB are exactly what refactor() gives
 
     # --- state helpers -------------------------------------------------
     def nonbasic_value(self, j):
@@ -104,20 +105,24 @@ class _Simplex:
             return self.hi[j]
         return 0.0
 
-    def default_status(self, j):
-        if np.isfinite(self.lo[j]):
-            return _AT_LO
-        if np.isfinite(self.hi[j]):
-            return _AT_UP
-        return _FREE
+    def default_statuses(self):
+        """Starting status per column: at its lower bound if finite, else at
+        its upper bound if finite, else free."""
+        return np.where(np.isfinite(self.lo), _AT_LO,
+                        np.where(np.isfinite(self.hi), _AT_UP, _FREE)).astype(np.int8)
+
+    def nonbasic_values(self):
+        """``nonbasic_value`` of every column."""
+        return np.where(self.status == _AT_LO, self.lo,
+                        np.where(self.status == _AT_UP, self.hi, 0.0))
 
     def x_full(self):
-        x = np.array([self.nonbasic_value(j) for j in range(self.ncols)])
+        x = self.nonbasic_values()
         x[self.basis] = self.xB
         return x
 
     def _xN_vector(self):
-        x = np.array([self.nonbasic_value(j) for j in range(self.ncols)])
+        x = self.nonbasic_values()
         x[self.basis] = 0.0
         return x
 
@@ -126,6 +131,7 @@ class _Simplex:
         self.Binv = np.linalg.inv(B)
         self.xB = self.Binv @ (self.b - self.A @ self._xN_vector())
         self._since_refactor = 0
+        self._fresh = True
 
     def set_basis(self, cols, statuses):
         self.basis = np.asarray(cols, dtype=np.int64).copy()
@@ -214,6 +220,7 @@ class _Simplex:
         if t_flip <= t_min + 1e-12:
             # no basis change; the entering variable swaps bounds
             self.xB += t_flip * dB
+            self._fresh = False
             self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
             return t_flip
 
@@ -249,6 +256,7 @@ class _Simplex:
         self.Binv -= np.outer(eta, self.Binv[r])
         self.Binv[r] /= piv
         self._since_refactor += 1
+        self._fresh = False
         if self._since_refactor >= REFACTOR_EVERY:
             self.refactor()
 
@@ -324,9 +332,7 @@ def solve(lp: LpProblem, tol: float = DEFAULT_TOL, basis_hint: LpBasis | None = 
     if basis_hint is not None and not rows_dropped:
         cols = [col_of.get(j) for j in basis_hint.cols]
         if len(cols) == sx.m and all(j is not None for j in cols):
-            statuses = np.full(sx.ncols, _AT_LO, dtype=np.int8)
-            for j in range(sx.ncols):
-                statuses[j] = sx.default_status(j)
+            statuses = sx.default_statuses()
             for j in basis_hint.at_upper:
                 jr = col_of.get(j)
                 if jr is not None and np.isfinite(sx.hi[jr]):
@@ -357,7 +363,8 @@ def solve(lp: LpProblem, tol: float = DEFAULT_TOL, basis_hint: LpBasis | None = 
             basis=None, simplex_iters=sx.iters,
         )
 
-    sx.refactor()  # fresh inverse for accurate primal/dual extraction
+    if not sx._fresh:
+        sx.refactor()  # fresh inverse for accurate primal/dual extraction
     n_kept = len(keep_cols)
     x = fixed_vals.copy()
     x[keep_cols] = sx.x_full()[:n_kept]
@@ -380,10 +387,8 @@ def _phase1(sx: _Simplex, max_iters, tol):
     """Install artificials, minimize their sum, drive them out; returns
     LpStatus.INFEASIBLE sentinel (non-None) when infeasibility remains."""
     m, n_real = sx.m, sx.ncols
-    for j in range(n_real):
-        sx.status[j] = sx.default_status(j)
-    xN = np.array([sx.nonbasic_value(j) for j in range(n_real)])
-    resid = sx.b - sx.A @ xN
+    sx.status = sx.default_statuses()
+    resid = sx.b - sx.A @ sx.nonbasic_values()
     art_sign = np.where(resid >= 0, 1.0, -1.0)
     A_ext = np.hstack([sx.A, np.diag(art_sign)])
     sx.A = A_ext
@@ -394,6 +399,7 @@ def _phase1(sx: _Simplex, max_iters, tol):
     sx.basis = np.arange(n_real, n_real + m, dtype=np.int64)
     sx.Binv = np.diag(art_sign)  # inverse of the artificial basis
     sx.xB = np.abs(resid)
+    sx._fresh = False
 
     c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
     sx.run(c1, max_iters, allow_unbounded=False)

@@ -123,7 +123,7 @@ def evaluate(tape: Tape, x) -> EvalRecord:
     return EvalRecord(values=vals, z=z, y=float(vals[tape.output]))
 
 
-def abs_linearize(tape: Tape, xbar) -> AbsLinearForm:
+def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLinearForm:
     """Piecewise-linear model of the tape at ``xbar``.
 
     Propagates, per node, an affine record in (dx, z, |z|) of length 1+n+2s:
@@ -131,8 +131,9 @@ def abs_linearize(tape: Tape, xbar) -> AbsLinearForm:
     abs nodes freeze their argument's record as one switching row.  Once a
     node becomes the argument of an abs, later uses of it refer to the
     switching variable symbolically, which is what populates M and b.
+    ``record``, if given, must be ``evaluate(tape, xbar)``; it saves that run.
     """
-    rec = evaluate(tape, xbar)
+    rec = evaluate(tape, xbar) if record is None else record
     vals = rec.values
     n, s = tape.num_inputs, tape.num_switch
     width = 1 + n + 2 * s

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from absfw import bench
 from absfw.aasm import (
+    _Lifted,
     AasmOptions,
     AasmStatus,
     AasmError,
@@ -11,7 +15,7 @@ from absfw.aasm import (
     brute_force_pl_min,
     FLIP_LOWEST_INDEX,
 )
-from absfw.plmodel import eval_pl, affine_substitute
+from absfw.plmodel import eval_pl, affine_substitute, signature
 from absfw.polyhedron import cube, box
 from absfw.randgen import random_pl_form, midpoint_convex
 from absfw.tape import TapeBuilder, abs_linearize
@@ -202,3 +206,75 @@ class TestOracleSoundness:
         form = random_pl_form(rng, n=2, s=17, convex=True)
         with pytest.raises(ValueError):
             brute_force_pl_min(form, cube(2, 1.0))
+
+
+def pinned_form(rng, n, s, pins):
+    """Random nonconvex form and a start point in [-1.5, 1.5]^n that lies on
+    ``pins`` of its kinks: each chosen z_i is shifted to vanish there."""
+    form = random_pl_form(rng, n=n, s=s, convex=False)
+    start = rng.uniform(-1.5, 1.5, size=n)
+    c = form.c.copy()
+    for i in sorted(rng.choice(s, size=pins, replace=False)):
+        c[i] -= eval_pl(dataclasses.replace(form, c=c), start)[1][i]
+    return dataclasses.replace(form, c=c), start
+
+
+class TestProbePricing:
+    def test_priced_out_flips_never_descend(self, rng, monkeypatch):
+        """Every flip the parent's duals price out is re-solved by a cold LP,
+        which must find no descent; LOCAL_MIN still agrees with the cold-LP
+        reference ``local_optimality_test``."""
+        real_solve, real_keeps = _Lifted.solve, _Lifted.keeps_basis
+        signature_of = {}  # id of an LP solution -> (solution, its signature)
+        margins = []       # (sigma_i of the parent, psi_child - psi + tol_dec)
+
+        def solve(self, sigma, hint):
+            sol, psi = real_solve(self, sigma, hint)
+            signature_of[id(sol)] = (sol, sigma.copy())
+            return sol, psi
+
+        def keeps_basis(self, sol, i, f):
+            kept = real_keeps(self, sol, i, f)
+            if kept:
+                sigma = signature_of[id(sol)][1]
+                sig2 = sigma.copy()
+                sig2[i] = f
+                psi = sol.objective + self.form.d
+                _, psi2 = real_solve(self, sig2, None)
+                margins.append((sigma[i], psi2 - psi + self.tol_lp * (1.0 + abs(psi))))
+            return kept
+
+        monkeypatch.setattr(_Lifted, "solve", solve)
+        monkeypatch.setattr(_Lifted, "keeps_basis", keeps_basis)
+        C = cube(3, 3.0)
+        local_mins = 0
+        for _ in range(10):
+            form, start = pinned_form(rng, n=3, s=5, pins=2)
+            assert np.count_nonzero(signature(form, start) == 0) >= 2
+            res = aasm_minimize(form, C, start)
+            if res.status == AasmStatus.LOCAL_MIN:
+                local_mins += 1
+                assert local_optimality_test(form, C, res.v_star)
+        assert local_mins > 0
+        assert any(sig_i == 0 for sig_i, _ in margins)  # pinned kinks get priced
+        assert any(sig_i != 0 for sig_i, _ in margins)
+        assert min(m for _, m in margins) >= 0.0
+
+    def test_pricing_saves_lps_on_maxq(self, monkeypatch):
+        real_keeps = _Lifted.keeps_basis
+        probed = []
+
+        def keeps_basis(self, sol, i, f):
+            probed.append((i, f))
+            return real_keeps(self, sol, i, f)
+
+        monkeypatch.setattr(_Lifted, "keeps_basis", keeps_basis)
+        inst = bench.maxq(6, "C2")
+        x = np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # four of five kinks at 0
+        form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+        assert np.count_nonzero(signature(form, x) == 0) == 4
+        res = aasm_minimize(form, inst.C, x)
+        assert res.status == AasmStatus.LOCAL_MIN
+        assert local_optimality_test(form, inst.C, res.v_star)
+        assert len(probed) == 9  # both signs of each pinned kink, one flip of the other
+        assert res.lp_calls < len(probed)
