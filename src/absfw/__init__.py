@@ -35,13 +35,11 @@ from .plmodel import (
 from .polyhedron import Polyhedron, box, cube, contains, intersect
 from .lp import LpProblem, LpSolution, LpStatus, LpBasis, LpError, solve, dump_lp
 from .aasm import (
-    AasmOptions,
     AasmResult,
     AasmStatus,
     AasmError,
     aasm_minimize,
     local_optimality_test,
-    choose_next_polyhedron,
     brute_force_pl_min,
 )
 from .asfw import (

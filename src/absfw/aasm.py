@@ -33,6 +33,7 @@ import numpy as np
 from . import lp as lpmod
 from .lp import LpBasis, LpProblem, LpStatus
 from .plmodel import (
+    DEFAULT_SIGNATURE_TOL,
     AbsLinearForm,
     eval_pl,
     restrict,
@@ -40,9 +41,6 @@ from .plmodel import (
     signature_constraints,
 )
 from .polyhedron import Polyhedron, contains, intersect
-
-FLIP_MOST_NEGATIVE_DUAL = "most_negative_dual"
-FLIP_LOWEST_INDEX = "lowest_index"
 
 
 class AasmError(Exception):
@@ -53,22 +51,6 @@ class AasmStatus(Enum):
     LOCAL_MIN = "local_min"
     INNER_LIMIT = "inner_limit"
     POLYHEDRA_EXHAUSTED = "polyhedra_exhausted"
-
-
-@dataclass(frozen=True)
-class AasmOptions:
-    max_polyhedra: int | None = None  # defaults to 2^min(s, 20)
-    tol_z: float = 1e-10
-    tol_lp: float = 1e-9
-    flip_rule: str = FLIP_MOST_NEGATIVE_DUAL
-    partial_inner_limit: int | None = None
-
-    def resolved_max(self, s: int) -> int:
-        if self.max_polyhedra is not None:
-            if self.max_polyhedra < 1:
-                raise ValueError("max_polyhedra must be at least 1")
-            return self.max_polyhedra
-        return 2 ** min(s, 20)
 
 
 @dataclass(frozen=True)
@@ -84,10 +66,9 @@ class AasmResult:
 class _Lifted:
     """Assembles per-signature LPs in (v, z) space with shared base blocks."""
 
-    def __init__(self, form: AbsLinearForm, C: Polyhedron, tol_lp: float):
+    def __init__(self, form: AbsLinearForm, C: Polyhedron):
         self.form = form
         self.C = C
-        self.tol_lp = tol_lp
         n, s = form.n, form.s
         self.top_base = np.hstack([-form.Z, np.eye(s) - form.M])
         me, mi = C.Aeq.shape[0], C.Ain.shape[0]
@@ -111,7 +92,7 @@ class _Lifted:
             hi=np.concatenate([C.hi, z_hi]),
         )
         cvec = np.concatenate([form.a, form.b + sigma * form.babs])
-        sol = lpmod.solve(LpProblem(c=cvec, P=P), tol=self.tol_lp, basis_hint=hint)
+        sol = lpmod.solve(LpProblem(c=cvec, P=P), tol=lpmod.DEFAULT_TOL, basis_hint=hint)
         self.calls += 1
         psi = sol.objective + form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
@@ -139,26 +120,22 @@ def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
 
 
-def _active_kinks(form: AbsLinearForm, sigma, z, tol_z) -> list[int]:
-    act = np.abs(z) <= tol_z * (1.0 + np.abs(form.c))
-    return [i for i in range(form.s) if sigma[i] == 0 or act[i]]
+def _candidate_flips(form, sigma, z, kink_duals) -> list[tuple[int, int]]:
+    """Single flips (i, new sign) of the active kinks: pinned kinks (sigma_i
+    = 0) both ways, kinks with z_i at zero to the other sign.  Largest
+    |kink multiplier| first, then lower index, then + before -."""
+    at_zero = np.abs(z) <= DEFAULT_SIGNATURE_TOL * (1.0 + np.abs(form.c))
+    cands = [
+        (i, f)
+        for i in range(form.s) if sigma[i] == 0 or at_zero[i]
+        for f in ((1, -1) if sigma[i] == 0 else (-int(sigma[i]),))
+    ]
+    return sorted(cands, key=lambda c: (-abs(kink_duals[c[0]]), c[0], -c[1]))
 
 
-def _candidate_flips(form, sigma, z, kink_duals, tol_z, flip_rule):
-    """Single flips of active kinks, ordered by the flip rule."""
-    cands = []
-    for i in _active_kinks(form, sigma, z, tol_z):
-        flips = (1, -1) if sigma[i] == 0 else (-int(sigma[i]),)
-        score = abs(kink_duals[i]) if kink_duals is not None else 0.0
-        for f in flips:
-            cands.append((i, f, score))
-    if flip_rule == FLIP_MOST_NEGATIVE_DUAL:
-        cands.sort(key=lambda t: (-t[2], t[0], -t[1]))
-    elif flip_rule == FLIP_LOWEST_INDEX:
-        cands.sort(key=lambda t: (t[0], -t[1]))
-    else:
-        raise ValueError(f"unknown flip rule {flip_rule!r}")
-    return [(i, f) for i, f, _ in cands]
+def _descends(psi_child: float, psi: float) -> bool:
+    """Strict descent by more than the LP tolerance, relative to |psi|."""
+    return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
 
 
 def _kink_duals(form: AbsLinearForm, sol) -> np.ndarray:
@@ -171,49 +148,49 @@ def aasm_minimize(
     form: AbsLinearForm,
     C: Polyhedron,
     start,
-    opts: AasmOptions | None = None,
+    partial_inner_limit: int | None = None,
     trace_sink=None,
 ) -> AasmResult:
     """Adapted active signature descent from ``start``.
 
     Requires start feasible and C bounded.  The accepted chain of
     per-polyhedron optima strictly decreases; LOCAL_MIN means every single
-    flip of an active kink was probed without strict descent.
+    flip of an active kink was probed without strict descent.  The descent
+    stops with INNER_LIMIT once ``partial_inner_limit`` polyhedra have been
+    visited (the paper's partial solution), and with POLYHEDRA_EXHAUSTED
+    when only visited polyhedra descend or 2^min(s, 20) have been visited.
     """
-    opts = opts or AasmOptions()
     start = np.asarray(start, dtype=float)
     if not contains(C, start, 1e-7):
         raise AasmError("start point is not feasible")
     if not C.is_boxed():
         raise AasmError("feasible set must be bounded (boxed)")
 
-    ws = _Lifted(form, C, opts.tol_lp)
-    sigma = signature(form, start, opts.tol_z)
+    ws = _Lifted(form, C)
+    sigma = signature(form, start)
     sol, psi = ws.solve(sigma, hint=None)
     if sol.status == LpStatus.INFEASIBLE:
         raise AasmError("initial signature polyhedron infeasible despite feasible start")
     if sol.status == LpStatus.UNBOUNDED:
         raise AasmError("LP unbounded on a boxed feasible set")
 
-    max_poly = opts.resolved_max(form.s)
-    visited = {_sig_key(sigma)}
-    visited_list = [sigma.copy()]
+    max_poly = 2 ** min(form.s, 20)
+    visited = set()
+    visited_list = []
     probe_cache: dict[bytes, tuple] = {}
-    if trace_sink is not None:
-        trace_sink(f"{_sig_key(sigma).hex()} {psi:.17g} {sol.status.value}")
-
-    status = None
     while True:
-        if opts.partial_inner_limit is not None and len(visited_list) >= opts.partial_inner_limit:
+        key = _sig_key(sigma)
+        visited.add(key)
+        visited_list.append(sigma.copy())
+        if trace_sink is not None:
+            trace_sink(f"{key.hex()} {psi:.17g} {sol.status.value}")
+        if partial_inner_limit is not None and len(visited_list) >= partial_inner_limit:
             status = AasmStatus.INNER_LIMIT
             break
 
-        z_at_v = sol.x[form.n:]
-        duals = _kink_duals(form, sol)
-        tol_dec = opts.tol_lp * (1.0 + abs(psi))
         accepted = None
         improving_but_visited = False
-        for i, f in _candidate_flips(form, sigma, z_at_v, duals, opts.tol_z, opts.flip_rule):
+        for i, f in _candidate_flips(form, sigma, sol.x[form.n:], _kink_duals(form, sol)):
             sig2 = sigma.copy()
             sig2[i] = f
             key = _sig_key(sig2)
@@ -225,11 +202,11 @@ def aasm_minimize(
                 else:
                     probe_cache[key] = ws.solve(sig2, hint=sol.basis)
             sol2, psi2 = probe_cache[key]
-            if psi2 < psi - tol_dec:
+            if _descends(psi2, psi):
                 if key in visited:
                     improving_but_visited = True
                     continue
-                accepted = (sig2, key, sol2, psi2)
+                accepted = (sig2, sol2, psi2)
                 break
         if accepted is None:
             status = AasmStatus.POLYHEDRA_EXHAUSTED if improving_but_visited else AasmStatus.LOCAL_MIN
@@ -237,11 +214,7 @@ def aasm_minimize(
         if len(visited_list) >= max_poly:
             status = AasmStatus.POLYHEDRA_EXHAUSTED
             break
-        sigma, key, sol, psi = accepted[0], accepted[1], accepted[2], accepted[3]
-        visited.add(key)
-        visited_list.append(sigma.copy())
-        if trace_sink is not None:
-            trace_sink(f"{key.hex()} {psi:.17g} {sol.status.value}")
+        sigma, sol, psi = accepted
 
     return AasmResult(
         v_star=sol.x[:form.n].copy(),
@@ -253,62 +226,26 @@ def aasm_minimize(
     )
 
 
-def local_optimality_test(
-    form: AbsLinearForm,
-    C: Polyhedron,
-    v,
-    active_duals=None,
-    opts: AasmOptions | None = None,
-) -> bool:
+def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
     """True iff no single flip of an active kink at ``v`` admits strict descent.
 
-    ``v`` must already be LP-optimal over its own signature closure and C;
-    ``active_duals`` only influences probing order.
+    ``v`` must already be LP-optimal over its own signature closure and C.
+    The reference for ``aasm_minimize``'s LOCAL_MIN: every flip is solved as
+    a cold LP, with no pricing and no cache.
     """
-    opts = opts or AasmOptions()
     v = np.asarray(v, dtype=float)
-    ws = _Lifted(form, C, opts.tol_lp)
+    ws = _Lifted(form, C)
     psi_v, z = eval_pl(form, v)
-    sigma = signature(form, v, opts.tol_z)
-    tol_dec = opts.tol_lp * (1.0 + abs(psi_v))
-    for i, f in _candidate_flips(form, sigma, z, active_duals, opts.tol_z, opts.flip_rule):
+    sigma = signature(form, v)
+    for i, f in _candidate_flips(form, sigma, z, np.zeros(form.s)):
         sig2 = sigma.copy()
         sig2[i] = f
-        _, psi2 = ws.solve(sig2, hint=None)
-        if psi2 < psi_v - tol_dec:
+        if _descends(ws.solve(sig2, hint=None)[1], psi_v):
             return False
     return True
 
 
-def choose_next_polyhedron(
-    form: AbsLinearForm,
-    C: Polyhedron,
-    v,
-    duals=None,
-    visited=None,
-    opts: AasmOptions | None = None,
-) -> np.ndarray | None:
-    """First unvisited single flip whose probe LP strictly descends, in flip
-    rule order; None when no candidate qualifies (exhaustion)."""
-    opts = opts or AasmOptions()
-    v = np.asarray(v, dtype=float)
-    visited_keys = {_sig_key(np.asarray(s, dtype=int)) for s in (visited or [])}
-    ws = _Lifted(form, C, opts.tol_lp)
-    psi_v, z = eval_pl(form, v)
-    sigma = signature(form, v, opts.tol_z)
-    tol_dec = opts.tol_lp * (1.0 + abs(psi_v))
-    for i, f in _candidate_flips(form, sigma, z, duals, opts.tol_z, opts.flip_rule):
-        sig2 = sigma.copy()
-        sig2[i] = f
-        if _sig_key(sig2) in visited_keys:
-            continue
-        _, psi2 = ws.solve(sig2, hint=None)
-        if psi2 < psi_v - tol_dec:
-            return sig2
-    return None
-
-
-def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron, tol_lp: float = 1e-9):
+def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):
     """Global minimum by enumerating all 2^s closed signature domains.
 
     Test oracle: goes through the affine-restriction route and plain
@@ -323,7 +260,7 @@ def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron, tol_lp: float = 1e-9)
         sigma = np.array(signs, dtype=int)
         res = restrict(form, sigma)
         P2 = intersect(C, signature_constraints(form, sigma))
-        sol = lpmod.solve(LpProblem(c=res.g, P=P2), tol=tol_lp)
+        sol = lpmod.solve(LpProblem(c=res.g, P=P2))
         if sol.status != LpStatus.OPTIMAL:
             continue
         val = res.h + res.g @ sol.x

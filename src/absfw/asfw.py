@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .aasm import AasmOptions, aasm_minimize
+from .aasm import aasm_minimize
 from .plmodel import AbsLinearForm, affine_substitute, delta_eval
 from .polyhedron import Polyhedron, contains
 from .tape import Tape, abs_linearize, evaluate
@@ -129,21 +129,22 @@ def asfw_run(
     rule: StepRule,
     max_iters: int = 500,
     gap_tol: float = 1e-10,
-    aasm_opts: AasmOptions | None = None,
+    partial_inner_limit: int | None = None,
     trace_sink=None,
 ) -> RunResult:
     """Run the conditional-gradient loop from a feasible x0.
 
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
-    ``trace_sink`` receives each TraceRow as it is produced.
+    ``partial_inner_limit`` caps the polyhedra each subproblem solve visits
+    (see ``aasm_minimize``); ``trace_sink`` receives each TraceRow as it is
+    produced.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if not contains(C, x, 1e-9):
+    if not contains(C, x):
         raise ValueError("x0 must be feasible")
     if gap_tol < 0:
         raise ValueError("gap_tol must be nonnegative")
-    opts = aasm_opts or AasmOptions()
     trace = RunTrace()
     status = RunStatus.MAX_ITERS
     t_start = time.perf_counter()
@@ -155,7 +156,7 @@ def asfw_run(
 
         if rule.kind == SHORT_STEP:
             sub = affine_substitute(form, 1.0, -x)
-            inner = aasm_minimize(sub, C, x, opts)
+            inner = aasm_minimize(sub, C, x, partial_inner_limit)
             v = inner.v_star
             dec = inner.psi_star - fbar  # = model increment at v - x
             nrm2 = float(np.dot(v - x, v - x))
@@ -167,7 +168,7 @@ def asfw_run(
         else:
             alpha = rule.alpha(t)
             sub = affine_substitute(form, alpha, -alpha * x)
-            inner = aasm_minimize(sub, C, x, opts)
+            inner = aasm_minimize(sub, C, x, partial_inner_limit)
             v = inner.v_star
             gap = generalized_gap(form, fbar, x, v, alpha)
 

@@ -30,7 +30,7 @@ class BenchmarkInstance:
     def __post_init__(self):
         if self.tape.num_inputs != self.C.dim:
             raise ValueError("tape dimension does not match feasible set")
-        if not contains(self.C, self.x0, 1e-9):
+        if not contains(self.C, self.x0):
             raise ValueError("x0 must be feasible")
 
 

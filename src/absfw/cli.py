@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 import time
@@ -14,7 +13,7 @@ import time
 import numpy as np
 
 from . import bench
-from .aasm import AasmError, AasmOptions, aasm_minimize
+from .aasm import AasmError, aasm_minimize
 from .asfw import StepRule, asfw_run
 from .lp import LpError
 from .plmodel import affine_substitute
@@ -60,12 +59,11 @@ def _step_rule(args) -> StepRule:
     raise ConfigError(f"unknown step rule {args.step!r}")
 
 
-def _run_single(args, n: int, out_path: str | None) -> int:
+def _run_single(args, n: int, out_path: str | None) -> None:
     ns = argparse.Namespace(**vars(args))
     ns.n = n
     inst = _build_instance(ns)
     rule = _step_rule(ns)
-    opts = AasmOptions(partial_inner_limit=ns.partial_inner_limit)
     lines: list[str] = []
     meta = dict(inst.metadata)
     meta.update({"step": ns.step, "max_iters": ns.max_iters, "gap_tol": ns.gap_tol})
@@ -81,7 +79,7 @@ def _run_single(args, n: int, out_path: str | None) -> int:
     res = asfw_run(
         inst.tape, inst.C, inst.x0, rule,
         max_iters=ns.max_iters, gap_tol=ns.gap_tol,
-        aasm_opts=opts, trace_sink=sink,
+        partial_inner_limit=ns.partial_inner_limit, trace_sink=sink,
     )
     lines.append(f"# status={res.status.value} f_final={res.f_final!r}")
     text = "\n".join(lines) + "\n"
@@ -90,26 +88,17 @@ def _run_single(args, n: int, out_path: str | None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def cmd_run(args) -> int:
     ns = [int(v) for v in str(args.n).split(",")]
-    if len(ns) == 1:
-        return _run_single(args, ns[0], args.out)
-    outs = []
     for n in ns:
-        if args.out:
-            stem, dot, ext = args.out.rpartition(".")
-            outs.append(f"{stem}_n{n}.{ext}" if dot else f"{args.out}_n{n}")
-        else:
-            outs.append(None)
-    codes = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futs = [pool.submit(_run_single, args, n, out) for n, out in zip(ns, outs)]
-        for fut in futs:
-            codes.append(fut.result())
-    return max(codes)
+        out = args.out
+        if out and len(ns) > 1:
+            stem, dot, ext = out.rpartition(".")
+            out = f"{stem}_n{n}.{ext}" if dot else f"{out}_n{n}"
+        _run_single(args, n, out)
+    return 0
 
 
 def cmd_aasm_table(args) -> int:
@@ -185,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--gap-tol", type=float, default=1e-10)
     run_p.add_argument("--partial-inner-limit", type=int, default=None)
     run_p.add_argument("--extended", action="store_true")
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=cmd_run)
 

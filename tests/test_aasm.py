@@ -6,15 +6,14 @@ import pytest
 from absfw import bench
 from absfw.aasm import (
     _Lifted,
-    AasmOptions,
+    _candidate_flips,
     AasmStatus,
     AasmError,
     aasm_minimize,
     local_optimality_test,
-    choose_next_polyhedron,
     brute_force_pl_min,
-    FLIP_LOWEST_INDEX,
 )
+from absfw.lp import DEFAULT_TOL
 from absfw.plmodel import eval_pl, affine_substitute, signature
 from absfw.polyhedron import cube, box
 from absfw.randgen import random_pl_form, midpoint_convex
@@ -109,21 +108,20 @@ class TestAasmMinimize:
             aasm_minimize(abs_v_form, P, [0.0])
 
     def test_partial_inner_limit_descent(self, neg_abs_v_form):
-        res = aasm_minimize(
-            neg_abs_v_form, cube(1, 5.0), [0.5],
-            AasmOptions(partial_inner_limit=1),
-        )
+        res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.5], partial_inner_limit=1)
         assert res.status == AasmStatus.INNER_LIMIT
         assert res.polyhedra_visited == 1
         psi_start, _ = eval_pl(neg_abs_v_form, [0.5])
         assert res.psi_star <= psi_start + 1e-12
 
-    def test_max_polyhedra_budget(self):
-        x0 = np.array([-1.0, 1.0, 1.0, 1.0])
-        form = rn2_form(4, x0)
-        res = aasm_minimize(form, cube(4, 20.0), x0, AasmOptions(max_polyhedra=2))
-        assert res.status == AasmStatus.POLYHEDRA_EXHAUSTED
+    def test_pinned_start_takes_descent_flip(self, neg_abs_v_form):
+        # the start polyhedron is the pinned kink v = 0; flipping it to +
+        # descends to the box corner, where no kink is active
+        res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.0])
+        assert res.status == AasmStatus.LOCAL_MIN
         assert res.polyhedra_visited == 2
+        np.testing.assert_array_equal(res.visited_signatures, [[0], [1]])
+        assert res.psi_star == pytest.approx(-5.0, abs=1e-9)
 
     def test_visited_signature_count_bound(self):
         x0 = np.array([-1.0, 1.0, 1.0])
@@ -147,34 +145,18 @@ class TestLocalOptimality:
         assert local_optimality_test(abs_v_form, P, [1.0])
 
 
-class TestChooseNext:
-    def test_returns_unvisited_descent_flip(self, neg_abs_v_form):
-        nxt = choose_next_polyhedron(
-            neg_abs_v_form, cube(1, 5.0), [0.0], visited=[np.array([1])]
-        )
-        np.testing.assert_array_equal(nxt, [-1])
-
-    def test_exhaustion_returns_none(self, neg_abs_v_form):
-        nxt = choose_next_polyhedron(
-            neg_abs_v_form, cube(1, 5.0), [0.0],
-            visited=[np.array([1]), np.array([-1])],
-        )
-        assert nxt is None
-
-    def test_dual_ordering_controls_choice(self):
-        # both kink flips descend equally; the dual magnitudes break the tie
+class TestCandidateFlips:
+    def test_largest_multiplier_first(self):
+        # two pinned kinks: each is probed both ways, + before -, and the
+        # kink with the larger |multiplier| comes first
         form = form_of(
             lambda tb, xs: tb.scale(-2.0, tb.abs(xs[0])) + tb.scale(-2.0, tb.abs(xs[1])),
             2, [0.0, 0.0],
         )
-        duals = np.array([-0.1, -5.0])
-        nxt = choose_next_polyhedron(form, cube(2, 1.0), [0.0, 0.0], duals=duals)
-        assert nxt is not None and nxt[1] != 0  # kink with largest multiplier flips
-        nxt_low = choose_next_polyhedron(
-            form, cube(2, 1.0), [0.0, 0.0], duals=duals,
-            opts=AasmOptions(flip_rule=FLIP_LOWEST_INDEX),
-        )
-        assert nxt_low is not None and nxt_low[0] != 0
+        sigma = signature(form, [0.0, 0.0])
+        np.testing.assert_array_equal(sigma, [0, 0])
+        flips = _candidate_flips(form, sigma, np.zeros(2), np.array([-0.1, -5.0]))
+        assert flips == [(1, 1), (1, -1), (0, 1), (0, -1)]
 
 
 class TestOracleSoundness:
@@ -241,7 +223,7 @@ class TestProbePricing:
                 sig2[i] = f
                 psi = sol.objective + self.form.d
                 _, psi2 = real_solve(self, sig2, None)
-                margins.append((sigma[i], psi2 - psi + self.tol_lp * (1.0 + abs(psi))))
+                margins.append((sigma[i], psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
             return kept
 
         monkeypatch.setattr(_Lifted, "solve", solve)

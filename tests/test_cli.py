@@ -64,10 +64,10 @@ class TestRun:
         assert "gap_tol_reached" in status or "exact_gap_zero" in status
         assert len(rows) <= 500
 
-    def test_sweep_with_jobs(self, tmp_path):
+    def test_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["run", "--problem", "chained_lq", "--n", "3,4", "--max-iters", "5",
-                   "--jobs", "2", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         for n in (3, 4):
             meta, rows, _ = read_trace(tmp_path / f"sweep_n{n}.csv")
