@@ -33,12 +33,12 @@ import numpy as np
 from . import lp as lpmod
 from .lp import LpBasis, LpProblem, LpStatus
 from .plmodel import (
-    DEFAULT_SIGNATURE_TOL,
     AbsLinearForm,
     eval_pl,
     restrict,
     signature,
     signature_constraints,
+    switch_signs,
 )
 from .polyhedron import Polyhedron, contains, intersect
 
@@ -92,7 +92,7 @@ class _Lifted:
             hi=np.concatenate([C.hi, z_hi]),
         )
         cvec = np.concatenate([form.a, form.b + sigma * form.babs])
-        sol = lpmod.solve(LpProblem(c=cvec, P=P), tol=lpmod.DEFAULT_TOL, basis_hint=hint)
+        sol = lpmod.solve(LpProblem(c=cvec, P=P), basis_hint=hint)
         self.calls += 1
         psi = sol.objective + form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
@@ -103,9 +103,10 @@ class _Lifted:
 
         The child LP differs from the parent only in column z_i: its
         L-entries, its cost and its bounds.  If z_i is nonbasic (at 0, or
-        fixed out by presolve when sigma_i = 0), the parent basis stays
-        primal feasible and every other reduced cost is unchanged; it stays
-        optimal unless z_i's new reduced cost lets it move in direction f.
+        fixed at 0 when sigma_i = 0: the LP never pivots a fixed column in),
+        the parent basis stays primal feasible and every other reduced cost
+        is unchanged; it stays optimal unless z_i's new reduced cost lets it
+        move in direction f.
         """
         if sol.basis is None or self.form.n + i in sol.basis.cols:
             return False
@@ -124,7 +125,7 @@ def _candidate_flips(form, sigma, z, kink_duals) -> list[tuple[int, int]]:
     """Single flips (i, new sign) of the active kinks: pinned kinks (sigma_i
     = 0) both ways, kinks with z_i at zero to the other sign.  Largest
     |kink multiplier| first, then lower index, then + before -."""
-    at_zero = np.abs(z) <= DEFAULT_SIGNATURE_TOL * (1.0 + np.abs(form.c))
+    at_zero = switch_signs(form, z) == 0
     cands = [
         (i, f)
         for i in range(form.s) if sigma[i] == 0 or at_zero[i]

@@ -2,10 +2,13 @@
 
 Two-phase primal simplex on bounded variables: inequality rows get slacks,
 equality rows get phase-1 artificials, box bounds are handled natively so
-bases stay at row size.  Pricing is Dantzig's rule; after a stall of 50
-degenerate pivots it switches to Bland's rule until a nondegenerate pivot is
-made, which makes crafted cycling instances terminate.  The basis inverse is
-kept explicitly and refactorized periodically.
+bases stay at row size.  Fixed columns (bounds within ``FIXED_TOL``) are
+handled natively too: they stay in the system at their lower bound and never
+enter the basis, and no row is dropped, so every row keeps its dual and basis
+indices are the caller's column indices.  Pricing is Dantzig's rule; after a
+stall of 50 degenerate pivots it switches to Bland's rule until a
+nondegenerate pivot is made, which makes crafted cycling instances terminate.
+The basis inverse is kept explicitly and refactorized periodically.
 
 Optimal solutions carry dual multipliers with the convention
 
@@ -26,6 +29,7 @@ import numpy as np
 from .polyhedron import Polyhedron
 
 DEFAULT_TOL = 1e-9
+FIXED_TOL = 1e-12
 PIVOT_TOL = 1e-11
 PIVOT_HARD_TOL = 1e-12
 BLAND_STALL = 50
@@ -62,7 +66,6 @@ class LpBasis:
 
     cols: tuple[int, ...]
     at_upper: tuple[int, ...] = ()
-    free_zero: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,12 @@ class LpSolution:
 class _Simplex:
     """Bounded-variable primal simplex over A x = b with column bounds."""
 
-    def __init__(self, A, b, lo, hi, tol):
+    def __init__(self, A, b, lo, hi):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.m, self.ncols = A.shape
-        self.tol = tol
         self.iters = 0
         self.status = np.full(self.ncols, _AT_LO, dtype=np.int8)
         self.basis = np.zeros(self.m, dtype=np.int64)
@@ -144,15 +146,19 @@ class _Simplex:
         viol_hi = np.maximum(self.xB - self.hi[self.basis], 0.0)
         return float(np.max(np.maximum(viol_lo, viol_hi), initial=0.0))
 
+    def movable(self):
+        """Columns that may enter the basis: all but the fixed ones."""
+        return (self.hi - self.lo) > FIXED_TOL
+
     # --- core loop -------------------------------------------------------
     def run(self, c, max_iters, allow_unbounded=True):
         """Minimize c'x from the current basic feasible point.
 
         Returns "optimal" or "unbounded"; raises LpError on breakdown.
         """
-        m = self.m
         stall = 0
-        rc_tol = self.tol * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+        movable = self.movable()
+        rc_tol = DEFAULT_TOL * (1.0 + float(np.max(np.abs(c[movable]), initial=0.0)))
         for _ in range(max_iters):
             y = self.Binv.T @ c[self.basis]
             rc = c - self.A.T @ y
@@ -160,7 +166,7 @@ class _Simplex:
             eligible |= (self.status == _AT_LO) & (rc < -rc_tol)
             eligible |= (self.status == _AT_UP) & (rc > rc_tol)
             eligible |= (self.status == _FREE) & (np.abs(rc) > rc_tol)
-            eligible &= (self.hi - self.lo) > 0  # pinned columns never enter
+            eligible &= movable
             idxs = np.flatnonzero(eligible)
             if idxs.size == 0:
                 return "optimal"
@@ -176,7 +182,7 @@ class _Simplex:
                     continue
                 pivoted = True
                 self.iters += 1
-                stall = stall + 1 if step <= self.tol else 0
+                stall = stall + 1 if step <= DEFAULT_TOL else 0
                 break
             if not pivoted:
                 raise LpError("no acceptable pivot (below hard tolerance) remained")
@@ -262,29 +268,28 @@ class _Simplex:
 
 
 def _drive_out_artificials(sx: _Simplex, n_real: int):
-    """Pivot basic artificials (at value ~0) onto real columns when possible."""
+    """Pivot basic artificials (at value ~0) onto movable real columns when
+    possible."""
+    movable = sx.movable()[:n_real]
     for r in range(sx.m):
         jb = sx.basis[r]
         if jb < n_real:
             continue
         row = sx.Binv[r] @ sx.A[:, :n_real]
-        cands = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-        cands = [j for j in cands if sx.status[j] != _BASIC]
-        if not cands:
+        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & movable & (sx.status[:n_real] != _BASIC))
+        if not cands.size:
             continue  # redundant row; artificial stays basic at zero
         j = int(cands[0])
         w = sx.Binv @ sx.A[:, j]
         sx._execute_pivot(j, r, 1.0, 0.0, w, np.zeros(sx.m))
 
 
-def solve(lp: LpProblem, tol: float = DEFAULT_TOL, basis_hint: LpBasis | None = None) -> LpSolution:
+def solve(lp: LpProblem, basis_hint: LpBasis | None = None) -> LpSolution:
     """Solve the LP; deterministic for identical input.
 
     Infeasible/Unbounded are reported as statuses.  LpError signals numerical
     breakdown (no pivot above 1e-12 available).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     P = lp.P
     n = P.dim
     me, mi = P.Aeq.shape[0], P.Ain.shape[0]
@@ -300,60 +305,31 @@ def solve(lp: LpProblem, tol: float = DEFAULT_TOL, basis_hint: LpBasis | None = 
     hi = np.concatenate([P.hi, np.full(mi, np.inf)])
     c = np.concatenate([lp.c, np.zeros(mi)])
 
-    # presolve: substitute fixed columns, drop rows that become empty
-    fixed = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-12)
-    fixed_vals = np.where(fixed, lo, 0.0)
-    keep_cols = np.flatnonzero(~fixed)
-    b_adj = b - A[:, fixed] @ fixed_vals[fixed]
-    A_red = A[:, keep_cols]
-    row_norm = np.max(np.abs(A_red), axis=1, initial=0.0)
-    empty = row_norm <= 1e-13
-    rows_dropped = bool(np.any(empty))
-    for r in np.flatnonzero(empty):
-        resid = b_adj[r]
-        if r < me:
-            if abs(resid) > tol:
-                return _infeasible(n, me, mi)
-        elif resid < -tol:
-            return _infeasible(n, me, mi)
-    keep_rows = np.flatnonzero(~empty)
-
-    if keep_cols.size == 0:
-        x = fixed_vals[:n]
-        rc = c.copy()
-        return _finish_direct(lp, x, rc, n, me, mi, tol)
-
-    sx = _Simplex(A_red[keep_rows], b_adj[keep_rows], lo[keep_cols], hi[keep_cols], tol)
-    col_of = {int(full): red for red, full in enumerate(keep_cols)}
-    c_red = c[keep_cols]
+    sx = _Simplex(A, b, lo, hi)
     max_iters = 2000 + 50 * (sx.m + sx.ncols)
 
     warm_ok = False
-    if basis_hint is not None and not rows_dropped:
-        cols = [col_of.get(j) for j in basis_hint.cols]
-        if len(cols) == sx.m and all(j is not None for j in cols):
+    if basis_hint is not None:
+        cols = np.asarray(basis_hint.cols, dtype=np.int64)
+        movable = sx.movable()
+        if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)) and movable[cols].all():
             statuses = sx.default_statuses()
             for j in basis_hint.at_upper:
-                jr = col_of.get(j)
-                if jr is not None and np.isfinite(sx.hi[jr]):
-                    statuses[jr] = _AT_UP
-            for j in basis_hint.free_zero:
-                jr = col_of.get(j)
-                if jr is not None:
-                    statuses[jr] = _FREE
+                if 0 <= j < n_real and movable[j] and np.isfinite(hi[j]):
+                    statuses[j] = _AT_UP
             try:
-                sx.set_basis(np.array(cols), statuses)
+                sx.set_basis(cols, statuses)
                 warm_ok = np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= 1e-7
             except np.linalg.LinAlgError:
                 warm_ok = False
 
     if not warm_ok:
-        status = _phase1(sx, max_iters, tol)
+        status = _phase1(sx, max_iters)
         if status is not None:
             return _infeasible(n, me, mi)
 
     c_work = np.zeros(sx.ncols)
-    c_work[:c_red.shape[0]] = c_red
+    c_work[:n_real] = c
     run_status = sx.run(c_work, max_iters)
     if run_status == "unbounded":
         return LpSolution(
@@ -365,25 +341,18 @@ def solve(lp: LpProblem, tol: float = DEFAULT_TOL, basis_hint: LpBasis | None = 
 
     if not sx._fresh:
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
-    n_kept = len(keep_cols)
-    x = fixed_vals.copy()
-    x[keep_cols] = sx.x_full()[:n_kept]
-    y_red = sx.Binv.T @ c_work[sx.basis]
-    y = np.zeros(m)
-    y[keep_rows] = y_red
+    y = sx.Binv.T @ c_work[sx.basis]
     rc = c - A.T @ y
 
     basis_out = None
-    if not rows_dropped and np.all(sx.basis < n_kept):
-        cols_full = tuple(int(keep_cols[j]) for j in sx.basis)
-        at_upper = tuple(int(keep_cols[j]) for j in np.flatnonzero(sx.status[:n_kept] == _AT_UP))
-        free_zero = tuple(int(keep_cols[j]) for j in np.flatnonzero(sx.status[:n_kept] == _FREE))
-        basis_out = LpBasis(cols=cols_full, at_upper=at_upper, free_zero=free_zero)
+    if np.all(sx.basis < n_real):
+        basis_out = LpBasis(cols=tuple(int(j) for j in sx.basis),
+                            at_upper=tuple(int(j) for j in np.flatnonzero(sx.status[:n_real] == _AT_UP)))
 
-    return _build_solution(lp, x, y, rc, n, me, mi, basis_out, sx.iters)
+    return _build_solution(lp, sx.x_full(), y, rc, n, me, mi, basis_out, sx.iters)
 
 
-def _phase1(sx: _Simplex, max_iters, tol):
+def _phase1(sx: _Simplex, max_iters):
     """Install artificials, minimize their sum, drive them out; returns
     LpStatus.INFEASIBLE sentinel (non-None) when infeasibility remains."""
     m, n_real = sx.m, sx.ncols
@@ -403,7 +372,7 @@ def _phase1(sx: _Simplex, max_iters, tol):
 
     c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
     sx.run(c1, max_iters, allow_unbounded=False)
-    if float(c1[sx.basis] @ sx.xB) > tol * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
+    if float(c1[sx.basis] @ sx.xB) > DEFAULT_TOL * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
         return LpStatus.INFEASIBLE
     _drive_out_artificials(sx, n_real)
     # pin artificials so phase 2 cannot reuse them
@@ -422,15 +391,6 @@ def _infeasible(n, me, mi):
         dual_lo=np.zeros(n), dual_hi=np.zeros(n),
         basis=None, simplex_iters=0,
     )
-
-
-def _finish_direct(lp, x, rc, n, me, mi, tol):
-    """All columns fixed by presolve: the point itself is the solution."""
-    P = lp.P
-    if not np.all(np.isfinite(x)):
-        return _infeasible(n, me, mi)
-    return _build_solution(lp, np.concatenate([x, P.bin - P.Ain @ x]) if mi else x.copy(),
-                           np.zeros(me + mi), rc, n, me, mi, None, 0)
 
 
 def _build_solution(lp, x_full, y, rc, n, me, mi, basis_out, iters):

@@ -91,14 +91,17 @@ def delta_eval(form: AbsLinearForm, fbar: float, dx) -> float:
     return eval_pl(form, dx)[0] - fbar
 
 
-def signature(form: AbsLinearForm, dx, tol_z: float = DEFAULT_SIGNATURE_TOL) -> np.ndarray:
-    """Sign vector of z(dx); entries within tol_z*(1+|c_i|) of zero become 0."""
-    if tol_z < 0:
-        raise ValueError("tol_z must be nonnegative")
-    _, z = eval_pl(form, dx)
+def switch_signs(form: AbsLinearForm, z) -> np.ndarray:
+    """Signs of the switching values z; z_i within
+    DEFAULT_SIGNATURE_TOL*(1+|c_i|) of zero is at its kink and gets 0."""
     sig = np.sign(z).astype(int)
-    sig[np.abs(z) <= tol_z * (1.0 + np.abs(form.c))] = 0
+    sig[np.abs(z) <= DEFAULT_SIGNATURE_TOL * (1.0 + np.abs(form.c))] = 0
     return sig
+
+
+def signature(form: AbsLinearForm, dx) -> np.ndarray:
+    """Sign vector of z(dx), kinks (see ``switch_signs``) as 0."""
+    return switch_signs(form, eval_pl(form, dx)[1])
 
 
 def effective_b(form: AbsLinearForm, sigma) -> np.ndarray:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import LpProblem, LpStatus, LpBasis, solve
+from absfw.lp import FIXED_TOL, LpProblem, LpStatus, LpBasis, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -17,6 +17,23 @@ def make_poly(n, Aeq=None, beq=None, Ain=None, bin_=None, lo=None, hi=None):
         lo=np.full(n, -np.inf) if lo is None else np.array(lo, dtype=float),
         hi=np.full(n, np.inf) if hi is None else np.array(hi, dtype=float),
     )
+
+
+def highs(lp):
+    """(status value, objective) of ``lp`` from scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    P = lp.P
+    res = linprog(
+        lp.c,
+        A_ub=P.Ain if P.Ain.shape[0] else None,
+        b_ub=P.bin if P.Ain.shape[0] else None,
+        A_eq=P.Aeq if P.Aeq.shape[0] else None,
+        b_eq=P.beq if P.Aeq.shape[0] else None,
+        bounds=list(zip(np.where(np.isfinite(P.lo), P.lo, None), np.where(np.isfinite(P.hi), P.hi, None))),
+        method="highs",
+    )
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[res.status]
+    return status.value, (float(res.fun) if res.status == 0 else None)
 
 
 def check_certificates(lp, sol, tol=1e-7):
@@ -72,14 +89,20 @@ class TestBasics:
         np.testing.assert_allclose(sol.x, [-4.0, -5.0], atol=1e-8)
         check_certificates(lp, sol)
 
-    def test_fixed_variables_presolved(self):
+    def test_fixed_variables_stay_at_bound(self):
         lp = LpProblem(c=[3.0, 1.0], P=make_poly(2, lo=[2.0, 0.0], hi=[2.0, 1.0]))
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [2.0, 0.0])
         assert sol.simplex_iters == 0
+        # every column fixed and no rows: an empty basis, no pivots
+        sol = solve(LpProblem(c=[3.0, 1.0], P=make_poly(2, lo=[2.0, 1.0], hi=[2.0, 1.0])))
+        assert sol.status == LpStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [2.0, 1.0])
+        assert sol.simplex_iters == 0
+        assert sol.basis == LpBasis(cols=())
 
-    def test_fully_presolved_with_rows(self):
+    def test_all_fixed_with_rows(self):
         lp = LpProblem(
             c=[1.0, -1.0],
             P=make_poly(2, Ain=[[1.0, 1.0]], bin_=[3.0], lo=[1.0, 2.0], hi=[1.0, 2.0]),
@@ -90,17 +113,21 @@ class TestBasics:
         np.testing.assert_allclose(sol.x, [1.0, 2.0])
         assert sol.simplex_iters <= 1  # only the slack column is left to place
 
-    def test_presolve_detects_infeasible_fixed(self):
+    def test_infeasible_fixed_columns(self):
         lp = LpProblem(
             c=[1.0, 1.0],
             P=make_poly(2, Aeq=[[1.0, 1.0]], beq=[10.0], lo=[1.0, 2.0], hi=[1.0, 2.0]),
         )
         assert solve(lp).status == LpStatus.INFEASIBLE
 
-    def test_rejects_bad_tol(self):
-        lp = LpProblem(c=[1.0], P=make_poly(1, lo=[0.0], hi=[1.0]))
-        with pytest.raises(ValueError):
-            solve(lp, tol=0.0)
+    def test_fixed_column_never_pivoted_in(self):
+        # phase 1 ends with its artificial basic at 0, so driving it out
+        # decides the basis: x1 is fixed and must not take it, x2 must
+        lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -1]], beq=[1.0], lo=[1, 0], hi=[1, 5]))
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [1.0, 0.0])
+        assert sol.basis.cols == (1,)
 
 
 class TestBoxOracle:
@@ -225,6 +252,60 @@ class TestWarmStart:
         sol = solve(lp, basis_hint=bad)
         assert sol.status == LpStatus.OPTIMAL
         check_certificates(lp, sol)
+
+
+class TestFixedColumnOracle:
+    """Fixed columns against scipy's HiGHS: same status and objective, never
+    basic, and the returned basis re-solves with no pivot."""
+
+    def check(self, lp, sol):
+        status, objective = highs(lp)
+        assert sol.status.value == status
+        if sol.status != LpStatus.OPTIMAL:
+            return
+        assert abs(sol.objective - objective) <= 1e-9 * (1.0 + abs(objective))
+        if sol.basis is None:
+            return
+        fixed = np.flatnonzero(lp.P.hi - lp.P.lo <= FIXED_TOL)
+        assert not set(fixed.tolist()) & set(sol.basis.cols)
+        assert solve(lp, basis_hint=sol.basis).simplex_iters == 0
+
+    def test_pinned_random_lps(self, rng):
+        for k in range(200):
+            c, P, x0 = random_lp(rng, n=4 + k % 6, m_eq=k % 3, m_in=1 + k % 4)
+            pinned = rng.choice(P.dim, size=1 + k % 2, replace=False)
+            lo, hi = P.lo.copy(), P.hi.copy()
+            lo[pinned] = hi[pinned] = x0[pinned]
+            lp = LpProblem(c=c, P=Polyhedron(Aeq=P.Aeq, beq=P.beq, Ain=P.Ain, bin=P.bin, lo=lo, hi=hi))
+            sol = solve(lp)
+            assert sol.status == LpStatus.OPTIMAL
+            self.check(lp, sol)
+
+    def test_lifted_lps_on_maxq(self, monkeypatch):
+        import absfw.aasm
+        from absfw import bench
+        from absfw.aasm import aasm_minimize
+        from absfw.plmodel import affine_substitute
+        from absfw.tape import abs_linearize
+
+        lpmod = absfw.aasm.lpmod
+        real_solve = lpmod.solve
+        solved = []
+
+        def recording(problem, *args, **kwargs):
+            sol = real_solve(problem, *args, **kwargs)
+            solved.append((problem, sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", recording)
+        inst = bench.maxq(6, "C2")
+        # the start, a point on four of the five kinks, and 0 on all of them
+        for x in (inst.x0, np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.zeros(6)):
+            form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+            aasm_minimize(form, inst.C, x)
+        assert all(np.any(p.P.hi - p.P.lo <= FIXED_TOL) for p, _ in solved)
+        for problem, sol in solved:
+            self.check(problem, sol)
 
 
 class TestBoundFault:

@@ -65,11 +65,11 @@ class TestSignature:
         np.testing.assert_array_equal(signature(abs_form, [0.0]), [1])
 
     def test_abs_exact_zero(self, abs_form):
-        np.testing.assert_array_equal(signature(abs_form, [-1.0], tol_z=1e-12), [0])
+        np.testing.assert_array_equal(signature(abs_form, [-1.0]), [0])
 
     def test_tolerance_scales_with_c(self, abs_form):
-        assert signature(abs_form, [-1.0 + 1e-12], tol_z=1e-10)[0] == 0
-        assert signature(abs_form, [-1.0 + 1e-6], tol_z=1e-10)[0] == 1
+        assert signature(abs_form, [-1.0 + 1e-12])[0] == 0
+        assert signature(abs_form, [-1.0 + 1e-6])[0] == 1
 
 
 class TestRestrict:
