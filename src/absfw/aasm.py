@@ -1,6 +1,10 @@
 """Minimize a piecewise-linear form over a compact polyhedron by successive
 LP solves on signature-domain closures.
 
+A form with L = 0 (no |z_i| feeds a later row) and babs >= 0 is convex, and
+z is affine in v: one LP in (v, z+, z-), z = z+ - z-, gives its exact
+minimum.  Every other form is solved by the descent below.
+
 Each closure intersected with the feasible set is solved as one LP in lifted
 variables (v, z): the switching recursion becomes s equality rows, the sign
 pattern becomes variable bounds on z, and the objective is affine once
@@ -64,38 +68,54 @@ class AasmResult:
 
 
 class _Lifted:
-    """Assembles per-signature LPs in (v, z) space with shared base blocks."""
+    """Assembles the LPs of one AASM call: v's columns, then a block of
+    z columns whose rows encode the switching recursion, then C's rows on v."""
 
     def __init__(self, form: AbsLinearForm, C: Polyhedron):
         self.form = form
         self.C = C
-        n, s = form.n, form.s
-        self.top_base = np.hstack([-form.Z, np.eye(s) - form.M])
-        me, mi = C.Aeq.shape[0], C.Ain.shape[0]
-        self.Aeq_C = np.hstack([C.Aeq, np.zeros((me, s))])
-        self.Ain_C = np.hstack([C.Ain, np.zeros((mi, s))])
+        self.top_base = np.hstack([-form.Z, np.eye(form.s) - form.M])
         self.calls = 0
 
-    def solve(self, sigma: np.ndarray, hint: LpBasis | None):
+    def _solve(self, top, z_lo, z_hi, z_cost, hint):
+        """min a^T v + z_cost^T w  s.t.  top (v, w) = c, v in C, z_lo <= w <= z_hi;
+        returns the solution and psi = objective + d (inf unless OPTIMAL)."""
         form, C = self.form, self.C
-        n, s = form.n, form.s
-        top = self.top_base.copy()
-        top[:, n:] -= form.L * sigma[np.newaxis, :]
-        z_lo = np.where(sigma < 0, -np.inf, 0.0)
-        z_hi = np.where(sigma > 0, np.inf, 0.0)
+        k = top.shape[1] - form.n
         P = Polyhedron(
-            Aeq=np.vstack([top, self.Aeq_C]),
+            Aeq=np.vstack([top, np.hstack([C.Aeq, np.zeros((C.Aeq.shape[0], k))])]),
             beq=np.concatenate([form.c, C.beq]),
-            Ain=self.Ain_C,
+            Ain=np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))]),
             bin=C.bin,
             lo=np.concatenate([C.lo, z_lo]),
             hi=np.concatenate([C.hi, z_hi]),
         )
-        cvec = np.concatenate([form.a, form.b + sigma * form.babs])
+        cvec = np.concatenate([form.a, z_cost])
         sol = lpmod.solve(LpProblem(c=cvec, P=P), basis_hint=hint)
         self.calls += 1
         psi = sol.objective + form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
+
+    def solve(self, sigma: np.ndarray, hint: LpBasis | None):
+        """The LP over the closure of sigma's domain, in (v, z) with
+        |z_i| = sigma_i z_i substituted."""
+        form = self.form
+        top = self.top_base.copy()
+        top[:, form.n:] -= form.L * sigma[np.newaxis, :]
+        z_lo = np.where(sigma < 0, -np.inf, 0.0)
+        z_hi = np.where(sigma > 0, np.inf, 0.0)
+        return self._solve(top, z_lo, z_hi, form.b + sigma * form.babs, hint)
+
+    def solve_split(self):
+        """The exact minimum of a form with L = 0 and babs >= 0, as one LP in
+        (v, z+, z-) with z = z+ - z- and z+, z- >= 0.  Its cost
+        (b + babs)^T z+ + (babs - b)^T z- is at least b^T z + babs^T |z|,
+        with equality when min(z+_i, z-_i) = 0, which some optimum meets."""
+        form = self.form
+        top = np.hstack([self.top_base, -self.top_base[:, form.n:]])
+        s2 = 2 * form.s
+        z_cost = np.concatenate([form.b + form.babs, form.babs - form.b])
+        return self._solve(top, np.zeros(s2), np.full(s2, np.inf), z_cost, None)
 
     def keeps_basis(self, sol, i: int, f: int) -> bool:
         """True when the optimal basis of ``sol`` stays optimal after kink i
@@ -145,6 +165,20 @@ def _kink_duals(form: AbsLinearForm, sol) -> np.ndarray:
     return sol.dual_lo[n:] - sol.dual_hi[n:]
 
 
+def _checked(sol, psi):
+    """The first LP of a call, which a feasible start and a boxed C make
+    feasible and bounded; anything else is a solver fault."""
+    if sol.status == LpStatus.INFEASIBLE:
+        raise AasmError("first LP infeasible despite a feasible start")
+    if sol.status == LpStatus.UNBOUNDED:
+        raise AasmError("LP unbounded on a boxed feasible set")
+    return sol, psi
+
+
+def _trace_line(sigma, psi, sol) -> str:
+    return f"{_sig_key(sigma).hex()} {psi:.17g} {sol.status.value}"
+
+
 def aasm_minimize(
     form: AbsLinearForm,
     C: Polyhedron,
@@ -152,15 +186,23 @@ def aasm_minimize(
     partial_inner_limit: int | None = None,
     trace_sink=None,
 ) -> AasmResult:
-    """Adapted active signature descent from ``start``.
+    """Minimize ``form`` over C from ``start``.
 
-    Requires start feasible and C bounded.  The accepted chain of
-    per-polyhedron optima strictly decreases; LOCAL_MIN means every single
-    flip of an active kink was probed without strict descent.  The descent
-    stops with INNER_LIMIT once ``partial_inner_limit`` polyhedra have been
-    visited (the paper's partial solution), and with POLYHEDRA_EXHAUSTED
-    when only visited polyhedra descend or 2^min(s, 20) have been visited.
+    Requires start feasible, C bounded and ``partial_inner_limit``, if set,
+    at least 1.  A form with L = 0 and babs >= 0 is convex: one split LP
+    (``_Lifted.solve_split``) gives its exact minimum, returned as LOCAL_MIN
+    with 1 polyhedron and 1 LP, and ``partial_inner_limit`` does not apply.
+
+    Any other form walks by adapted active signature descent.  The accepted
+    chain of per-polyhedron optima strictly decreases; LOCAL_MIN means every
+    single flip of an active kink was probed without strict descent.  The
+    descent stops with INNER_LIMIT once ``partial_inner_limit`` polyhedra
+    have been visited (the paper's partial solution), and with
+    POLYHEDRA_EXHAUSTED when only visited polyhedra descend or 2^min(s, 20)
+    have been visited.
     """
+    if partial_inner_limit is not None and partial_inner_limit < 1:
+        raise ValueError("partial_inner_limit must be at least 1")
     start = np.asarray(start, dtype=float)
     if not contains(C, start, 1e-7):
         raise AasmError("start point is not feasible")
@@ -168,12 +210,16 @@ def aasm_minimize(
         raise AasmError("feasible set must be bounded (boxed)")
 
     ws = _Lifted(form, C)
+    if not form.L.any() and np.all(form.babs >= 0):
+        sol, psi = _checked(*ws.solve_split())
+        n, s = form.n, form.s
+        sigma = switch_signs(form, sol.x[n:n + s] - sol.x[n + s:])
+        if trace_sink is not None:
+            trace_sink(_trace_line(sigma, psi, sol))
+        return AasmResult(sol.x[:n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
+
     sigma = signature(form, start)
-    sol, psi = ws.solve(sigma, hint=None)
-    if sol.status == LpStatus.INFEASIBLE:
-        raise AasmError("initial signature polyhedron infeasible despite feasible start")
-    if sol.status == LpStatus.UNBOUNDED:
-        raise AasmError("LP unbounded on a boxed feasible set")
+    sol, psi = _checked(*ws.solve(sigma, hint=None))
 
     max_poly = 2 ** min(form.s, 20)
     visited = set()
@@ -184,7 +230,7 @@ def aasm_minimize(
         visited.add(key)
         visited_list.append(sigma.copy())
         if trace_sink is not None:
-            trace_sink(f"{key.hex()} {psi:.17g} {sol.status.value}")
+            trace_sink(_trace_line(sigma, psi, sol))
         if partial_inner_limit is not None and len(visited_list) >= partial_inner_limit:
             status = AasmStatus.INNER_LIMIT
             break

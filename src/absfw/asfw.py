@@ -136,15 +136,18 @@ def asfw_run(
 
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
-    ``partial_inner_limit`` caps the polyhedra each subproblem solve visits
-    (see ``aasm_minimize``); ``trace_sink`` receives each TraceRow as it is
-    produced.
+    ``partial_inner_limit`` (at least 1) caps the polyhedra each subproblem
+    solve visits when it walks; a subproblem convex in its kinks is one LP
+    and ignores it (see ``aasm_minimize``).  ``trace_sink`` receives each
+    TraceRow as it is produced.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not contains(C, x):
         raise ValueError("x0 must be feasible")
     if gap_tol < 0:
         raise ValueError("gap_tol must be nonnegative")
+    if partial_inner_limit is not None and partial_inner_limit < 1:
+        raise ValueError("partial_inner_limit must be at least 1")
     trace = RunTrace()
     status = RunStatus.MAX_ITERS
     t_start = time.perf_counter()

@@ -91,6 +91,8 @@ def _run_single(args, n: int, out_path: str | None) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.partial_inner_limit is not None and args.partial_inner_limit < 1:
+        raise ConfigError("--partial-inner-limit must be at least 1")
     ns = [int(v) for v in str(args.n).split(",")]
     for n in ns:
         out = args.out
@@ -172,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--monotone", action="store_true")
     run_p.add_argument("--max-iters", type=int, default=500)
     run_p.add_argument("--gap-tol", type=float, default=1e-10)
-    run_p.add_argument("--partial-inner-limit", type=int, default=None)
+    run_p.add_argument(
+        "--partial-inner-limit", type=int, default=None,
+        help="at most this many polyhedra (>= 1) per subproblem walk; a subproblem "
+             "convex in its kinks is one LP and ignores it")
     run_p.add_argument("--extended", action="store_true")
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=cmd_run)

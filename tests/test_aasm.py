@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from absfw import bench
+from absfw.asfw import StepRule, asfw_run
 from absfw.aasm import (
     _Lifted,
     _candidate_flips,
@@ -14,8 +15,8 @@ from absfw.aasm import (
     brute_force_pl_min,
 )
 from absfw.lp import DEFAULT_TOL
-from absfw.plmodel import eval_pl, affine_substitute, signature
-from absfw.polyhedron import cube, box
+from absfw.plmodel import AbsLinearForm, eval_pl, affine_substitute, signature
+from absfw.polyhedron import Polyhedron, contains, cube, box
 from absfw.randgen import random_pl_form, midpoint_convex
 from absfw.tape import TapeBuilder, abs_linearize
 
@@ -114,6 +115,15 @@ class TestAasmMinimize:
         psi_start, _ = eval_pl(neg_abs_v_form, [0.5])
         assert res.psi_star <= psi_start + 1e-12
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_partial_inner_limit_below_one_rejected(self, neg_abs_v_form, limit):
+        with pytest.raises(ValueError):
+            aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.5], partial_inner_limit=limit)
+        inst = bench.rosenbrock_nesterov2(4)
+        with pytest.raises(ValueError):
+            asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=3,
+                     partial_inner_limit=limit)
+
     def test_pinned_start_takes_descent_flip(self, neg_abs_v_form):
         # the start polyhedron is the pinned kink v = 0; flipping it to +
         # descends to the box corner, where no kink is active
@@ -129,6 +139,108 @@ class TestAasmMinimize:
         res = aasm_minimize(form, cube(3, 20.0), x0)
         assert res.polyhedra_visited <= 2 ** min(form.s, 20)
         assert len(res.visited_signatures) == res.polyhedra_visited
+
+
+def convex_form(rng, n, s):
+    """Random form with L = 0 and babs >= 0 (babs_0 = 0, so kink 0 enters
+    the value only through b) and a dense strictly lower triangular M."""
+    babs = rng.uniform(0.2, 1.5, size=s)
+    babs[0] = 0.0
+    return AbsLinearForm(
+        n=n, s=s, Z=rng.normal(size=(s, n)), M=np.tril(rng.normal(scale=0.5, size=(s, s)), -1),
+        L=np.zeros((s, s)), a=rng.normal(size=n), b=rng.normal(size=s), babs=babs,
+        c=rng.normal(size=s), d=float(rng.normal()))
+
+
+def ordered_chain(n, radius):
+    """-radius <= v_1 <= ... <= v_n <= radius as n - 1 inequality rows."""
+    Ain = np.eye(n - 1, n) - np.eye(n - 1, n, 1)
+    return Polyhedron(Aeq=np.zeros((0, n)), beq=np.zeros(0), Ain=Ain, bin=np.zeros(n - 1),
+                      lo=-radius * np.ones(n), hi=radius * np.ones(n))
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Counts the calls of the convex route's LP."""
+    calls = []
+    real = _Lifted.solve_split
+
+    def solve_split(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(_Lifted, "solve_split", solve_split)
+    return calls
+
+
+class TestConvexRoute:
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_random_forms_match_oracle(self, rng, split_calls, chain):
+        for _ in range(8):
+            form = convex_form(rng, n=3, s=6)
+            assert form.M.any()
+            C = ordered_chain(3, 2.0) if chain else cube(3, 2.0)
+            start = np.sort(rng.uniform(-1.5, 1.5, size=3))
+            lines = []
+            res = aasm_minimize(form, C, start, trace_sink=lines.append)
+            _, psi_o = brute_force_pl_min(form, C)
+            assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
+            assert contains(C, res.v_star)
+            assert res.psi_star == pytest.approx(eval_pl(form, res.v_star)[0], rel=1e-9, abs=1e-9)
+            assert res.status == AasmStatus.LOCAL_MIN
+            assert (res.polyhedra_visited, res.lp_calls, len(lines)) == (1, 1, 1)
+        assert len(split_calls) == 8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ordered_lasso_first_subproblem_is_global(self, seed, split_calls):
+        # the single-flip walk stops above the minimum on most of these
+        inst = bench.constrained_lasso(8, 12, seed=seed, variant="ordered")
+        x = inst.x0
+        form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+        res = aasm_minimize(form, inst.C, x)
+        _, psi_o = brute_force_pl_min(form, inst.C)
+        assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
+        assert contains(inst.C, res.v_star)
+        assert split_calls == [1]
+
+    def test_partial_inner_limit_does_not_apply(self, abs_v_form, split_calls):
+        res = aasm_minimize(abs_v_form, cube(1, 5.0), [3.0], partial_inner_limit=1)
+        assert res.status == AasmStatus.LOCAL_MIN
+        assert res.psi_star == pytest.approx(0.0, abs=1e-9)
+        assert split_calls == [1]
+
+    def test_negative_babs_walks(self, neg_abs_v_form, split_calls):
+        res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.0])
+        assert res.polyhedra_visited == 2
+        assert split_calls == []
+
+    def test_one_negative_babs_walks(self, rng, split_calls):
+        form = convex_form(rng, n=3, s=6)
+        babs = form.babs.copy()
+        babs[3] = -0.5
+        res = aasm_minimize(dataclasses.replace(form, babs=babs), cube(3, 2.0), np.zeros(3))
+        assert split_calls == []
+        assert res.lp_calls >= 1
+
+    def test_nested_kinks_walk(self, split_calls):
+        x0 = np.array([-1.0, 1.0])
+        form = rn2_form(2, x0)
+        assert form.L.any() and np.all(form.babs >= 0)
+        res = aasm_minimize(form, cube(2, 20.0), x0)
+        assert res.polyhedra_visited == 2
+        assert split_calls == []
+
+    def test_infeasible_start_rejected(self, rng, split_calls):
+        form = convex_form(rng, n=3, s=4)
+        with pytest.raises(AasmError):
+            aasm_minimize(form, ordered_chain(3, 2.0), np.array([1.0, 0.0, 0.0]))
+        assert split_calls == []
+
+    def test_unboxed_set_rejected(self, rng, split_calls):
+        form = convex_form(rng, n=3, s=4)
+        with pytest.raises(AasmError):
+            aasm_minimize(form, box([-1.0] * 3, [1.0, 1.0, np.inf]), np.zeros(3))
+        assert split_calls == []
 
 
 class TestLocalOptimality:

@@ -81,6 +81,15 @@ class TestRun:
         _, rows, _ = read_trace(out)
         assert all(int(r[4]) == 1 for r in rows)  # one polyhedron per inner solve
 
+    def test_partial_inner_limit_below_one_is_exit_2(self, tmp_path, capsys):
+        for limit in ("0", "-3"):
+            rc = main(["run", "--problem", "rosenbrock_nesterov2", "--n", "4",
+                       "--max-iters", "3", "--partial-inner-limit", limit,
+                       "--out", str(tmp_path / "no.csv")])
+            assert rc == 2
+            assert "--partial-inner-limit must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
+
     def test_extended_problem_gated(self, tmp_path):
         rc = main(["run", "--problem", "chained_mifflin2", "--n", "4", "--max-iters", "2",
                    "--out", str(tmp_path / "x.csv")])

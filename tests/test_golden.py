@@ -2,7 +2,10 @@
 
 ``golden_trajectories.json`` holds, for each case, ``f_final``, the run
 status and every trace row's (gap, fval, inner_polyhedra, lp_calls) as
-recorded before the AASM probe loop was folded into ``aasm_minimize``.
+recorded before the AASM probe loop was folded into ``aasm_minimize``.  The
+chained LQ and box LASSO subproblems are convex in their kinks and have since
+become one LP each, so those two cases hold 1 polyhedron and 1 LP per row;
+their floats are the walk's, which the one LP reproduces to a relative 1e-14.
 Integers must match exactly and floats to a relative 1e-12.  After a change
 that is meant to alter trajectories, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
