@@ -11,9 +11,11 @@ pattern becomes variable bounds on z, and the objective is affine once
 |z_i| = sigma_i z_i is substituted.  A sign flip therefore only touches one
 z column and its bounds, so neighbor probes warm-start from the parent basis.
 
-Local optimality at the per-polyhedron optimum is certified by probing every
-single flip of an active kink (both signs for pinned kinks): if no probe LP
-strictly decreases the objective, the point is declared a local minimizer.
+At the per-polyhedron optimum every single flip of an active kink is probed
+(both signs for pinned kinks); if no probe LP strictly decreases the
+objective, no single flip of an active kink descends.  That is weaker than
+local minimality where C's rows tie kinks together: on a face that pins
+several kinks at 0 at once, descent may need several flips at once.
 A flip whose column z_i is nonbasic in the parent's basis is first priced
 from the parent LP's duals: if z_i's new reduced cost cannot let it enter,
 the parent basis stays optimal and the flip is certified without an LP.
@@ -128,7 +130,7 @@ class _Lifted:
         is unchanged; it stays optimal unless z_i's new reduced cost lets it
         move in direction f.
         """
-        if sol.basis is None or self.form.n + i in sol.basis.cols:
+        if self.form.n + i in sol.basis.cols:
             return False
         form = self.form
         col = -form.M[:, i] - f * form.L[:, i]

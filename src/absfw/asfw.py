@@ -157,10 +157,11 @@ def asfw_run(
         fbar = rec.y
         form = abs_linearize(tape, x, rec)
 
+        scale = 1.0 if rule.kind == SHORT_STEP else rule.alpha(t)
+        sub = affine_substitute(form, scale, -scale * x)
+        inner = aasm_minimize(sub, C, x, partial_inner_limit)
+        v = inner.v_star
         if rule.kind == SHORT_STEP:
-            sub = affine_substitute(form, 1.0, -x)
-            inner = aasm_minimize(sub, C, x, partial_inner_limit)
-            v = inner.v_star
             dec = inner.psi_star - fbar  # = model increment at v - x
             nrm2 = float(np.dot(v - x, v - x))
             if dec >= 0.0 or nrm2 == 0.0:
@@ -169,10 +170,7 @@ def asfw_run(
                 alpha = min(1.0, -dec / (2.0 * rule.gamma * nrm2))
             gap = -dec  # alpha = 1 subproblem gap
         else:
-            alpha = rule.alpha(t)
-            sub = affine_substitute(form, alpha, -alpha * x)
-            inner = aasm_minimize(sub, C, x, partial_inner_limit)
-            v = inner.v_star
+            alpha = scale
             gap = generalized_gap(form, fbar, x, v, alpha)
 
         row = TraceRow(

@@ -2,13 +2,15 @@
 
 Two-phase primal simplex on bounded variables: inequality rows get slacks,
 equality rows get phase-1 artificials, box bounds are handled natively so
-bases stay at row size.  Fixed columns (bounds within ``FIXED_TOL``) are
-handled natively too: they stay in the system at their lower bound and never
-enter the basis, and no row is dropped, so every row keeps its dual and basis
-indices are the caller's column indices.  Pricing is Dantzig's rule; after a
-stall of 50 degenerate pivots it switches to Bland's rule until a
-nondegenerate pivot is made, which makes crafted cycling instances terminate.
-The basis inverse is kept explicitly and refactorized periodically.
+bases stay at row size.  Every nonbasic column carries an explicit value,
+which may also lie strictly inside its bounds (see ``_Simplex``).  Fixed
+columns (bounds within ``FIXED_TOL``) stay in the system at their lower bound
+and never enter the basis, and no row is dropped, so every row keeps its dual
+and basis indices are the caller's column indices.  Pricing is Dantzig's
+rule; after a stall of 50 degenerate pivots it switches to Bland's rule until
+a nondegenerate pivot is made, which makes crafted cycling instances
+terminate.  The basis inverse is kept explicitly and refactorized
+periodically.
 
 Optimal solutions carry dual multipliers with the convention
 
@@ -35,9 +37,6 @@ PIVOT_HARD_TOL = 1e-12
 BLAND_STALL = 50
 REFACTOR_EVERY = 100
 
-_BASIC, _AT_LO, _AT_UP, _FREE = 0, 1, 2, 3
-
-
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -62,7 +61,10 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpBasis:
     """Warm-start data: basic column per row plus nonbasic-at-upper flags,
-    indexed over structural-plus-slack columns."""
+    indexed over structural-plus-slack columns.  An optimal solve always
+    returns its basis; in a row made redundant by the fixed columns it holds
+    the phase-1 artificial, an index past those columns, and such a basis is
+    rejected as a hint."""
 
     cols: tuple[int, ...]
     at_upper: tuple[int, ...] = ()
@@ -81,8 +83,19 @@ class LpSolution:
     simplex_iters: int
 
 
+def _bound_point(lo, hi):
+    """Each column at its finite lower bound, else its finite upper bound, else 0."""
+    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+
+
 class _Simplex:
-    """Bounded-variable primal simplex over A x = b with column bounds."""
+    """Bounded-variable primal simplex over A x = b with column bounds.
+
+    ``xN`` holds the value of every nonbasic column and 0 at basic ones.  A
+    nonbasic value need not sit at a bound: a column may move up while
+    ``xN < hi`` and down while ``xN > lo``, so one strictly inside its
+    bounds (superbasic) is priced in both directions.
+    """
 
     def __init__(self, A, b, lo, hi):
         self.A = A
@@ -91,7 +104,7 @@ class _Simplex:
         self.hi = hi
         self.m, self.ncols = A.shape
         self.iters = 0
-        self.status = np.full(self.ncols, _AT_LO, dtype=np.int8)
+        self.xN = _bound_point(lo, hi)
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.Binv = np.zeros((self.m, self.m))
         self.xB = np.zeros(self.m)
@@ -99,46 +112,22 @@ class _Simplex:
         self._fresh = False  # Binv and xB are exactly what refactor() gives
 
     # --- state helpers -------------------------------------------------
-    def nonbasic_value(self, j):
-        st = self.status[j]
-        if st == _AT_LO:
-            return self.lo[j]
-        if st == _AT_UP:
-            return self.hi[j]
-        return 0.0
-
-    def default_statuses(self):
-        """Starting status per column: at its lower bound if finite, else at
-        its upper bound if finite, else free."""
-        return np.where(np.isfinite(self.lo), _AT_LO,
-                        np.where(np.isfinite(self.hi), _AT_UP, _FREE)).astype(np.int8)
-
-    def nonbasic_values(self):
-        """``nonbasic_value`` of every column."""
-        return np.where(self.status == _AT_LO, self.lo,
-                        np.where(self.status == _AT_UP, self.hi, 0.0))
-
     def x_full(self):
-        x = self.nonbasic_values()
+        x = self.xN.copy()
         x[self.basis] = self.xB
-        return x
-
-    def _xN_vector(self):
-        x = self.nonbasic_values()
-        x[self.basis] = 0.0
         return x
 
     def refactor(self):
         B = self.A[:, self.basis]
         self.Binv = np.linalg.inv(B)
-        self.xB = self.Binv @ (self.b - self.A @ self._xN_vector())
+        self.xB = self.Binv @ (self.b - self.A @ self.xN)
         self._since_refactor = 0
         self._fresh = True
 
-    def set_basis(self, cols, statuses):
+    def set_basis(self, cols, xN):
         self.basis = np.asarray(cols, dtype=np.int64).copy()
-        self.status = statuses
-        self.status[self.basis] = _BASIC
+        self.xN = xN
+        self.xN[self.basis] = 0.0
         self.refactor()
 
     def primal_infeasibility(self):
@@ -151,7 +140,7 @@ class _Simplex:
         return (self.hi - self.lo) > FIXED_TOL
 
     # --- core loop -------------------------------------------------------
-    def run(self, c, max_iters, allow_unbounded=True):
+    def run(self, c, max_iters):
         """Minimize c'x from the current basic feasible point.
 
         Returns "optimal" or "unbounded"; raises LpError on breakdown.
@@ -162,11 +151,9 @@ class _Simplex:
         for _ in range(max_iters):
             y = self.Binv.T @ c[self.basis]
             rc = c - self.A.T @ y
-            eligible = np.zeros(self.ncols, dtype=bool)
-            eligible |= (self.status == _AT_LO) & (rc < -rc_tol)
-            eligible |= (self.status == _AT_UP) & (rc > rc_tol)
-            eligible |= (self.status == _FREE) & (np.abs(rc) > rc_tol)
+            eligible = ((self.xN < self.hi) & (rc < -rc_tol)) | ((self.xN > self.lo) & (rc > rc_tol))
             eligible &= movable
+            eligible[self.basis] = False
             idxs = np.flatnonzero(eligible)
             if idxs.size == 0:
                 return "optimal"
@@ -175,40 +162,28 @@ class _Simplex:
             else:
                 order = idxs[np.argsort(-np.abs(rc[idxs]), kind="stable")]
 
-            pivoted = False
             for j in order:
                 step = self._pivot_on(j, rc[j])
-                if step is None:
-                    continue
-                pivoted = True
-                self.iters += 1
-                stall = stall + 1 if step <= DEFAULT_TOL else 0
-                break
-            if not pivoted:
+                if step is not None:
+                    break
+            else:
                 raise LpError("no acceptable pivot (below hard tolerance) remained")
-            if not allow_unbounded:
-                continue
-            if self._unbounded_flag:
+            self.iters += 1
+            if step == np.inf:
                 return "unbounded"
+            stall = stall + 1 if step <= DEFAULT_TOL else 0
         raise LpError("simplex iteration limit exceeded")
 
     def _pivot_on(self, j, rcj):
-        """Attempt to move variable j; returns step length or None if every
-        candidate pivot element is numerically unusable."""
-        self._unbounded_flag = False
-        if self.status[j] == _AT_LO:
-            direction = 1.0
-        elif self.status[j] == _AT_UP:
-            direction = -1.0
-        else:  # free: move against the reduced cost
-            direction = 1.0 if rcj < 0 else -1.0
+        """Move column j against its reduced cost; returns the step length,
+        inf along an unbounded ray, or None if every candidate pivot element
+        is numerically unusable."""
+        direction = -np.sign(rcj)
         w = self.Binv @ self.A[:, j]
         dB = -direction * w
 
-        # bound-to-bound flip of the entering variable
-        t_flip = np.inf
-        if np.isfinite(self.lo[j]) and np.isfinite(self.hi[j]):
-            t_flip = self.hi[j] - self.lo[j]
+        # distance to the entering column's other bound
+        t_flip = self.hi[j] - self.xN[j] if direction > 0 else self.xN[j] - self.lo[j]
 
         grow = dB > PIVOT_HARD_TOL
         shrink = dB < -PIVOT_HARD_TOL
@@ -220,14 +195,13 @@ class _Simplex:
         t_min = min(float(np.min(t_rows, initial=np.inf)), t_flip)
 
         if not np.isfinite(t_min):
-            self._unbounded_flag = True
-            return 0.0
+            return np.inf
 
         if t_flip <= t_min + 1e-12:
-            # no basis change; the entering variable swaps bounds
+            # no basis change; the entering variable moves to its other bound
             self.xB += t_flip * dB
             self._fresh = False
-            self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
+            self.xN[j] = self.hi[j] if direction > 0 else self.lo[j]
             return t_flip
 
         ties = np.flatnonzero(t_rows <= t_min + 1e-12 * (1.0 + abs(t_min)))
@@ -243,19 +217,15 @@ class _Simplex:
         return None
 
     def _execute_pivot(self, j, r, direction, t, w, dB):
+        """Column j enters at row r after a step t; the leaving column takes
+        its nearer bound."""
         leaving = self.basis[r]
         self.xB += t * dB
-        leave_val = self.xB[r]
-        self.status[leaving] = (
-            _AT_UP if (np.isfinite(self.hi[leaving]) and
-                       abs(leave_val - self.hi[leaving]) <= abs(leave_val - self.lo[leaving]))
-            else _AT_LO
-        )
-        if not np.isfinite(self.lo[leaving]) and not np.isfinite(self.hi[leaving]):
-            self.status[leaving] = _FREE
+        lo, hi = self.lo[leaving], self.hi[leaving]
+        self.xN[leaving] = hi if abs(self.xB[r] - hi) <= abs(self.xB[r] - lo) else lo
         self.basis[r] = j
-        self.xB[r] = self.nonbasic_value(j) + direction * t
-        self.status[j] = _BASIC
+        self.xB[r] = self.xN[j] + direction * t
+        self.xN[j] = 0.0
         piv = w[r]
         eta = w / piv
         eta[r] = 0.0
@@ -272,11 +242,11 @@ def _drive_out_artificials(sx: _Simplex, n_real: int):
     possible."""
     movable = sx.movable()[:n_real]
     for r in range(sx.m):
-        jb = sx.basis[r]
-        if jb < n_real:
+        if sx.basis[r] < n_real:
             continue
         row = sx.Binv[r] @ sx.A[:, :n_real]
-        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & movable & (sx.status[:n_real] != _BASIC))
+        nonbasic = ~np.isin(np.arange(n_real), sx.basis)
+        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & movable & nonbasic)
         if not cands.size:
             continue  # redundant row; artificial stays basic at zero
         j = int(cands[0])
@@ -313,57 +283,47 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None) -> LpSolution:
         cols = np.asarray(basis_hint.cols, dtype=np.int64)
         movable = sx.movable()
         if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)) and movable[cols].all():
-            statuses = sx.default_statuses()
+            xN = _bound_point(lo, hi)
             for j in basis_hint.at_upper:
                 if 0 <= j < n_real and movable[j] and np.isfinite(hi[j]):
-                    statuses[j] = _AT_UP
+                    xN[j] = hi[j]
             try:
-                sx.set_basis(cols, statuses)
+                sx.set_basis(cols, xN)
                 warm_ok = np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= 1e-7
             except np.linalg.LinAlgError:
                 warm_ok = False
 
-    if not warm_ok:
-        status = _phase1(sx, max_iters)
-        if status is not None:
-            return _infeasible(n, me, mi)
+    if not warm_ok and not _phase1(sx, max_iters):
+        return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
 
     c_work = np.zeros(sx.ncols)
     c_work[:n_real] = c
-    run_status = sx.run(c_work, max_iters)
-    if run_status == "unbounded":
-        return LpSolution(
-            status=LpStatus.UNBOUNDED, x=np.full(n, np.nan), objective=-np.inf,
-            dual_eq=np.zeros(me), dual_in=np.zeros(mi),
-            dual_lo=np.zeros(n), dual_hi=np.zeros(n),
-            basis=None, simplex_iters=sx.iters,
-        )
+    if sx.run(c_work, max_iters) == "unbounded":
+        return _no_solution(LpStatus.UNBOUNDED, n, me, mi, sx.iters)
 
     if not sx._fresh:
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
     y = sx.Binv.T @ c_work[sx.basis]
     rc = c - A.T @ y
 
-    basis_out = None
-    if np.all(sx.basis < n_real):
-        basis_out = LpBasis(cols=tuple(int(j) for j in sx.basis),
-                            at_upper=tuple(int(j) for j in np.flatnonzero(sx.status[:n_real] == _AT_UP)))
-
+    at_upper = (sx.xN == sx.hi) & sx.movable()
+    at_upper[sx.basis] = False
+    basis_out = LpBasis(cols=tuple(int(j) for j in sx.basis),
+                        at_upper=tuple(int(j) for j in np.flatnonzero(at_upper[:n_real])))
     return _build_solution(lp, sx.x_full(), y, rc, n, me, mi, basis_out, sx.iters)
 
 
-def _phase1(sx: _Simplex, max_iters):
+def _phase1(sx: _Simplex, max_iters) -> bool:
     """Install artificials, minimize their sum, drive them out; returns
-    LpStatus.INFEASIBLE sentinel (non-None) when infeasibility remains."""
+    False when infeasibility remains."""
     m, n_real = sx.m, sx.ncols
-    sx.status = sx.default_statuses()
-    resid = sx.b - sx.A @ sx.nonbasic_values()
+    xN = _bound_point(sx.lo, sx.hi)
+    resid = sx.b - sx.A @ xN
     art_sign = np.where(resid >= 0, 1.0, -1.0)
-    A_ext = np.hstack([sx.A, np.diag(art_sign)])
-    sx.A = A_ext
+    sx.A = np.hstack([sx.A, np.diag(art_sign)])
     sx.lo = np.concatenate([sx.lo, np.zeros(m)])
     sx.hi = np.concatenate([sx.hi, np.full(m, np.inf)])
-    sx.status = np.concatenate([sx.status, np.full(m, _AT_LO, dtype=np.int8)])
+    sx.xN = np.concatenate([xN, np.zeros(m)])
     sx.ncols += m
     sx.basis = np.arange(n_real, n_real + m, dtype=np.int64)
     sx.Binv = np.diag(art_sign)  # inverse of the artificial basis
@@ -371,25 +331,25 @@ def _phase1(sx: _Simplex, max_iters):
     sx._fresh = False
 
     c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
-    sx.run(c1, max_iters, allow_unbounded=False)
+    if sx.run(c1, max_iters) == "unbounded":
+        raise LpError("unbounded ray in phase 1, whose objective is bounded below by 0")
     if float(c1[sx.basis] @ sx.xB) > DEFAULT_TOL * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
-        return LpStatus.INFEASIBLE
+        return False
     _drive_out_artificials(sx, n_real)
     # pin artificials so phase 2 cannot reuse them
     sx.lo[n_real:] = 0.0
     sx.hi[n_real:] = 0.0
-    for j in range(n_real, sx.ncols):
-        if sx.status[j] != _BASIC:
-            sx.status[j] = _AT_LO
-    return None
+    return True
 
 
-def _infeasible(n, me, mi):
+def _no_solution(status, n, me, mi, iters):
+    """An INFEASIBLE or UNBOUNDED result after ``iters`` pivots."""
     return LpSolution(
-        status=LpStatus.INFEASIBLE, x=np.full(n, np.nan), objective=np.inf,
+        status=status, x=np.full(n, np.nan),
+        objective=np.inf if status == LpStatus.INFEASIBLE else -np.inf,
         dual_eq=np.zeros(me), dual_in=np.zeros(mi),
         dual_lo=np.zeros(n), dual_hi=np.zeros(n),
-        basis=None, simplex_iters=0,
+        basis=None, simplex_iters=iters,
     )
 
 

@@ -372,3 +372,17 @@ class TestProbePricing:
         assert local_optimality_test(form, inst.C, res.v_star)
         assert len(probed) == 9  # both signs of each pinned kink, one flip of the other
         assert res.lp_calls < len(probed)
+
+    def test_redundant_row_basis_prices_probes(self):
+        # at x = 0 every kink is pinned and the lifted LP keeps a phase-1
+        # artificial basic in a row made redundant by the fixed z columns;
+        # its basis still prices all ten single flips, so one LP suffices
+        inst = bench.maxq(6, "C2")
+        x = np.zeros(6)
+        form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+        assert np.all(signature(form, x) == 0)
+        res = aasm_minimize(form, inst.C, x)
+        assert res.status == AasmStatus.LOCAL_MIN
+        assert res.psi_star == 0.0
+        assert res.lp_calls == 1
+        assert local_optimality_test(form, inst.C, res.v_star)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import FIXED_TOL, LpProblem, LpStatus, LpBasis, solve
+from absfw.lp import FIXED_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -77,6 +77,26 @@ class TestBasics:
         lp = LpProblem(c=[1.0], P=make_poly(1, Ain=[[1.0]], bin_=[-1.0], lo=[0.0]))
         assert solve(lp).status == LpStatus.INFEASIBLE
 
+    def test_infeasible_reports_phase1_pivots(self):
+        # phase 1 flips both columns to 3 and stops 4 short of the row
+        lp = LpProblem(c=[1.0, 1.0], P=make_poly(2, Aeq=[[1, 1]], beq=[10.0], lo=[0, 0], hi=[3, 3]))
+        sol = solve(lp)
+        assert sol.status == LpStatus.INFEASIBLE
+        assert sol.simplex_iters == 2
+
+    def test_redundant_row_keeps_basis(self):
+        # the row is implied by the fixed x1, so its artificial (column 2)
+        # stays basic at 0; the basis is returned, and as a hint it is
+        # rejected and the solve starts cold
+        lp = LpProblem(c=[1.0, 1.0], P=make_poly(2, Aeq=[[1, 0]], beq=[1.0], lo=[1, 0], hi=[1, 5]))
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [1.0, 0.0])
+        assert sol.basis == LpBasis(cols=(2,))
+        again = solve(lp, basis_hint=sol.basis)
+        np.testing.assert_array_equal(again.x, sol.x)
+        assert again.basis == sol.basis
+
     def test_unbounded(self):
         lp = LpProblem(c=[-1.0], P=make_poly(1, lo=[0.0]))
         assert solve(lp).status == LpStatus.UNBOUNDED
@@ -128,6 +148,21 @@ class TestBasics:
         assert sol.status == LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 0.0])
         assert sol.basis.cols == (1,)
+
+
+class TestSuperbasicStart:
+    """A nonbasic column strictly inside its bounds is priced both ways and
+    flips to the bound its reduced cost asks for."""
+
+    @pytest.mark.parametrize("c, x", [([-1.0, 0.0], [4.0, -3.0]), ([1.0, 0.0], [0.0, 1.0])])
+    def test_one_bound_flip_from_interior(self, c, x):
+        # x0 + x1 = 1 with x1 basic and x0 nonbasic at 0.5
+        sx = _Simplex(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([0.0, -5.0]), np.array([4.0, 5.0]))
+        sx.set_basis([1], np.array([0.5, 0.0]))
+        np.testing.assert_array_equal(sx.x_full(), [0.5, 0.5])
+        assert sx.run(np.array(c), max_iters=10) == "optimal"
+        np.testing.assert_array_equal(sx.x_full(), x)
+        assert sx.iters == 1
 
 
 class TestBoxOracle:
@@ -264,11 +299,11 @@ class TestFixedColumnOracle:
         if sol.status != LpStatus.OPTIMAL:
             return
         assert abs(sol.objective - objective) <= 1e-9 * (1.0 + abs(objective))
-        if sol.basis is None:
-            return
         fixed = np.flatnonzero(lp.P.hi - lp.P.lo <= FIXED_TOL)
         assert not set(fixed.tolist()) & set(sol.basis.cols)
-        assert solve(lp, basis_hint=sol.basis).simplex_iters == 0
+        if max(sol.basis.cols, default=-1) < lp.P.dim + lp.P.Ain.shape[0]:
+            # a basis holding a phase-1 artificial is not a usable hint
+            assert solve(lp, basis_hint=sol.basis).simplex_iters == 0
 
     def test_pinned_random_lps(self, rng):
         for k in range(200):
