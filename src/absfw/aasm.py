@@ -1,24 +1,23 @@
 """Minimize a piecewise-linear form over a compact polyhedron by successive
 LP solves on signature-domain closures.
 
-A form with L = 0 (no |z_i| feeds a later row) and babs >= 0 is convex, and
-z is affine in v: one LP in (v, z+, z-), z = z+ - z-, gives its exact
-minimum.  Every other form is solved by the descent below.
-
-Each closure intersected with the feasible set is solved as one LP in lifted
-variables (v, z): the switching recursion becomes s equality rows, the sign
-pattern becomes variable bounds on z, and the objective is affine once
-|z_i| = sigma_i z_i is substituted.  A sign flip therefore only touches one
-z column and its bounds, so neighbor probes warm-start from the parent basis.
+All LPs of one call share their rows and cost, in the lifted variables
+(v, z+, z-) with z = z+ - z- and |z| = z+ + z-: the switching recursion
+becomes s equality rows and the objective is affine.  A signature only sets
+bounds, pinning z+_i or z-_i at 0.  A form with L = 0 (no |z_i| feeds a
+later row) and babs >= 0 is convex, and the LP with nothing pinned gives its
+exact minimum.  Every other form is solved by the descent below.
 
 At the per-polyhedron optimum every single flip of an active kink is probed
 (both signs for pinned kinks); if no probe LP strictly decreases the
 objective, no single flip of an active kink descends.  That is weaker than
 local minimality where C's rows tie kinks together: on a face that pins
 several kinks at 0 at once, descent may need several flips at once.
-A flip whose column z_i is nonbasic in the parent's basis is first priced
-from the parent LP's duals: if z_i's new reduced cost cannot let it enter,
-the parent basis stays optimal and the flip is certified without an LP.
+A flip moves only bounds (Fourer's piecewise-linear simplex, Math. Prog.
+1985), so it is first priced from the parent LP: unless the column it
+unpins passes the simplex's entering test, the parent basis stays optimal
+and the flip is certified without an LP.  Other probes get the parent basis
+as a hint.
 Probes double as the step to the next polyhedron, which makes descent of the
 accepted chain unconditional.  A visited-signature set guards against
 tolerance-induced cycling; monotone decrease makes genuine revisits
@@ -70,73 +69,59 @@ class AasmResult:
 
 
 class _Lifted:
-    """Assembles the LPs of one AASM call: v's columns, then a block of
-    z columns whose rows encode the switching recursion, then C's rows on v."""
+    """The LPs of one AASM call over the columns (v, z+, z-): the switching
+    recursion's rows, then C's rows on v; cost (a, b + babs, babs - b).  With
+    babs >= 0 the cost is at least b^T z + babs^T |z|, with equality when
+    min(z+_i, z-_i) = 0, which some optimum of the unpinned LP meets."""
 
     def __init__(self, form: AbsLinearForm, C: Polyhedron):
         self.form = form
         self.C = C
-        self.top_base = np.hstack([-form.Z, np.eye(form.s) - form.M])
+        T = np.eye(form.s) - form.M
+        k = 2 * form.s
+        self.Aeq = np.vstack([np.hstack([-form.Z, T - form.L, -T - form.L]),
+                              np.hstack([C.Aeq, np.zeros((C.Aeq.shape[0], k))])])
+        self.beq = np.concatenate([form.c, C.beq])
+        self.Ain = np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))])
+        self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
+        self.lo = np.concatenate([C.lo, np.zeros(k)])
         self.calls = 0
 
-    def _solve(self, top, z_lo, z_hi, z_cost, hint):
-        """min a^T v + z_cost^T w  s.t.  top (v, w) = c, v in C, z_lo <= w <= z_hi;
-        returns the solution and psi = objective + d (inf unless OPTIMAL)."""
-        form, C = self.form, self.C
-        k = top.shape[1] - form.n
-        P = Polyhedron(
-            Aeq=np.vstack([top, np.hstack([C.Aeq, np.zeros((C.Aeq.shape[0], k))])]),
-            beq=np.concatenate([form.c, C.beq]),
-            Ain=np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))]),
-            bin=C.bin,
-            lo=np.concatenate([C.lo, z_lo]),
-            hi=np.concatenate([C.hi, z_hi]),
-        )
-        cvec = np.concatenate([form.a, z_cost])
-        sol = lpmod.solve(LpProblem(c=cvec, P=P), basis_hint=hint)
+    def upper(self, sigma: np.ndarray | None) -> np.ndarray:
+        """Column upper bounds: z+_i is pinned at 0 unless sigma_i > 0, and
+        z-_i unless sigma_i < 0; nothing is pinned when sigma is None."""
+        free = np.ones(2 * self.form.s, bool) if sigma is None else np.concatenate([sigma > 0, sigma < 0])
+        return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
+
+    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None):
+        """The LP over the closure of sigma's domain, or with no signature
+        the split LP; returns the solution and psi = objective + d (inf
+        unless OPTIMAL)."""
+        P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
+                       lo=self.lo, hi=self.upper(sigma))
+        sol = lpmod.solve(LpProblem(c=self.cost, P=P), basis_hint=hint)
         self.calls += 1
-        psi = sol.objective + form.d if sol.status == LpStatus.OPTIMAL else np.inf
+        psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
 
-    def solve(self, sigma: np.ndarray, hint: LpBasis | None):
-        """The LP over the closure of sigma's domain, in (v, z) with
-        |z_i| = sigma_i z_i substituted."""
-        form = self.form
-        top = self.top_base.copy()
-        top[:, form.n:] -= form.L * sigma[np.newaxis, :]
-        z_lo = np.where(sigma < 0, -np.inf, 0.0)
-        z_hi = np.where(sigma > 0, np.inf, 0.0)
-        return self._solve(top, z_lo, z_hi, form.b + sigma * form.babs, hint)
+    def z(self, sol) -> np.ndarray:
+        n, s = self.form.n, self.form.s
+        return sol.x[n:n + s] - sol.x[n + s:]
 
-    def solve_split(self):
-        """The exact minimum of a form with L = 0 and babs >= 0, as one LP in
-        (v, z+, z-) with z = z+ - z- and z+, z- >= 0.  Its cost
-        (b + babs)^T z+ + (babs - b)^T z- is at least b^T z + babs^T |z|,
-        with equality when min(z+_i, z-_i) = 0, which some optimum meets."""
-        form = self.form
-        top = np.hstack([self.top_base, -self.top_base[:, form.n:]])
-        s2 = 2 * form.s
-        z_cost = np.concatenate([form.b + form.babs, form.babs - form.b])
-        return self._solve(top, np.zeros(s2), np.full(s2, np.inf), z_cost, None)
+    def keeps_basis(self, sol, sigma: np.ndarray, i: int) -> bool:
+        """True when the optimal basis of ``sol`` stays optimal for the LP
+        of ``sigma``, which differs from sol's signature only at kink i, so
+        that LP's value is sol's.
 
-    def keeps_basis(self, sol, i: int, f: int) -> bool:
-        """True when the optimal basis of ``sol`` stays optimal after kink i
-        is flipped to sign f, so the child LP's value is the parent's.
-
-        The child LP differs from the parent only in column z_i: its
-        L-entries, its cost and its bounds.  If z_i is nonbasic (at 0, or
-        fixed at 0 when sigma_i = 0: the LP never pivots a fixed column in),
-        the parent basis stays primal feasible and every other reduced cost
-        is unchanged; it stays optimal unless z_i's new reduced cost lets it
-        move in direction f.
+        The flip pins the column that carries z_i now, at 0 (to the signature
+        tolerance) basic or not, and unpins z+_i or z-_i.  A, c and B are
+        unchanged, so the basis stays primal feasible and every other
+        reduced cost keeps its value; it stays optimal unless the unpinned
+        column, at 0 and fixed in sol, passes the simplex's entering test.
         """
-        if self.form.n + i in sol.basis.cols:
-            return False
-        form = self.form
-        col = -form.M[:, i] - f * form.L[:, i]
-        col[i] += 1.0
-        rc = form.b[i] + f * form.babs[i] + col @ sol.dual_eq[:form.s]
-        return bool(f * rc >= 0.0)
+        j = self.form.n + i + (0 if sigma[i] > 0 else self.form.s)
+        rc = sol.dual_lo[j] - sol.dual_hi[j]  # both bounds of a fixed column are active
+        return bool(rc >= -lpmod.entering_tol(self.cost, self.lo, self.upper(sigma)))
 
 
 def _sig_key(sigma: np.ndarray) -> bytes:
@@ -161,10 +146,15 @@ def _descends(psi_child: float, psi: float) -> bool:
     return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
 
 
-def _kink_duals(form: AbsLinearForm, sol) -> np.ndarray:
-    """Bound multipliers of the z columns; magnitude signals binding kinks."""
-    n = form.n
-    return sol.dual_lo[n:] - sol.dual_hi[n:]
+def _kink_duals(form: AbsLinearForm, sigma, sol) -> np.ndarray:
+    """The z-bound multipliers of the LP in (v, z) with |z_i| = sigma_i z_i
+    substituted: rc(z+_i) where sigma_i > 0, -rc(z-_i) where sigma_i < 0 and
+    their half-difference where both are pinned.  Magnitude signals binding
+    kinks."""
+    n, s = form.n, form.s
+    rc = sol.dual_lo - sol.dual_hi
+    up, down = rc[n:n + s], rc[n + s:]
+    return np.where(sigma > 0, up, np.where(sigma < 0, -down, (up - down) / 2))
 
 
 def _checked(sol, psi):
@@ -191,9 +181,10 @@ def aasm_minimize(
     """Minimize ``form`` over C from ``start``.
 
     Requires start feasible, C bounded and ``partial_inner_limit``, if set,
-    at least 1.  A form with L = 0 and babs >= 0 is convex: one split LP
-    (``_Lifted.solve_split``) gives its exact minimum, returned as LOCAL_MIN
-    with 1 polyhedron and 1 LP, and ``partial_inner_limit`` does not apply.
+    at least 1.  A form with L = 0 and babs >= 0 is convex: one LP with no
+    kink pinned (``_Lifted.solve`` without a signature) gives its exact
+    minimum, returned as LOCAL_MIN with 1 polyhedron and 1 LP, and
+    ``partial_inner_limit`` does not apply.
 
     Any other form walks by adapted active signature descent.  The accepted
     chain of per-polyhedron optima strictly decreases; LOCAL_MIN means every
@@ -213,23 +204,20 @@ def aasm_minimize(
 
     ws = _Lifted(form, C)
     if not form.L.any() and np.all(form.babs >= 0):
-        sol, psi = _checked(*ws.solve_split())
-        n, s = form.n, form.s
-        sigma = switch_signs(form, sol.x[n:n + s] - sol.x[n + s:])
+        sol, psi = _checked(*ws.solve())
+        sigma = switch_signs(form, ws.z(sol))
         if trace_sink is not None:
             trace_sink(_trace_line(sigma, psi, sol))
-        return AasmResult(sol.x[:n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
+        return AasmResult(sol.x[:form.n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
 
     sigma = signature(form, start)
-    sol, psi = _checked(*ws.solve(sigma, hint=None))
+    sol, psi = _checked(*ws.solve(sigma))
 
     max_poly = 2 ** min(form.s, 20)
     visited = set()
     visited_list = []
-    probe_cache: dict[bytes, tuple] = {}
     while True:
-        key = _sig_key(sigma)
-        visited.add(key)
+        visited.add(_sig_key(sigma))
         visited_list.append(sigma.copy())
         if trace_sink is not None:
             trace_sink(_trace_line(sigma, psi, sol))
@@ -239,20 +227,14 @@ def aasm_minimize(
 
         accepted = None
         improving_but_visited = False
-        for i, f in _candidate_flips(form, sigma, sol.x[form.n:], _kink_duals(form, sol)):
+        for i, f in _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol)):
             sig2 = sigma.copy()
             sig2[i] = f
-            key = _sig_key(sig2)
-            if key not in probe_cache:
-                if ws.keeps_basis(sol, i, f):
-                    # the parent's value, certified without an LP; the
-                    # accepted chain only descends, so it never qualifies
-                    probe_cache[key] = (None, psi)
-                else:
-                    probe_cache[key] = ws.solve(sig2, hint=sol.basis)
-            sol2, psi2 = probe_cache[key]
+            if ws.keeps_basis(sol, sig2, i):
+                continue  # the parent's value, certified without an LP: no descent
+            sol2, psi2 = ws.solve(sig2, hint=sol.basis)
             if _descends(psi2, psi):
-                if key in visited:
+                if _sig_key(sig2) in visited:
                     improving_but_visited = True
                     continue
                 accepted = (sig2, sol2, psi2)
@@ -280,7 +262,7 @@ def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
 
     ``v`` must already be LP-optimal over its own signature closure and C.
     The reference for ``aasm_minimize``'s LOCAL_MIN: every flip is solved as
-    a cold LP, with no pricing and no cache.
+    a cold LP, with no pricing.
     """
     v = np.asarray(v, dtype=float)
     ws = _Lifted(form, C)
@@ -289,7 +271,7 @@ def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
     for i, f in _candidate_flips(form, sigma, z, np.zeros(form.s)):
         sig2 = sigma.copy()
         sig2[i] = f
-        if _descends(ws.solve(sig2, hint=None)[1], psi_v):
+        if _descends(ws.solve(sig2)[1], psi_v):
             return False
     return True
 

@@ -83,6 +83,13 @@ class LpSolution:
     simplex_iters: int
 
 
+def entering_tol(c, lo, hi) -> float:
+    """The margin by which a reduced cost must pass zero before its column
+    may enter: DEFAULT_TOL scaled by the largest |c_j| over the columns wider
+    than FIXED_TOL."""
+    return DEFAULT_TOL * (1.0 + float(np.max(np.abs(c[(hi - lo) > FIXED_TOL]), initial=0.0)))
+
+
 def _bound_point(lo, hi):
     """Each column at its finite lower bound, else its finite upper bound, else 0."""
     return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -144,10 +151,11 @@ class _Simplex:
         """Minimize c'x from the current basic feasible point.
 
         Returns "optimal" or "unbounded"; raises LpError on breakdown.
+        ``iters`` counts the steps made: finding an unbounded ray is none.
         """
         stall = 0
         movable = self.movable()
-        rc_tol = DEFAULT_TOL * (1.0 + float(np.max(np.abs(c[movable]), initial=0.0)))
+        rc_tol = entering_tol(c, self.lo, self.hi)
         for _ in range(max_iters):
             y = self.Binv.T @ c[self.basis]
             rc = c - self.A.T @ y
@@ -168,9 +176,9 @@ class _Simplex:
                     break
             else:
                 raise LpError("no acceptable pivot (below hard tolerance) remained")
-            self.iters += 1
             if step == np.inf:
                 return "unbounded"
+            self.iters += 1
             stall = stall + 1 if step <= DEFAULT_TOL else 0
         raise LpError("simplex iteration limit exceeded")
 

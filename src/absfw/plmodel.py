@@ -104,11 +104,6 @@ def signature(form: AbsLinearForm, dx) -> np.ndarray:
     return switch_signs(form, eval_pl(form, dx)[1])
 
 
-def effective_b(form: AbsLinearForm, sigma) -> np.ndarray:
-    """Value-row coefficients on z once |z_i| = sigma_i z_i is substituted."""
-    return form.b + np.asarray(sigma, dtype=float) * form.babs
-
-
 def restrict(form: AbsLinearForm, sigma) -> AffineRestriction:
     """Affine piece of the model on the closure of the domain of ``sigma``.
 
@@ -123,7 +118,7 @@ def restrict(form: AbsLinearForm, sigma) -> AffineRestriction:
     for i in range(form.s):
         R[i] = form.Z[i] - T[i, :i] @ R[:i]
         r[i] = form.c[i] - T[i, :i] @ r[:i]
-    bs = effective_b(form, sigma)
+    bs = form.b + sigma * form.babs  # value-row coefficients on z
     g = form.a + R.T @ bs
     h = form.d + bs @ r
     return AffineRestriction(R=R, r=r, g=g, h=float(h))

@@ -14,9 +14,11 @@ from absfw.aasm import (
     local_optimality_test,
     brute_force_pl_min,
 )
-from absfw.lp import DEFAULT_TOL
-from absfw.plmodel import AbsLinearForm, eval_pl, affine_substitute, signature
-from absfw.polyhedron import Polyhedron, contains, cube, box
+from absfw import lp as lpmod
+from absfw.lp import DEFAULT_TOL, LpProblem, LpStatus
+from absfw.plmodel import (
+    AbsLinearForm, eval_pl, affine_substitute, restrict, signature, signature_constraints)
+from absfw.polyhedron import Polyhedron, contains, cube, box, intersect
 from absfw.randgen import random_pl_form, midpoint_convex
 from absfw.tape import TapeBuilder, abs_linearize
 
@@ -161,15 +163,16 @@ def ordered_chain(n, radius):
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """Counts the calls of the convex route's LP."""
+    """Counts the calls of the convex route's LP, the one with no kink pinned."""
     calls = []
-    real = _Lifted.solve_split
+    real = _Lifted.solve
 
-    def solve_split(self):
-        calls.append(1)
-        return real(self)
+    def solve(self, sigma=None, hint=None):
+        if sigma is None:
+            calls.append(1)
+        return real(self, sigma, hint)
 
-    monkeypatch.setattr(_Lifted, "solve_split", solve_split)
+    monkeypatch.setattr(_Lifted, "solve", solve)
     return calls
 
 
@@ -313,29 +316,52 @@ def pinned_form(rng, n, s, pins):
     return dataclasses.replace(form, c=c), start
 
 
+class TestLiftedLp:
+    def test_matches_restricted_lp(self, rng):
+        """The lifted LP of a signature has the status and value of the LP
+        over the same closure built from the affine restriction."""
+        C = cube(3, 3.0)
+        statuses = set()
+        for k in range(40):
+            form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
+            sigma = signature(form, start)
+            if k % 2:  # a neighbor, whose domain may miss C
+                sigma[rng.integers(5)] = rng.integers(-1, 2)
+            sol, psi = _Lifted(form, C).solve(sigma)
+            res = restrict(form, sigma)
+            ref = lpmod.solve(LpProblem(c=res.g, P=intersect(C, signature_constraints(form, sigma))))
+            assert sol.status == ref.status
+            statuses.add(sol.status)
+            if ref.status == LpStatus.OPTIMAL:
+                assert psi == pytest.approx(res.h + res.g @ ref.x, rel=1e-9, abs=1e-9)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
 class TestProbePricing:
     def test_priced_out_flips_never_descend(self, rng, monkeypatch):
         """Every flip the parent's duals price out is re-solved by a cold LP,
         which must find no descent; LOCAL_MIN still agrees with the cold-LP
-        reference ``local_optimality_test``."""
+        reference ``local_optimality_test``.  On maxq C2 n=20 at iteration 3
+        some priced flips pin a column that is basic at 0."""
         real_solve, real_keeps = _Lifted.solve, _Lifted.keeps_basis
         signature_of = {}  # id of an LP solution -> (solution, its signature)
-        margins = []       # (sigma_i of the parent, psi_child - psi + tol_dec)
+        margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)
+        priced = []        # keeps_basis's answers
 
-        def solve(self, sigma, hint):
+        def solve(self, sigma=None, hint=None):
             sol, psi = real_solve(self, sigma, hint)
-            signature_of[id(sol)] = (sol, sigma.copy())
+            signature_of[id(sol)] = (sol, sigma)
             return sol, psi
 
-        def keeps_basis(self, sol, i, f):
-            kept = real_keeps(self, sol, i, f)
+        def keeps_basis(self, sol, sig2, i):
+            kept = real_keeps(self, sol, sig2, i)
+            priced.append(kept)
             if kept:
-                sigma = signature_of[id(sol)][1]
-                sig2 = sigma.copy()
-                sig2[i] = f
+                sigma_i = signature_of[id(sol)][1][i]
+                basic = sigma_i != 0 and self.form.n + i + (sigma_i < 0) * self.form.s in sol.basis.cols
                 psi = sol.objective + self.form.d
-                _, psi2 = real_solve(self, sig2, None)
-                margins.append((sigma[i], psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
+                _, psi2 = real_solve(self, sig2)
+                margins.append((sigma_i, basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
             return kept
 
         monkeypatch.setattr(_Lifted, "solve", solve)
@@ -350,17 +376,24 @@ class TestProbePricing:
                 local_mins += 1
                 assert local_optimality_test(form, C, res.v_star)
         assert local_mins > 0
-        assert any(sig_i == 0 for sig_i, _ in margins)  # pinned kinks get priced
-        assert any(sig_i != 0 for sig_i, _ in margins)
-        assert min(m for _, m in margins) >= 0.0
+        assert any(sig_i == 0 for sig_i, _, _ in margins)  # pinned kinks get priced
+        assert any(sig_i != 0 for sig_i, _, _ in margins)
+        del priced[:]
+        inst, rule = bench.maxq(20, "C2"), StepRule.open_loop_sqrt()
+        x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=3).x_final
+        form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(3), -rule.alpha(3) * x)
+        aasm_minimize(form, inst.C, x)  # the subproblem of outer iteration 3
+        assert priced and all(priced)
+        assert any(basic for _, basic, _ in margins)
+        assert min(m for _, _, m in margins) >= 0.0
 
     def test_pricing_saves_lps_on_maxq(self, monkeypatch):
         real_keeps = _Lifted.keeps_basis
         probed = []
 
-        def keeps_basis(self, sol, i, f):
-            probed.append((i, f))
-            return real_keeps(self, sol, i, f)
+        def keeps_basis(self, sol, sigma, i):
+            probed.append((i, sigma[i]))
+            return real_keeps(self, sol, sigma, i)
 
         monkeypatch.setattr(_Lifted, "keeps_basis", keeps_basis)
         inst = bench.maxq(6, "C2")

@@ -99,7 +99,9 @@ class TestBasics:
 
     def test_unbounded(self):
         lp = LpProblem(c=[-1.0], P=make_poly(1, lo=[0.0]))
-        assert solve(lp).status == LpStatus.UNBOUNDED
+        sol = solve(lp)
+        assert sol.status == LpStatus.UNBOUNDED
+        assert sol.simplex_iters == 0  # finding the ray moves nothing
 
     def test_equality_system(self):
         # min x1+x2 s.t. x1 - x2 = 1 over [-5,5]^2 -> x = (-4+..,), vertex (-4, -5)
