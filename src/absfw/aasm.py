@@ -6,7 +6,9 @@ All LPs of one call share their rows and cost, in the lifted variables
 becomes s equality rows and the objective is affine.  A signature only sets
 bounds, pinning z+_i or z-_i at 0.  A form with L = 0 (no |z_i| feeds a
 later row) and babs >= 0 is convex, and the LP with nothing pinned gives its
-exact minimum.  Every other form is solved by the descent below.
+exact minimum.  Every other form is solved by the descent below.  The first
+LP of a call starts at the start point, from a crash basis of z columns and
+C's slacks (``_Lifted.crash``), so it runs no phase 1.
 
 At the per-polyhedron optimum every single flip of an active kink is probed
 (both signs for pinned kinks); if no probe LP strictly decreases the
@@ -93,13 +95,32 @@ class _Lifted:
         free = np.ones(2 * self.form.s, bool) if sigma is None else np.concatenate([sigma > 0, sigma < 0])
         return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
 
-    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None):
+    def crash(self, sigma: np.ndarray | None, v: np.ndarray):
+        """The crash basis at v, a point of C, and the start (v, 0, 0).
+        Switching row i gets z+_i if sigma_i > 0, z-_i if sigma_i < 0, and
+        where sigma_i = 0 or there is no signature z+_i if z_i(v) >= 0, else
+        z-_i.  C's inequality rows get their slacks.  The z block, I - M - L
+        with signed columns, is lower triangular with diagonal +-1, so the
+        basis is nonsingular, and its point splits z(v)."""
+        n, s = self.form.n, self.form.s
+        z_up = eval_pl(self.form, v)[1] >= 0
+        up = z_up if sigma is None else np.where(sigma == 0, z_up, sigma > 0)
+        cols = np.concatenate([n + np.arange(s) + np.where(up, 0, s),
+                               n + 2 * s + np.arange(self.C.Ain.shape[0])])
+        return LpBasis(tuple(cols.tolist())), np.concatenate([v, np.zeros(2 * s)])
+
+    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None, start=None):
         """The LP over the closure of sigma's domain, or with no signature
         the split LP; returns the solution and psi = objective + d (inf
-        unless OPTIMAL)."""
+        unless OPTIMAL).  With ``start``, a point of C, the LP runs from the
+        crash basis there in place of ``hint``, unless C has equality rows,
+        which have no slack to crash with."""
+        x0 = None
+        if start is not None and not self.C.Aeq.shape[0]:
+            hint, x0 = self.crash(sigma, start)
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
-        sol = lpmod.solve(LpProblem(c=self.cost, P=P), basis_hint=hint)
+        sol = lpmod.solve(LpProblem(c=self.cost, P=P), basis_hint=hint, start=x0)
         self.calls += 1
         psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
@@ -180,8 +201,10 @@ def aasm_minimize(
 ) -> AasmResult:
     """Minimize ``form`` over C from ``start``.
 
-    Requires start feasible, C bounded and ``partial_inner_limit``, if set,
-    at least 1.  A form with L = 0 and babs >= 0 is convex: one LP with no
+    The first LP starts at ``start`` from a crash basis and runs phase 2
+    only (cold, with phase 1, if C has equality rows).  Requires start
+    feasible to ``lp.WARM_TOL``, C bounded and ``partial_inner_limit``, if
+    set, at least 1.  A form with L = 0 and babs >= 0 is convex: one LP with no
     kink pinned (``_Lifted.solve`` without a signature) gives its exact
     minimum, returned as LOCAL_MIN with 1 polyhedron and 1 LP, and
     ``partial_inner_limit`` does not apply.
@@ -197,21 +220,21 @@ def aasm_minimize(
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
     start = np.asarray(start, dtype=float)
-    if not contains(C, start, 1e-7):
+    if not contains(C, start, lpmod.WARM_TOL):
         raise AasmError("start point is not feasible")
     if not C.is_boxed():
         raise AasmError("feasible set must be bounded (boxed)")
 
     ws = _Lifted(form, C)
     if not form.L.any() and np.all(form.babs >= 0):
-        sol, psi = _checked(*ws.solve())
+        sol, psi = _checked(*ws.solve(start=start))
         sigma = switch_signs(form, ws.z(sol))
         if trace_sink is not None:
             trace_sink(_trace_line(sigma, psi, sol))
         return AasmResult(sol.x[:form.n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
 
     sigma = signature(form, start)
-    sol, psi = _checked(*ws.solve(sigma))
+    sol, psi = _checked(*ws.solve(sigma, start=start))
 
     max_poly = 2 ** min(form.s, 20)
     visited = set()

@@ -5,8 +5,9 @@ equality rows get phase-1 artificials, box bounds are handled natively so
 bases stay at row size.  Every nonbasic column carries an explicit value,
 which may also lie strictly inside its bounds (see ``_Simplex``).  Fixed
 columns (bounds within ``FIXED_TOL``) stay in the system at their lower bound
-and never enter the basis, and no row is dropped, so every row keeps its dual
-and basis indices are the caller's column indices.  Pricing is Dantzig's
+and never enter the basis (a crash basis may hold some), and no row is
+dropped, so every row keeps its dual and basis indices are the caller's
+column indices.  Pricing is Dantzig's
 rule; after a stall of 50 degenerate pivots it switches to Bland's rule until
 a nondegenerate pivot is made, which makes crafted cycling instances
 terminate.  The basis inverse is kept explicitly and refactorized
@@ -19,7 +20,9 @@ Optimal solutions carry dual multipliers with the convention
 
 so stationarity reads c + Aeq' dual_eq + Ain' dual_in = pi_lo - pi_hi.
 A previously returned basis can be passed back as a warm start; if it is
-unusable the solve silently falls back to a cold start.
+unusable the solve silently falls back to a cold start.  A hint may come with
+a start point, which places the nonbasic columns (a crash start): from a
+nonsingular basis feasible to ``WARM_TOL`` there, only phase 2 runs.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ DEFAULT_TOL = 1e-9
 FIXED_TOL = 1e-12
 PIVOT_TOL = 1e-11
 PIVOT_HARD_TOL = 1e-12
+WARM_TOL = 1e-7  # primal infeasibility a warm or crash start may carry
 BLAND_STALL = 50
 REFACTOR_EVERY = 100
 
@@ -63,8 +67,9 @@ class LpBasis:
     """Warm-start data: basic column per row plus nonbasic-at-upper flags,
     indexed over structural-plus-slack columns.  An optimal solve always
     returns its basis; in a row made redundant by the fixed columns it holds
-    the phase-1 artificial, an index past those columns, and such a basis is
-    rejected as a hint."""
+    the phase-1 artificial, an index past those columns, or after a crash
+    start a fixed column, and such a basis is rejected as a hint without a
+    start point."""
 
     cols: tuple[int, ...]
     at_upper: tuple[int, ...] = ()
@@ -245,28 +250,38 @@ class _Simplex:
             self.refactor()
 
 
-def _drive_out_artificials(sx: _Simplex, n_real: int):
-    """Pivot basic artificials (at value ~0) onto movable real columns when
-    possible."""
-    movable = sx.movable()[:n_real]
-    for r in range(sx.m):
-        if sx.basis[r] < n_real:
-            continue
+def _swap_out(sx: _Simplex, rows, n_real: int, guarded: bool):
+    """Swap the basic column of each of ``rows``, at zero step, for a movable
+    nonbasic real column whose pivot element passes PIVOT_TOL: the first one,
+    or with ``guarded`` the one of largest |alpha_rj|, and then only if the
+    leaving column's distance to its nearer bound, the residual the swap
+    drops, is at most FIXED_TOL |alpha_rj|.  Other rows keep their column."""
+    free = sx.movable()[:n_real]
+    free[sx.basis[sx.basis < n_real]] = False  # movable and nonbasic
+    for r in rows:
         row = sx.Binv[r] @ sx.A[:, :n_real]
-        nonbasic = ~np.isin(np.arange(n_real), sx.basis)
-        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & movable & nonbasic)
+        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & free)
         if not cands.size:
-            continue  # redundant row; artificial stays basic at zero
-        j = int(cands[0])
+            continue  # redundant row
+        j = int(cands[np.argmax(np.abs(row[cands]))] if guarded else cands[0])
+        out = sx.basis[r]
+        if guarded and min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
+            continue
         w = sx.Binv @ sx.A[:, j]
         sx._execute_pivot(j, r, 1.0, 0.0, w, np.zeros(sx.m))
+        free[j] = False
 
 
-def solve(lp: LpProblem, basis_hint: LpBasis | None = None) -> LpSolution:
+def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSolution:
     """Solve the LP; deterministic for identical input.
 
     Infeasible/Unbounded are reported as statuses.  LpError signals numerical
-    breakdown (no pivot above 1e-12 available).
+    breakdown (no pivot above 1e-12 available).  With ``start``, a point over
+    the LP's columns within WARM_TOL of their bounds, each nonbasic column of
+    ``basis_hint`` takes start's value clipped onto its bounds, and the hint
+    may hold fixed columns, which are then swapped out where ``_swap_out``
+    allows; only phase 2 runs.  A hint unusable at that point falls back to
+    the cold two-phase solve.
     """
     P = lp.P
     n = P.dim
@@ -290,16 +305,23 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None) -> LpSolution:
     if basis_hint is not None:
         cols = np.asarray(basis_hint.cols, dtype=np.int64)
         movable = sx.movable()
-        if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)) and movable[cols].all():
+        in_range = np.all((cols >= 0) & (cols < n_real))
+        if cols.shape == (m,) and in_range and (start is not None or movable[cols].all()):
             xN = _bound_point(lo, hi)
             for j in basis_hint.at_upper:
                 if 0 <= j < n_real and movable[j] and np.isfinite(hi[j]):
                     xN[j] = hi[j]
+            start_ok = True
+            if start is not None:
+                xN[:n] = np.clip(start, P.lo, P.hi)
+                start_ok = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
             try:
                 sx.set_basis(cols, xN)
-                warm_ok = np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= 1e-7
+                warm_ok = start_ok and np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= WARM_TOL
             except np.linalg.LinAlgError:
                 warm_ok = False
+            if warm_ok and start is not None:
+                _swap_out(sx, np.flatnonzero(~movable[sx.basis]), n_real, guarded=True)
 
     if not warm_ok and not _phase1(sx, max_iters):
         return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
@@ -343,7 +365,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
         raise LpError("unbounded ray in phase 1, whose objective is bounded below by 0")
     if float(c1[sx.basis] @ sx.xB) > DEFAULT_TOL * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
         return False
-    _drive_out_artificials(sx, n_real)
+    _swap_out(sx, np.flatnonzero(sx.basis >= n_real), n_real, guarded=False)
     # pin artificials so phase 2 cannot reuse them
     sx.lo[n_real:] = 0.0
     sx.hi[n_real:] = 0.0

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import absfw.lp as lpmod
 from absfw.tape import TapeBuilder
 
 
@@ -64,3 +65,17 @@ def square_tape():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240501)
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """Records one entry per call of the simplex's phase 1."""
+    calls = []
+    real = lpmod._phase1
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lpmod, "_phase1", counting)
+    return calls

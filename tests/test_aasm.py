@@ -167,10 +167,10 @@ def split_calls(monkeypatch):
     calls = []
     real = _Lifted.solve
 
-    def solve(self, sigma=None, hint=None):
+    def solve(self, sigma=None, hint=None, start=None):
         if sigma is None:
             calls.append(1)
-        return real(self, sigma, hint)
+        return real(self, sigma, hint, start=start)
 
     monkeypatch.setattr(_Lifted, "solve", solve)
     return calls
@@ -348,8 +348,8 @@ class TestProbePricing:
         margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)
         priced = []        # keeps_basis's answers
 
-        def solve(self, sigma=None, hint=None):
-            sol, psi = real_solve(self, sigma, hint)
+        def solve(self, sigma=None, hint=None, start=None):
+            sol, psi = real_solve(self, sigma, hint, start=start)
             signature_of[id(sol)] = (sol, sigma)
             return sol, psi
 
@@ -407,9 +407,9 @@ class TestProbePricing:
         assert res.lp_calls < len(probed)
 
     def test_redundant_row_basis_prices_probes(self):
-        # at x = 0 every kink is pinned and the lifted LP keeps a phase-1
-        # artificial basic in a row made redundant by the fixed z columns;
-        # its basis still prices all ten single flips, so one LP suffices
+        # at x = 0 every kink is pinned, and the crash basis keeps fixed z
+        # columns basic in rows with no movable entry; that basis still
+        # prices all ten single flips, so one LP suffices
         inst = bench.maxq(6, "C2")
         x = np.zeros(6)
         form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
@@ -419,3 +419,69 @@ class TestProbePricing:
         assert res.psi_star == 0.0
         assert res.lp_calls == 1
         assert local_optimality_test(form, inst.C, res.v_star)
+
+
+class TestCrashStart:
+    """The first LP of every call starts at the start point from the crash
+    basis and runs phase 2 only; C with equality rows falls back to a cold
+    first LP."""
+
+    @pytest.fixture
+    def crashed(self, monkeypatch):
+        """(problem, solution) of every LP solved from a start point."""
+        solved = []
+        real = lpmod.solve
+
+        def recording(problem, basis_hint=None, start=None):
+            sol = real(problem, basis_hint=basis_hint, start=start)
+            if start is not None:
+                solved.append((problem, sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", recording)
+        return solved
+
+    def test_random_forms_skip_phase1(self, rng, phase1_calls, crashed):
+        for k in range(30):
+            if k % 3 == 0:
+                form, C = convex_form(rng, n=3, s=6), cube(3, 2.0)
+                start = rng.uniform(-1.5, 1.5, size=3)
+            else:
+                form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
+                C = cube(3, 3.0)
+            aasm_minimize(form, C, start)
+        assert phase1_calls == []
+        assert len(crashed) == 30
+        for problem, sol in crashed:  # the same LP solved cold
+            cold = lpmod.solve(problem)
+            assert sol.status == cold.status == LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        assert len(phase1_calls) == 30
+
+    @pytest.mark.parametrize("build", [
+        lambda: bench.chained_lq(100),
+        lambda: bench.maxq(20, "C2"),
+        lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_bench_subproblems_skip_phase1(self, build, phase1_calls, crashed):
+        inst = build()
+        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=10)
+        assert phase1_calls == []
+        assert len(crashed) >= 10
+
+    def test_equality_row_solves_cold(self, rng, phase1_calls, crashed):
+        # v_1 + v_2 + v_3 = 0 on the cube: no slack to crash that row with
+        cube3 = cube(3, 2.0)
+        C = Polyhedron(Aeq=np.ones((1, 3)), beq=np.zeros(1), Ain=np.zeros((0, 3)), bin=np.zeros(0),
+                       lo=cube3.lo, hi=cube3.hi)
+        for _ in range(5):
+            form = convex_form(rng, n=3, s=6)
+            start = rng.uniform(-0.5, 0.5, size=3)
+            start -= start.mean()
+            res = aasm_minimize(form, C, start)
+            assert phase1_calls == [1]
+            _, psi_o = brute_force_pl_min(form, C)
+            assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
+            assert contains(C, res.v_star)
+            del phase1_calls[:]
+        assert crashed == []

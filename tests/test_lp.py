@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import FIXED_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
+from absfw.lp import FIXED_TOL, PIVOT_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -167,6 +167,42 @@ class TestSuperbasicStart:
         assert sx.iters == 1
 
 
+class TestStartPoint:
+    """A hint with a start point: nonbasic columns sit at the start, and
+    only phase 2 runs unless the start leaves its bounds by more than
+    WARM_TOL, in which case the solve is the cold one."""
+
+    # min -x1 - 2 x2 s.t. x1 + x2 <= 4 on [0, 3]^2; the slack is basic
+    LP = LpProblem(c=[-1.0, -2.0], P=make_poly(2, Ain=[[1, 1]], bin_=[4.0], lo=[0, 0], hi=[3, 3]))
+    HINT = LpBasis(cols=(2,))
+
+    @pytest.mark.parametrize("start", [[1.0, 1.0], [0.5, 2.5], [1.0, 3.0 + 5e-8]])
+    def test_interior_start_runs_phase2_only(self, start, phase1_calls):
+        sol = solve(self.LP, basis_hint=self.HINT, start=np.array(start))
+        assert phase1_calls == []
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.simplex_iters >= 1
+        np.testing.assert_allclose(sol.x, [1.0, 3.0], atol=1e-12)
+        check_certificates(self.LP, sol)
+
+    @pytest.mark.parametrize("start", [[1.0, 3.0 + 2e-7], [-1e-6, 1.0], [np.nan, 1.0]])
+    def test_start_outside_bounds_solves_cold(self, start, phase1_calls):
+        sol = solve(self.LP, basis_hint=self.HINT, start=np.array(start))
+        assert phase1_calls == [1]
+        cold = solve(self.LP)
+        assert (sol.status, sol.basis, sol.simplex_iters) == (cold.status, cold.basis, cold.simplex_iters)
+        for name in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
+            np.testing.assert_array_equal(getattr(sol, name), getattr(cold, name))
+
+    @pytest.mark.parametrize("rhs, cols", [(0.0, (1,)), (1e-12, (1,)), (4e-12, (0,))])
+    def test_fixed_column_swapped_out_only_if_residual_tiny(self, rhs, cols):
+        # x0 - 2 x1 = rhs with x0 fixed at 0 and basic at rhs: swapping in x1
+        # drops the residual rhs, allowed up to FIXED_TOL * |alpha| = 2e-12
+        lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -2]], beq=[rhs], lo=[0, 0], hi=[0, 1]))
+        sol = solve(lp, basis_hint=LpBasis(cols=(0,)), start=np.zeros(2))
+        assert (sol.status, sol.basis.cols, sol.simplex_iters) == (LpStatus.OPTIMAL, cols, 0)
+
+
 class TestBoxOracle:
     def test_random_box_vs_vertex_enumeration(self, rng):
         for n in (2, 3, 5, 8, 10):
@@ -292,8 +328,10 @@ class TestWarmStart:
 
 
 class TestFixedColumnOracle:
-    """Fixed columns against scipy's HiGHS: same status and objective, never
-    basic, and the returned basis re-solves with no pivot."""
+    """Fixed columns against scipy's HiGHS: same status and objective.  A
+    fixed column is basic only in a row of B^-1 A with no movable nonzero
+    entry, and such a basis, like one holding a phase-1 artificial, is not
+    a usable hint; any other returned basis re-solves with no pivot."""
 
     def check(self, lp, sol):
         status, objective = highs(lp)
@@ -301,11 +339,20 @@ class TestFixedColumnOracle:
         if sol.status != LpStatus.OPTIMAL:
             return
         assert abs(sol.objective - objective) <= 1e-9 * (1.0 + abs(objective))
-        fixed = np.flatnonzero(lp.P.hi - lp.P.lo <= FIXED_TOL)
-        assert not set(fixed.tolist()) & set(sol.basis.cols)
-        if max(sol.basis.cols, default=-1) < lp.P.dim + lp.P.Ain.shape[0]:
-            # a basis holding a phase-1 artificial is not a usable hint
+        P, cols = lp.P, list(sol.basis.cols)
+        mi = P.Ain.shape[0]
+        A = np.block([[P.Aeq, np.zeros((P.Aeq.shape[0], mi))], [P.Ain, np.eye(mi)]])
+        movable = np.concatenate([P.hi - P.lo > FIXED_TOL, np.ones(mi, bool)])
+        if max(cols, default=-1) < A.shape[1] and movable[cols].all():
             assert solve(lp, basis_hint=sol.basis).simplex_iters == 0
+            return
+        if max(cols) < A.shape[1]:
+            rows = np.linalg.solve(A[:, cols], A)[~movable[cols]]
+            assert np.max(np.abs(rows[:, movable])) <= PIVOT_TOL
+        cold = solve(lp)
+        again = solve(lp, basis_hint=sol.basis)
+        assert (again.basis, again.simplex_iters) == (cold.basis, cold.simplex_iters)
+        np.testing.assert_array_equal(again.x, cold.x)
 
     def test_pinned_random_lps(self, rng):
         for k in range(200):
@@ -317,6 +364,14 @@ class TestFixedColumnOracle:
             sol = solve(lp)
             assert sol.status == LpStatus.OPTIMAL
             self.check(lp, sol)
+
+    def test_crash_swaps_out_fixed_column(self):
+        # x0 - x1 = 0 with x0 fixed at 0: the crash basis (x0,) is optimal
+        # at the start, so only the zero-step swap takes x0 out of it
+        lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -1]], beq=[0.0], lo=[0, 0], hi=[0, 1]))
+        sol = solve(lp, basis_hint=LpBasis(cols=(0,)), start=np.zeros(2))
+        self.check(lp, sol)
+        assert (sol.basis.cols, sol.simplex_iters) == ((1,), 0)
 
     def test_lifted_lps_on_maxq(self, monkeypatch):
         import absfw.aasm
@@ -346,13 +401,12 @@ class TestFixedColumnOracle:
 
 
 class TestBoundFault:
-    @pytest.mark.xfail(strict=True, reason=(
-        "known fault: on maxq C2 n=20 from outer iteration 38, a phase-1 artificial "
-        "stays basic at 5.8e-11, under the 1e-9 infeasibility tolerance; "
-        "_drive_out_artificials pivots it out at step 0 and phase 1 pins it at 0, "
-        "dropping that residual; the final refactor() then moves a basic v column "
-        "with entries of about 3e-6 by about 2e-5, outside its bound"))
     def test_optimal_points_within_column_bounds_on_maxq(self, monkeypatch):
+        """The whole maxq C2 n=20 run keeps every OPTIMAL point within its
+        column bounds.  Cold first LPs broke them from outer iteration 38 on:
+        a phase-1 artificial basic at 5.8e-11 was pinned at 0 and its
+        residual dropped, and the final refactor then moved a basic v column
+        by about 2e-5.  Crashed from the start point, no LP runs phase 1."""
         import absfw.aasm
         from absfw import bench
         from absfw.asfw import StepRule, asfw_run
@@ -368,7 +422,8 @@ class TestBoundFault:
 
         monkeypatch.setattr(lpmod, "solve", recording)
         inst = bench.maxq(20, "C2")
-        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=39)
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=200, gap_tol=1e-10)
+        assert res.status.value == "gap_tol_reached" and len(res.trace.rows) == 56
         assert solved
         for problem, sol in solved:
             if sol.status == LpStatus.OPTIMAL:
