@@ -182,6 +182,9 @@ def constrained_lasso(
 ) -> BenchmarkInstance:
     """0.5 ||A x - y||^2 + rho ||x||_1 with seeded standard-normal data.
 
+    Each residual A_k x - y_k is one ``affine`` tape node, so the tape has
+    3n + 4p + 3 nodes at rho > 0, not the 2np of a scale and an add per A_kj.
+
     ``box``: plain +-5 bounds, standard-normal start.  ``ordered``: the
     monotone chain -5 <= x_1 <= ... <= x_n <= 5 with the evenly spread start.
     """
@@ -197,9 +200,7 @@ def constrained_lasso(
     xs = tb.inputs()
     total = tb.const(0.0)
     for k in range(p):
-        r = tb.const(-float(y[k]))
-        for j in range(n):
-            r = r + tb.scale(float(A[k, j]), xs[j])
+        r = tb.affine(A[k], xs, -float(y[k]))
         total = total + tb.scale(0.5, tb.square(r))
     if rho > 0:
         penalty = tb.const(0.0)

@@ -38,6 +38,8 @@ FIXED_TOL = 1e-12
 PIVOT_TOL = 1e-11
 PIVOT_HARD_TOL = 1e-12
 WARM_TOL = 1e-7  # primal infeasibility a warm or crash start may carry
+TIE_TOL = 1e-12  # ratio-test steps this close count as ties (bound flip first)
+ACTIVE_TOL = 1e-7  # relative distance at which a bound is active for its dual
 BLAND_STALL = 50
 REFACTOR_EVERY = 100
 
@@ -210,14 +212,14 @@ class _Simplex:
         if not np.isfinite(t_min):
             return np.inf
 
-        if t_flip <= t_min + 1e-12:
+        if t_flip <= t_min + TIE_TOL:
             # no basis change; the entering variable moves to its other bound
             self.xB += t_flip * dB
             self._fresh = False
             self.xN[j] = self.hi[j] if direction > 0 else self.lo[j]
             return t_flip
 
-        ties = np.flatnonzero(t_rows <= t_min + 1e-12 * (1.0 + abs(t_min)))
+        ties = np.flatnonzero(t_rows <= t_min + TIE_TOL * (1.0 + abs(t_min)))
         # prefer pivots above the soft tolerance; among those, Bland-style
         # lowest variable index for determinism
         for hard_pass in (False, True):
@@ -250,12 +252,12 @@ class _Simplex:
             self.refactor()
 
 
-def _swap_out(sx: _Simplex, rows, n_real: int, guarded: bool):
-    """Swap the basic column of each of ``rows``, at zero step, for a movable
-    nonbasic real column whose pivot element passes PIVOT_TOL: the first one,
-    or with ``guarded`` the one of largest |alpha_rj|, and then only if the
-    leaving column's distance to its nearer bound, the residual the swap
-    drops, is at most FIXED_TOL |alpha_rj|.  Other rows keep their column."""
+def _swap_out(sx: _Simplex, rows, n_real: int):
+    """Swap the basic column of each of ``rows``, at zero step, for the
+    movable nonbasic real column of largest |alpha_rj| above PIVOT_TOL, but
+    only if the leaving column's distance to its nearer bound, the residual
+    the swap drops, is at most FIXED_TOL |alpha_rj|.  Other rows keep their
+    column."""
     free = sx.movable()[:n_real]
     free[sx.basis[sx.basis < n_real]] = False  # movable and nonbasic
     for r in rows:
@@ -263,9 +265,9 @@ def _swap_out(sx: _Simplex, rows, n_real: int, guarded: bool):
         cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & free)
         if not cands.size:
             continue  # redundant row
-        j = int(cands[np.argmax(np.abs(row[cands]))] if guarded else cands[0])
+        j = int(cands[np.argmax(np.abs(row[cands]))])
         out = sx.basis[r]
-        if guarded and min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
+        if min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
             continue
         w = sx.Binv @ sx.A[:, j]
         sx._execute_pivot(j, r, 1.0, 0.0, w, np.zeros(sx.m))
@@ -321,7 +323,7 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
             except np.linalg.LinAlgError:
                 warm_ok = False
             if warm_ok and start is not None:
-                _swap_out(sx, np.flatnonzero(~movable[sx.basis]), n_real, guarded=True)
+                _swap_out(sx, np.flatnonzero(~movable[sx.basis]), n_real)
 
     if not warm_ok and not _phase1(sx, max_iters):
         return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
@@ -344,8 +346,9 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
 
 
 def _phase1(sx: _Simplex, max_iters) -> bool:
-    """Install artificials, minimize their sum, drive them out; returns
-    False when infeasibility remains."""
+    """Install artificials, minimize their sum, drive out those whose
+    residual ``_swap_out`` may drop; returns False when infeasibility
+    remains."""
     m, n_real = sx.m, sx.ncols
     xN = _bound_point(sx.lo, sx.hi)
     resid = sx.b - sx.A @ xN
@@ -365,7 +368,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
         raise LpError("unbounded ray in phase 1, whose objective is bounded below by 0")
     if float(c1[sx.basis] @ sx.xB) > DEFAULT_TOL * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
         return False
-    _swap_out(sx, np.flatnonzero(sx.basis >= n_real), n_real, guarded=False)
+    _swap_out(sx, np.flatnonzero(sx.basis >= n_real), n_real)
     # pin artificials so phase 2 cannot reuse them
     sx.lo[n_real:] = 0.0
     sx.hi[n_real:] = 0.0
@@ -392,7 +395,7 @@ def _build_solution(lp, x_full, y, rc, n, me, mi, basis_out, iters):
     dual_hi = np.where(rc_x < 0, -rc_x, 0.0)
     # bound duals only make sense where the bound is active
     P = lp.P
-    tol_act = 1e-7 * (1.0 + np.abs(x))
+    tol_act = ACTIVE_TOL * (1.0 + np.abs(x))
     dual_lo = np.where(np.isfinite(P.lo) & (np.abs(x - P.lo) <= tol_act), dual_lo, 0.0)
     dual_hi = np.where(np.isfinite(P.hi) & (np.abs(x - P.hi) <= tol_act), dual_hi, 0.0)
     return LpSolution(

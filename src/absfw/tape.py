@@ -7,6 +7,15 @@ can only depend on switching variables recorded before it.  Evaluating the
 tape gives the function value together with all switching values; linearizing
 it at a point produces the piecewise-linear model data consumed by
 :mod:`absfw.plmodel`.
+
+Besides the scalar primitives there is one n-ary node, ``affine``, with value
+``const + sum_k w_k * v[arg_k]``.  A regression residual ``A_k x - y_k`` is
+then one node instead of a chain of ``scale`` and ``add`` per entry, and its
+linearization is one vector-matrix product over its operands' records.  The
+node keeps ``const`` in ``TapeNode.value``; its operand indices and weights sit
+in the tape's ``affine`` side table, as the switching slots sit in
+``switch_index``.  Its text line is ``<idx> affine <const> <arg> <weight> ...``
+with one (operand, weight) pair per term.
 """
 from __future__ import annotations
 
@@ -21,7 +30,7 @@ from .plmodel import AbsLinearForm
 _BINARY = ("add", "sub", "mul")
 # ops taking a single argument
 _UNARY = ("neg", "square", "sin", "cos", "exp", "abs")
-_OPS = ("input", "const", "scale") + _BINARY + _UNARY
+_OPS = ("input", "const", "scale", "affine") + _BINARY + _UNARY
 
 
 class TapeError(Exception):
@@ -53,12 +62,15 @@ class Tape:
     output: int
     # switching slot (0-based) per abs node, in tape order
     switch_index: dict[int, int] = field(default_factory=dict, repr=False)
+    # (operand indices, weights) per affine node
+    affine: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     @property
     def num_switch(self) -> int:
         return len(self.switch_index)
 
     def __post_init__(self):
+        table = {}
         for idx, node in enumerate(self.nodes):
             if node.op not in _OPS:
                 raise TapeError(f"node {idx}: unknown op {node.op!r}")
@@ -68,8 +80,32 @@ class Tape:
                 raise TapeError(f"node {idx}: operand must precede the node")
             if node.op == "input" and not 0 <= node.a < self.num_inputs:
                 raise TapeError(f"node {idx}: input slot {node.a} out of range")
+            if node.op == "affine":
+                table[idx] = self._checked_affine(idx)
+        if len(table) != len(self.affine):
+            raise TapeError("affine table holds a node that is not affine")
+        object.__setattr__(self, "affine", table)
         if not 0 <= self.output < len(self.nodes):
             raise TapeError("output index out of range")
+
+    def _checked_affine(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node idx's table entry, validated, as read-only arrays."""
+        if idx not in self.affine:
+            raise TapeError(f"node {idx}: affine node has no operand table entry")
+        args, weights = self.affine[idx]
+        args = np.array(args, dtype=np.intp)
+        weights = np.array(weights, dtype=float)
+        if args.ndim != 1 or not args.size:
+            raise TapeError(f"node {idx}: affine needs a nonempty list of operands")
+        if not np.all((0 <= args) & (args < idx)):
+            raise TapeError(f"node {idx}: operands must precede the node")
+        if weights.shape != args.shape:
+            raise TapeError(f"node {idx}: affine needs one weight per operand")
+        if not np.all(np.isfinite(weights)):
+            raise TapeError(f"node {idx}: affine weights must be finite")
+        args.flags.writeable = False
+        weights.flags.writeable = False
+        return args, weights
 
 
 @dataclass(frozen=True)
@@ -113,6 +149,9 @@ def evaluate(tape: Tape, x) -> EvalRecord:
                 v = math.exp(vals[node.a])
             except OverflowError:
                 raise EvaluationError(idx, "exp overflow") from None
+        elif op == "affine":
+            args, w = tape.affine[idx]
+            v = w @ vals[args] + node.value
         else:  # abs
             arg = vals[node.a]
             z[tape.switch_index[idx]] = arg
@@ -151,6 +190,9 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             last_use[node.a] = idx
         if node.b >= 0:
             last_use[node.b] = idx
+        if node.op == "affine":
+            for k in tape.affine[idx][0]:
+                last_use[k] = idx
     last_use[tape.output] = len(tape.nodes)
 
     recs: list[np.ndarray | None] = [None] * len(tape.nodes)
@@ -191,6 +233,13 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             e = math.exp(vals[node.a])
             r = e * recs[node.a]
             r[0] += e * (1.0 - vals[node.a])
+        elif op == "affine":
+            args, w = tape.affine[idx]
+            r = w @ np.array([recs[k] for k in args])
+            r[0] += node.value
+            for k in args:
+                if last_use[k] == idx:
+                    recs[k] = None
         else:  # abs: freeze the argument's record as switching row i
             i = tape.switch_index[idx]
             arg = recs[node.a]
@@ -287,6 +336,7 @@ class TapeBuilder:
         self.num_inputs = num_inputs
         self._nodes: list[TapeNode] = []
         self._switch: dict[int, int] = {}
+        self._affine: dict[int, tuple] = {}  # (operand indices, weights) per affine node
         self._consts: dict[float, int] = {}
         self._inputs = [self._push(TapeNode("input", a=k)) for k in range(num_inputs)]
 
@@ -309,6 +359,23 @@ class TapeBuilder:
 
     def scale(self, value: float, e: Expr) -> Expr:
         idx = self._push(TapeNode("scale", a=e.index, value=float(value)))
+        return Expr(self, idx)
+
+    def affine(self, weights, exprs, const: float = 0.0) -> Expr:
+        """``const + sum_k weights[k] * exprs[k]`` as one node.
+
+        Evaluation is one dot product and linearization one vector-matrix
+        product over the operands' records, where a chain of ``scale`` and
+        ``add`` would record two nodes per term.  Operands may repeat; the
+        weights must be finite, one per operand (checked by ``build``).
+        """
+        args = []
+        for e in exprs:
+            if not isinstance(e, Expr) or e.builder is not self:
+                raise TapeError("affine operands must be expressions of this builder")
+            args.append(e.index)
+        idx = self._push(TapeNode("affine", value=float(const)))
+        self._affine[idx] = (args, weights)
         return Expr(self, idx)
 
     def abs(self, e: Expr) -> Expr:
@@ -356,6 +423,7 @@ class TapeBuilder:
             num_inputs=self.num_inputs,
             output=output.index,
             switch_index=dict(self._switch),
+            affine=dict(self._affine),
         )
 
 
@@ -363,7 +431,8 @@ def tape_to_text(tape: Tape) -> str:
     """Line-oriented dump: header ``n=<int> s=<int>``, one node per line.
 
     The output must be the last node so the format stays self-contained.
-    Floats use repr, which round-trips bit-exactly.
+    Floats use repr, which round-trips bit-exactly.  An affine node is
+    ``<idx> affine <const> <arg> <weight> ...``, one pair per operand.
     """
     if tape.output != len(tape.nodes) - 1:
         raise TapeError("serialization requires the output to be the last node")
@@ -375,6 +444,9 @@ def tape_to_text(tape: Tape) -> str:
             lines.append(f"{idx} const {node.value!r}")
         elif node.op == "scale":
             lines.append(f"{idx} scale {node.a} {node.value!r}")
+        elif node.op == "affine":
+            terms = " ".join(f"{k} {float(w)!r}" for k, w in zip(*tape.affine[idx]))
+            lines.append(f"{idx} affine {node.value!r} {terms}")
         elif node.op in _BINARY:
             lines.append(f"{idx} {node.op} {node.a} {node.b}")
         else:
@@ -390,6 +462,7 @@ def tape_from_text(text: str) -> Tape:
     n = int(head["n"])
     nodes: list[TapeNode] = []
     switch: dict[int, int] = {}
+    affine: dict[int, tuple[list[int], list[float]]] = {}
     for ln in lines[1:]:
         parts = ln.split()
         idx, op = int(parts[0]), parts[1]
@@ -401,6 +474,12 @@ def tape_from_text(text: str) -> Tape:
             nodes.append(TapeNode("const", value=float(parts[2])))
         elif op == "scale":
             nodes.append(TapeNode("scale", a=int(parts[2]), value=float(parts[3])))
+        elif op == "affine":
+            terms = parts[3:]
+            if len(terms) % 2:
+                raise TapeError(f"node {idx}: affine needs (operand, weight) pairs")
+            nodes.append(TapeNode("affine", value=float(parts[2])))
+            affine[idx] = ([int(k) for k in terms[::2]], [float(w) for w in terms[1::2]])
         elif op in _BINARY:
             nodes.append(TapeNode(op, a=int(parts[2]), b=int(parts[3])))
         elif op in _UNARY:
@@ -411,4 +490,5 @@ def tape_from_text(text: str) -> Tape:
             raise TapeError(f"unknown op {op!r}")
     if int(head["s"]) != len(switch):
         raise TapeError("header switch count does not match abs nodes")
-    return Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1, switch_index=switch)
+    return Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1,
+                switch_index=switch, affine=affine)

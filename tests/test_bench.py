@@ -193,6 +193,11 @@ class TestLasso:
         assert contains(inst.C, x0, 1e-12)
         assert not contains(inst.C, x0[::-1].copy(), 1e-9)  # reversed violates order
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (5, 8), (50, 100), (20, 7)])
+    def test_tape_size_linear_in_n_plus_p(self, n, p):
+        # one affine node per residual, not a scale and an add per A_kj
+        assert len(bench.constrained_lasso(n, p).tape.nodes) <= 3 * n + 4 * p + 3
+
     def test_feasible_starts(self):
         for variant in ("box", "ordered"):
             inst = bench.constrained_lasso(8, 12, seed=11, variant=variant)

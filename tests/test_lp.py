@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import FIXED_TOL, PIVOT_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
+from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -401,12 +401,10 @@ class TestFixedColumnOracle:
 
 
 class TestBoundFault:
-    def test_optimal_points_within_column_bounds_on_maxq(self, monkeypatch):
-        """The whole maxq C2 n=20 run keeps every OPTIMAL point within its
-        column bounds.  Cold first LPs broke them from outer iteration 38 on:
-        a phase-1 artificial basic at 5.8e-11 was pinned at 0 and its
-        residual dropped, and the final refactor then moved a basic v column
-        by about 2e-5.  Crashed from the start point, no LP runs phase 1."""
+    @pytest.fixture(scope="class")
+    def maxq_lps(self):
+        """(problem, solution, keyword arguments) of every LP that AASM
+        solves on the whole maxq C2 n=20 run, to gap 1e-10."""
         import absfw.aasm
         from absfw import bench
         from absfw.asfw import StepRule, asfw_run
@@ -417,15 +415,41 @@ class TestBoundFault:
 
         def recording(problem, *args, **kwargs):
             sol = real_solve(problem, *args, **kwargs)
-            solved.append((problem, sol))
+            solved.append((problem, sol, kwargs))
             return sol
 
-        monkeypatch.setattr(lpmod, "solve", recording)
-        inst = bench.maxq(20, "C2")
-        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=200, gap_tol=1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpmod, "solve", recording)
+            inst = bench.maxq(20, "C2")
+            res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(),
+                           max_iters=200, gap_tol=1e-10)
         assert res.status.value == "gap_tol_reached" and len(res.trace.rows) == 56
-        assert solved
-        for problem, sol in solved:
+        return solved
+
+    def test_optimal_points_within_column_bounds_on_maxq(self, maxq_lps):
+        """The whole maxq C2 n=20 run keeps every OPTIMAL point within its
+        column bounds.  Cold first LPs broke them from outer iteration 38 on:
+        a phase-1 artificial basic at 5.8e-11 was pinned at 0 and its
+        residual dropped, and the final refactor then moved a basic v column
+        by about 2e-5.  Crashed from the start point, no LP runs phase 1."""
+        assert maxq_lps
+        for problem, sol, _ in maxq_lps:
             if sol.status == LpStatus.OPTIMAL:
                 assert np.all(sol.x >= problem.P.lo - 1e-9)
                 assert np.all(sol.x <= problem.P.hi + 1e-9)
+
+    def test_cold_resolves_within_bounds_on_maxq(self, maxq_lps):
+        """The run's first LPs, solved again cold (phase 1, no start), stay
+        within their column bounds and rows.  With an unguarded swap after
+        phase 1, the last four (t = 52-55) came back OPTIMAL up to 2.6e-5
+        outside their bounds: the swap dropped an artificial's residual."""
+        firsts = [problem for problem, _, kwargs in maxq_lps if kwargs.get("start") is not None]
+        assert len(firsts) == 56
+        for problem in firsts:
+            sol = solve(problem)
+            assert sol.status == LpStatus.OPTIMAL
+            P = problem.P
+            assert np.all(sol.x >= P.lo - 1e-9) and np.all(sol.x <= P.hi + 1e-9)
+            b_max = float(np.max(np.abs(np.concatenate([P.beq, P.bin])), initial=0.0))
+            resid = np.concatenate([np.abs(P.Aeq @ sol.x - P.beq), np.maximum(P.Ain @ sol.x - P.bin, 0.0)])
+            assert np.max(resid, initial=0.0) <= DEFAULT_TOL * (1.0 + b_max)

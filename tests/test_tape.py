@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from absfw.tape import (
+    Tape,
     TapeBuilder,
+    TapeError,
+    TapeNode,
     EvaluationError,
     evaluate,
     abs_linearize,
@@ -11,7 +14,6 @@ from absfw.tape import (
     tape_from_text,
 )
 from absfw.plmodel import delta_eval, eval_pl
-
 
 
 class TestEvaluate:
@@ -210,3 +212,133 @@ class TestBuilderHelpers:
         tape = tb.build(tb.max_(tb.max_(x, 2.0 * x + 1.0), tb.const(0.0)))
         for xv in np.linspace(-2, 1, 13):
             assert evaluate(tape, [xv]).y == pytest.approx(max(0.0, xv, 2 * xv + 1))
+
+
+def _affine_pair(seed, n=5):
+    """One random function recorded twice: with ``affine`` nodes, and with
+    each affine node written as a ``const`` plus a ``scale``/``add`` chain.
+
+    Operands are inputs, abs outputs and switching arguments (read after
+    their abs, so as z), each at most twice.  Every record column then gets
+    at most two nonzero terms, which sum exactly in any order, so only the
+    constant column may differ between the two tapes."""
+    tapes = []
+    for use_affine in (True, False):
+        rng = np.random.default_rng(seed)
+        tb = TapeBuilder(n)
+        xs = tb.inputs()
+
+        def combo(pool):
+            picks = rng.permutation(len(pool))[:rng.integers(2, len(pool) + 1)]
+            picks = np.concatenate([picks, picks[:rng.integers(0, 3)]])  # repeats
+            ops = [pool[k] for k in rng.permutation(picks)]
+            w, const = rng.normal(size=len(ops)), float(rng.normal())
+            if use_affine:
+                return tb.affine(w, ops, const)
+            e = tb.const(const)
+            for wk, op in zip(w, ops):
+                e = e + tb.scale(float(wk), op)
+            return e
+
+        pool = list(xs)
+        pool.append(tb.abs(xs[-1]))  # the input xs[-1] becomes switching argument z_0
+        for _ in range(2):
+            u = xs[rng.integers(n - 1)] - float(rng.normal()) * xs[rng.integers(n - 1)]
+            pool += [u, tb.abs(u)]
+        r1 = combo(pool)
+        pool += [r1, tb.abs(r1)]
+        tapes.append(tb.build(combo(pool)))
+    return tapes
+
+
+class TestAffine:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scale_add_chain(self, seed):
+        aff, chain = _affine_pair(seed)
+        assert len(aff.nodes) < len(chain.nodes) and aff.num_switch == chain.num_switch == 4
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(3):
+            xbar = rng.normal(size=5)
+            fa, fc = abs_linearize(aff, xbar), abs_linearize(chain, xbar)
+            for name in ("Z", "M", "L", "a", "b", "babs"):
+                np.testing.assert_array_equal(getattr(fa, name), getattr(fc, name), err_msg=name)
+            np.testing.assert_allclose(fa.c, fc.c, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(fa.d, fc.d, rtol=1e-14, atol=0.0)
+            ra, rc = evaluate(aff, xbar), evaluate(chain, xbar)
+            np.testing.assert_allclose(ra.y, rc.y, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(ra.z, rc.z, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_directional_fd_matches_model(self, seed):
+        # the tape is piecewise linear, so the model is exact near xbar
+        tape, _ = _affine_pair(seed)
+        rng = np.random.default_rng(200 + seed)
+        xbar, d = rng.normal(size=5), rng.normal(size=5)
+        form = abs_linearize(tape, xbar)
+        fbar = evaluate(tape, xbar).y
+        h = 1e-6
+        slope = delta_eval(form, fbar, h * d) / h
+        assert directional_fd(tape, xbar, d, h) == pytest.approx(slope, rel=1e-6, abs=1e-6)
+
+    def test_directional_fd_on_squared_residual(self):
+        # 0.5 (2 x0 - x1 + 3)^2 + |x1|: slope along d is r (2 d0 - d1) + sign(x1) d1
+        tb = TapeBuilder(2)
+        x0, x1 = tb.inputs()
+        r = tb.affine([2.0, -1.0], [x0, x1], 3.0)
+        tape = tb.build(tb.scale(0.5, tb.square(r)) + tb.abs(x1))
+        xbar, d = np.array([0.3, -0.7]), np.array([1.0, 0.5])
+        form = abs_linearize(tape, xbar)
+        exact = (2 * 0.3 + 0.7 + 3.0) * (2.0 - 0.5) - 0.5
+        assert delta_eval(form, evaluate(tape, xbar).y, 1e-4 * d) / 1e-4 == pytest.approx(exact, abs=1e-9)
+        assert directional_fd(tape, xbar, d, 1e-7) == pytest.approx(exact, abs=1e-5)
+
+    def test_text_round_trip_bit_exact(self):
+        tape, _ = _affine_pair(3)
+        text = tape_to_text(tape)
+        back = tape_from_text(text)
+        assert tape_to_text(back) == text
+        assert back.affine.keys() == tape.affine.keys()
+        for idx, (args, w) in tape.affine.items():
+            np.testing.assert_array_equal(back.affine[idx][0], args)
+            assert back.affine[idx][1].tobytes() == w.tobytes()
+            assert back.nodes[idx].value == tape.nodes[idx].value
+        x = np.random.default_rng(1).normal(size=5)
+        assert evaluate(back, x).y == evaluate(tape, x).y
+
+    def test_weights_are_copied_and_read_only(self):
+        tb = TapeBuilder(2)
+        xs = tb.inputs()
+        w = np.array([1.0, 2.0])
+        tape = tb.build(tb.affine(w, xs))
+        w[0] = 7.0
+        assert evaluate(tape, [1.0, 1.0]).y == 3.0
+        with pytest.raises(ValueError):
+            tape.affine[2][1][0] = 5.0
+
+    @pytest.mark.parametrize("nodes, table", [
+        ((TapeNode("input", a=0), TapeNode("affine")), {}),  # no table entry
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([], [])}),  # no operand
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([1], [1.0])}),  # itself
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([-1], [1.0])}),
+        ((TapeNode("affine"), TapeNode("input", a=0)), {0: ([1], [1.0])}),  # later node
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0], [1.0, 2.0])}),
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0, 0], [1.0])}),
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0], [np.nan])}),
+        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0, 0], [1.0, np.inf])}),
+        ((TapeNode("input", a=0), TapeNode("neg", a=0)), {1: ([0], [1.0])}),  # not affine
+    ])
+    def test_validation_errors(self, nodes, table):
+        with pytest.raises(TapeError):
+            Tape(nodes=nodes, num_inputs=1, output=len(nodes) - 1, affine=table)
+
+    def test_builder_and_text_errors(self):
+        tb, other = TapeBuilder(2), TapeBuilder(2)
+        xs = tb.inputs()
+        with pytest.raises(TapeError):
+            tb.affine([1.0, 1.0], [xs[0], other.inputs()[1]])
+        with pytest.raises(TapeError):
+            tb.affine([1.0], [2.0])
+        with pytest.raises(TapeError):
+            tb.build(tb.affine([1.0, np.inf], xs))
+        with pytest.raises(TapeError):
+            tape_from_text("n=1 s=0\n0 input 0\n1 affine 0.0 0\n")
