@@ -6,9 +6,12 @@ All LPs of one call share their rows and cost, in the lifted variables
 becomes s equality rows and the objective is affine.  A signature only sets
 bounds, pinning z+_i or z-_i at 0.  A form with L = 0 (no |z_i| feeds a
 later row) and babs >= 0 is convex, and the LP with nothing pinned gives its
-exact minimum.  Every other form is solved by the descent below.  The first
-LP of a call starts at the start point, from a crash basis of z columns and
-C's slacks (``_Lifted.crash``), so it runs no phase 1.
+exact minimum.  That LP passes each kink's (z+_i, z-_i) to the simplex as
+twins, so Fourer's piecewise-linear ratio test crosses a kink in one step
+where a plain simplex pivots z+_i out and z-_i in.  Every other form is
+solved by the descent below.  The first LP of a call starts at the start
+point, from a crash basis of z columns and C's slacks (``_Lifted.crash``),
+so it runs no phase 1.
 
 At the per-polyhedron optimum every single flip of an active kink is probed
 (both signs for pinned kinks); if no probe LP strictly decreases the
@@ -87,6 +90,9 @@ class _Lifted:
         self.Ain = np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))])
         self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
         self.lo = np.concatenate([C.lo, np.zeros(k)])
+        # z+_i and z-_i have negated columns where no |z_i| feeds a later row
+        n, s = form.n, form.s
+        self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(~form.L.any(axis=0)).tolist())
         self.calls = 0
 
     def upper(self, sigma: np.ndarray | None) -> np.ndarray:
@@ -111,8 +117,10 @@ class _Lifted:
 
     def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None, start=None):
         """The LP over the closure of sigma's domain, or with no signature
-        the split LP; returns the solution and psi = objective + d (inf
-        unless OPTIMAL).  With ``start``, a point of C, the LP runs from the
+        the split LP, whose twin pairs (z+_i, z-_i) let the simplex cross
+        kinks in one step; returns the solution and psi = objective + d (inf
+        unless OPTIMAL).  A signature pins one column of each pair, so its
+        LPs get no twins.  With ``start``, a point of C, the LP runs from the
         crash basis there in place of ``hint``, unless C has equality rows,
         which have no slack to crash with."""
         x0 = None
@@ -120,7 +128,8 @@ class _Lifted:
             hint, x0 = self.crash(sigma, start)
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
-        sol = lpmod.solve(LpProblem(c=self.cost, P=P), basis_hint=hint, start=x0)
+        twins = self.twins if sigma is None else ()
+        sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=twins), basis_hint=hint, start=x0)
         self.calls += 1
         psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi

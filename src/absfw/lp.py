@@ -13,6 +13,14 @@ a nondegenerate pivot is made, which makes crafted cycling instances
 terminate.  The basis inverse is kept explicitly and refactorized
 periodically.
 
+Split variables z = z+ - z-, given as ``LpProblem.twins`` (two columns that
+are exact negatives, both with lower bound 0), get a piecewise-linear ratio
+test (Fourer, Math. Prog. 1985): when the row that blocks a step holds one
+half at 0 and the other half sits nonbasic at 0, the other half takes the
+row and the same step goes on, as long as the objective still falls.  A
+kink is then crossed in one step, not in one pivot out and one back in.
+With no twins the simplex is the plain bounded-variable one.
+
 Optimal solutions carry dual multipliers with the convention
 
     L(x) = c'x + dual_eq'(Aeq x - beq) + dual_in'(Ain x - bin)
@@ -50,18 +58,40 @@ class LpStatus(Enum):
 
 
 class LpError(Exception):
-    """Numerical breakdown: no acceptable pivot remained."""
+    """Numerical breakdown: the iteration limit was hit, phase 1 found a ray,
+    or an optimal point left a column bound by more than DEFAULT_TOL."""
 
 
 @dataclass(frozen=True)
 class LpProblem:
+    """Minimize c'x over P.  ``twins`` lists disjoint pairs (k, k') of
+    columns that are exact negatives of each other in every row, both with
+    lower bound 0: the two halves of a split variable x_k - x_k'.  The
+    simplex may then let one step cross from one half to the other."""
+
     c: np.ndarray
     P: Polyhedron
+    twins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
         if self.c.shape[0] != self.P.dim:
             raise ValueError("objective length does not match polyhedron dimension")
+        pairs = np.asarray(self.twins, dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError("twins must be pairs of column indices")
+        pairs = pairs.reshape(-1, 2)
+        object.__setattr__(self, "twins", tuple(map(tuple, pairs.tolist())))
+        if not pairs.size:
+            return
+        if pairs.min() < 0 or pairs.max() >= self.P.dim or np.bincount(pairs.ravel()).max() > 1:
+            raise ValueError("twins must be disjoint pairs of distinct column indices")
+        if np.any(self.P.lo[pairs] != 0.0):
+            raise ValueError("twin columns must have lower bound 0")
+        k, k2 = pairs.T
+        if not (np.array_equal(self.P.Aeq[:, k], -self.P.Aeq[:, k2])
+                and np.array_equal(self.P.Ain[:, k], -self.P.Ain[:, k2])):
+            raise ValueError("twin columns must be exact negatives of each other")
 
 
 @dataclass(frozen=True)
@@ -108,15 +138,18 @@ class _Simplex:
     ``xN`` holds the value of every nonbasic column and 0 at basic ones.  A
     nonbasic value need not sit at a bound: a column may move up while
     ``xN < hi`` and down while ``xN > lo``, so one strictly inside its
-    bounds (superbasic) is priced in both directions.
+    bounds (superbasic) is priced in both directions.  ``twin[k]`` is the
+    column that is the exact negative of column k (see ``LpProblem.twins``),
+    or -1; by default every entry is -1.
     """
 
-    def __init__(self, A, b, lo, hi):
+    def __init__(self, A, b, lo, hi, twin=None):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.m, self.ncols = A.shape
+        self.twin = np.full(self.ncols, -1, dtype=np.int64) if twin is None else twin
         self.iters = 0
         self.xN = _bound_point(lo, hi)
         self.basis = np.zeros(self.m, dtype=np.int64)
@@ -172,64 +205,86 @@ class _Simplex:
             idxs = np.flatnonzero(eligible)
             if idxs.size == 0:
                 return "optimal"
-            if stall >= BLAND_STALL:
-                order = idxs  # Bland: lowest index first
-            else:
-                order = idxs[np.argsort(-np.abs(rc[idxs]), kind="stable")]
-
-            for j in order:
-                step = self._pivot_on(j, rc[j])
-                if step is not None:
-                    break
-            else:
-                raise LpError("no acceptable pivot (below hard tolerance) remained")
+            # Bland: lowest index first; Dantzig: largest |rc_j| first
+            j = idxs[0] if stall >= BLAND_STALL else idxs[np.argmax(np.abs(rc[idxs]))]
+            step = self._pivot_on(j, rc[j], c, rc_tol)
             if step == np.inf:
                 return "unbounded"
             self.iters += 1
             stall = stall + 1 if step <= DEFAULT_TOL else 0
         raise LpError("simplex iteration limit exceeded")
 
-    def _pivot_on(self, j, rcj):
+    def _pivot_on(self, j, rcj, c, rc_tol):
         """Move column j against its reduced cost; returns the step length,
-        inf along an unbounded ray, or None if every candidate pivot element
-        is numerically unusable."""
+        or inf along an unbounded ray.
+
+        A row whose basic column k blocks at its lower bound 0 while its twin
+        sits nonbasic at 0 need not end the step (Fourer's piecewise-linear
+        ratio test): past the kink the twin takes the row at the negated
+        value, and each such crossing adds (c_k + c_twin) |w_r| to the
+        objective's slope -|rc_j| along the step.  The step goes on while
+        that slope stays below -rc_tol.  A twin cannot be basic with k, as
+        their columns would make the basis singular.
+        """
         direction = -np.sign(rcj)
         w = self.Binv @ self.A[:, j]
         dB = -direction * w
+        basis = self.basis
 
         # distance to the entering column's other bound
         t_flip = self.hi[j] - self.xN[j] if direction > 0 else self.xN[j] - self.lo[j]
 
-        grow = dB > PIVOT_HARD_TOL
-        shrink = dB < -PIVOT_HARD_TOL
-        t_hi = np.where(grow, (self.hi[self.basis] - self.xB) / np.where(grow, dB, 1.0), np.inf)
-        t_lo = np.where(shrink, (self.lo[self.basis] - self.xB) / np.where(shrink, dB, 1.0), np.inf)
-        t_rows = np.minimum(np.where(np.isnan(t_hi), np.inf, t_hi),
-                            np.where(np.isnan(t_lo), np.inf, t_lo))
-        t_rows = np.maximum(t_rows, 0.0)
-        t_min = min(float(np.min(t_rows, initial=np.inf)), t_flip)
+        moves = np.abs(dB) > PIVOT_HARD_TOL
+        bound = np.where(dB > 0, self.hi[basis], self.lo[basis])
+        t_rows = np.full(self.m, np.inf)
+        t_rows[moves] = (bound[moves] - self.xB[moves]) / dB[moves]
+        np.maximum(t_rows, 0.0, out=t_rows)
 
-        if not np.isfinite(t_min):
-            return np.inf
+        slope = -abs(rcj)
+        crossed = []
+        while True:
+            t_min = min(float(np.min(t_rows, initial=np.inf)), t_flip)
+            if not np.isfinite(t_min):
+                return np.inf
+            if t_flip <= t_min + TIE_TOL:
+                # no basis change; the entering variable moves to its other bound
+                self._cross(crossed)
+                self.xB += t_flip * dB
+                self._fresh = False
+                self.xN[j] = self.hi[j] if direction > 0 else self.lo[j]
+                return t_flip
 
-        if t_flip <= t_min + TIE_TOL:
-            # no basis change; the entering variable moves to its other bound
-            self.xB += t_flip * dB
-            self._fresh = False
-            self.xN[j] = self.hi[j] if direction > 0 else self.lo[j]
-            return t_flip
+            # t_min is a row's ratio, and every row with a finite ratio has
+            # |w_r| > PIVOT_HARD_TOL.  Among the ties prefer pivots above
+            # PIVOT_TOL, then the lowest column index for determinism.
+            ties = np.flatnonzero(t_rows <= t_min + TIE_TOL * (1.0 + abs(t_min)))
+            usable = ties[np.abs(w[ties]) > PIVOT_TOL]
+            if not usable.size:
+                usable = ties
+            r = usable[np.argmin(basis[usable])]
 
-        ties = np.flatnonzero(t_rows <= t_min + TIE_TOL * (1.0 + abs(t_min)))
-        # prefer pivots above the soft tolerance; among those, Bland-style
-        # lowest variable index for determinism
-        for hard_pass in (False, True):
-            limit = PIVOT_HARD_TOL if hard_pass else PIVOT_TOL
-            usable = [r for r in ties if abs(w[r]) > limit]
-            if usable:
-                r = min(usable, key=lambda rr: self.basis[rr])
-                self._execute_pivot(j, r, direction, float(t_rows[r]), w, dB)
-                return float(t_rows[r])
-        return None
+            k = basis[r]
+            tw = self.twin[k]
+            if tw >= 0 and dB[r] < 0 and self.xN[tw] == 0.0:
+                crossed_slope = slope + (c[k] + c[tw]) * abs(w[r])
+                if crossed_slope < -rc_tol:
+                    slope = crossed_slope
+                    crossed.append(r)
+                    w[r] = -w[r]
+                    dB[r] = -dB[r]
+                    t_rows[r] = max((self.hi[tw] + self.xB[r]) / dB[r], 0.0)
+                    continue
+            self._cross(crossed)
+            self._execute_pivot(j, r, direction, float(t_rows[r]), w, dB)
+            return float(t_rows[r])
+
+    def _cross(self, rows):
+        """The twin of each of ``rows``' basic columns takes the row, at the
+        negated value; w and dB were negated there already."""
+        for r in rows:
+            self.basis[r] = self.twin[self.basis[r]]
+            self.Binv[r] = -self.Binv[r]
+            self.xB[r] = -self.xB[r]
 
     def _execute_pivot(self, j, r, direction, t, w, dB):
         """Column j enters at row r after a step t; the leaving column takes
@@ -244,7 +299,7 @@ class _Simplex:
         piv = w[r]
         eta = w / piv
         eta[r] = 0.0
-        self.Binv -= np.outer(eta, self.Binv[r])
+        self.Binv -= eta[:, None] * self.Binv[r]
         self.Binv[r] /= piv
         self._since_refactor += 1
         self._fresh = False
@@ -278,7 +333,8 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
     """Solve the LP; deterministic for identical input.
 
     Infeasible/Unbounded are reported as statuses.  LpError signals numerical
-    breakdown (no pivot above 1e-12 available).  With ``start``, a point over
+    breakdown (see ``LpError``); an OPTIMAL point lies within DEFAULT_TOL of
+    every column bound, slacks included.  With ``start``, a point over
     the LP's columns within WARM_TOL of their bounds, each nonbasic column of
     ``basis_hint`` takes start's value clipped onto its bounds, and the hint
     may hold fixed columns, which are then swapped out where ``_swap_out``
@@ -299,8 +355,11 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
     lo = np.concatenate([P.lo, np.zeros(mi)])
     hi = np.concatenate([P.hi, np.full(mi, np.inf)])
     c = np.concatenate([lp.c, np.zeros(mi)])
+    twin = np.full(n_real, -1, dtype=np.int64)
+    pairs = np.array(lp.twins, dtype=np.int64).reshape(-1, 2)
+    twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
 
-    sx = _Simplex(A, b, lo, hi)
+    sx = _Simplex(A, b, lo, hi, twin)
     max_iters = 2000 + 50 * (sx.m + sx.ncols)
 
     warm_ok = False
@@ -335,6 +394,9 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
 
     if not sx._fresh:
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
+    x_full = sx.x_full()
+    if np.any(x_full[:n_real] < lo - DEFAULT_TOL) or np.any(x_full[:n_real] > hi + DEFAULT_TOL):
+        raise LpError("optimal point leaves a column bound by more than DEFAULT_TOL")
     y = sx.Binv.T @ c_work[sx.basis]
     rc = c - A.T @ y
 
@@ -342,7 +404,7 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
     at_upper[sx.basis] = False
     basis_out = LpBasis(cols=tuple(int(j) for j in sx.basis),
                         at_upper=tuple(int(j) for j in np.flatnonzero(at_upper[:n_real])))
-    return _build_solution(lp, sx.x_full(), y, rc, n, me, mi, basis_out, sx.iters)
+    return _build_solution(lp, x_full, y, rc, n, me, mi, basis_out, sx.iters)
 
 
 def _phase1(sx: _Simplex, max_iters) -> bool:
@@ -356,6 +418,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
     sx.A = np.hstack([sx.A, np.diag(art_sign)])
     sx.lo = np.concatenate([sx.lo, np.zeros(m)])
     sx.hi = np.concatenate([sx.hi, np.full(m, np.inf)])
+    sx.twin = np.concatenate([sx.twin, np.full(m, -1, dtype=np.int64)])
     sx.xN = np.concatenate([xN, np.zeros(m)])
     sx.ncols += m
     sx.basis = np.arange(n_real, n_real + m, dtype=np.int64)

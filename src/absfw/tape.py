@@ -196,6 +196,9 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     last_use[tape.output] = len(tape.nodes)
 
     recs: list[np.ndarray | None] = [None] * len(tape.nodes)
+    # operand records stacked per affine operand tuple; an abs node
+    # rewrites a record, which makes every stack stale
+    stacked: dict[bytes, np.ndarray] = {}
     for idx, node in enumerate(tape.nodes):
         op = node.op
         if op == "input":
@@ -235,7 +238,10 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             r[0] += e * (1.0 - vals[node.a])
         elif op == "affine":
             args, w = tape.affine[idx]
-            r = w @ np.array([recs[k] for k in args])
+            key = args.tobytes()
+            if key not in stacked:
+                stacked[key] = np.array([recs[k] for k in args])
+            r = w @ stacked[key]
             r[0] += node.value
             for k in args:
                 if last_use[k] == idx:
@@ -251,6 +257,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             zr = np.zeros(width)
             zr[1 + n + i] = 1.0
             recs[node.a] = zr
+            stacked.clear()
             r = np.zeros(width)
             r[1 + n + s + i] = 1.0
         recs[idx] = r

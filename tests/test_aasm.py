@@ -245,6 +245,54 @@ class TestConvexRoute:
             aasm_minimize(form, box([-1.0] * 3, [1.0, 1.0, np.inf]), np.zeros(3))
         assert split_calls == []
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_twins_keep_the_split_lp_value(self, rng, chain):
+        for _ in range(8):
+            form = convex_form(rng, n=3, s=6)
+            C = ordered_chain(3, 2.0) if chain else cube(3, 2.0)
+            start = np.sort(rng.uniform(-1.5, 1.5, size=3))
+            ws = _Lifted(form, C)
+            assert ws.twins == tuple((3 + i, 9 + i) for i in range(6))
+            _, psi = ws.solve(start=start)
+            ws.twins = ()
+            _, psi_plain = ws.solve(start=start)
+            assert psi == pytest.approx(psi_plain, rel=1e-9, abs=1e-9)
+            assert psi == pytest.approx(brute_force_pl_min(form, C)[1], rel=1e-9, abs=1e-9)
+
+    def test_walk_lps_get_no_twins(self, rng, monkeypatch):
+        form = convex_form(rng, n=3, s=6)
+        babs = form.babs.copy()
+        babs[3] = -0.5
+        form = dataclasses.replace(form, babs=babs)
+        assert _Lifted(form, cube(3, 2.0)).twins  # L = 0: every kink has a pair
+        twins = []
+        real = lpmod.solve
+
+        def solve(lp, *args, **kwargs):
+            twins.append(lp.twins)
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "solve", solve)
+        aasm_minimize(form, cube(3, 2.0), np.zeros(3))
+        assert twins and all(t == () for t in twins)
+
+    def test_lasso_bench_pivots(self, monkeypatch):
+        """Twins cross the LASSO kinks in one step each: 1,987 pivots over
+        20 iterations without them, 998 with them."""
+        pivots = []
+        real = lpmod.solve
+
+        def solve(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            pivots.append(sol.simplex_iters)
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", solve)
+        inst = bench.constrained_lasso(50, 100, seed=0)
+        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=20)
+        assert len(pivots) == 20
+        assert sum(pivots) <= 1192  # 0.6 x 1,987
+
 
 class TestLocalOptimality:
     def test_abs_at_zero_is_local_min(self, abs_v_form):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpProblem, LpStatus, LpBasis, _Simplex, solve
+from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, LpBasis, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -453,3 +453,112 @@ class TestBoundFault:
             b_max = float(np.max(np.abs(np.concatenate([P.beq, P.bin])), initial=0.0))
             resid = np.concatenate([np.abs(P.Aeq @ sol.x - P.beq), np.maximum(P.Ain @ sol.x - P.bin, 0.0)])
             assert np.max(resid, initial=0.0) <= DEFAULT_TOL * (1.0 + b_max)
+
+
+def l1_fit(rng, d, m):
+    """min sum_i |z_i| over z = A v - y, -5 <= v <= 5, in the split columns
+    (v, z+, z-): rows -A v + z+ - z- = -y, costs 0 on v and 1 on z+, z-.
+    Returns the LP, its twin pairs, and the crash basis and start point at
+    the corner v = -5, from where the simplex crosses many kinks."""
+    A, y = rng.normal(size=(m, d)), rng.normal(size=m)
+    I = np.eye(m)
+    P = make_poly(d + 2 * m, Aeq=np.hstack([-A, I, -I]), beq=-y,
+                  lo=np.concatenate([np.full(d, -5.0), np.zeros(2 * m)]),
+                  hi=np.concatenate([np.full(d, 5.0), np.full(2 * m, np.inf)]))
+    c = np.concatenate([np.zeros(d), np.ones(2 * m)])
+    twins = tuple((d + i, d + m + i) for i in range(m))
+    v0 = np.full(d, -5.0)
+    crash = LpBasis(tuple(d + i + (0 if zi >= 0 else m) for i, zi in enumerate(A @ v0 - y)))
+    return LpProblem(c=c, P=P), twins, crash, np.concatenate([v0, np.zeros(2 * m)])
+
+
+class TestTwins:
+    """Split pairs (z+, z-) let one simplex step cross a kink."""
+
+    def test_random_l1_fits_match_oracle(self, rng):
+        pivots = np.zeros(2, dtype=int)
+        for _ in range(8):
+            plain, twins, crash, start = l1_fit(rng, d=3, m=15)
+            split = LpProblem(c=plain.c, P=plain.P, twins=twins)
+            a = solve(plain, basis_hint=crash, start=start)
+            b = solve(split, basis_hint=crash, start=start)
+            assert a.status == b.status == LpStatus.OPTIMAL
+            assert b.objective == pytest.approx(a.objective, rel=1e-9, abs=1e-9)
+            assert highs(plain) == ("optimal", pytest.approx(b.objective, rel=1e-9, abs=1e-9))
+            check_certificates(split, b)
+            pivots += a.simplex_iters, b.simplex_iters
+        assert pivots[1] < pivots[0]
+
+    def test_median_in_one_step(self):
+        # min sum |v - a_i| from v = -5: one step crosses the kinks at 0 and 1
+        # and stops at the median 2; a plain simplex pivots at every kink
+        a = np.array([0.0, 1.0, 2.0, 3.0, 4.5])
+        m = a.size
+        I = np.eye(m)
+        P = make_poly(1 + 2 * m, Aeq=np.hstack([-np.ones((m, 1)), I, -I]), beq=-a,
+                      lo=np.concatenate([[-5.0], np.zeros(2 * m)]),
+                      hi=np.concatenate([[5.0], np.full(2 * m, np.inf)]))
+        c = np.concatenate([[0.0], np.ones(2 * m)])
+        crash = LpBasis(tuple(range(1 + m, 1 + 2 * m)))  # every z- basic
+        start = np.concatenate([[-5.0], np.zeros(2 * m)])
+        twins = tuple((1 + i, 1 + m + i) for i in range(m))
+        sol = solve(LpProblem(c=c, P=P, twins=twins), basis_hint=crash, start=start)
+        plain = solve(LpProblem(c=c, P=P), basis_hint=crash, start=start)
+        assert (sol.simplex_iters, plain.simplex_iters) == (1, 3)
+        assert sol.x[0] == pytest.approx(2.0) and plain.x[0] == pytest.approx(2.0)
+        assert sol.objective == pytest.approx(plain.objective) == pytest.approx(6.5)
+
+    def test_cold_two_phase(self, rng):
+        # phase 1 appends artificial columns, which have no twin
+        for _ in range(5):
+            plain, twins, _, _ = l1_fit(rng, d=3, m=10)
+            sol = solve(LpProblem(c=plain.c, P=plain.P, twins=twins))
+            ref = solve(plain)
+            assert sol.status == ref.status == LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            check_certificates(plain, sol)
+
+    @pytest.mark.parametrize("twins, message", [
+        (((3, 6),), "exact negatives"),       # z+_0 against z-_1
+        (((0, 3),), "lower bound 0"),         # v_0 has lower bound -5
+        (((3, 7), (7, 4)), "disjoint"),
+        (((3, 3),), "disjoint"),
+        (((3, 99),), "disjoint"),
+        (((-1, 3),), "disjoint"),
+        ((3, 7), "pairs of column indices"),
+        (((3, 7, 4),), "pairs of column indices"),
+    ])
+    def test_invalid_twins_rejected(self, rng, twins, message):
+        plain, _, _, _ = l1_fit(rng, d=3, m=4)
+        with pytest.raises(ValueError, match=message):
+            LpProblem(c=plain.c, P=plain.P, twins=twins)
+
+    def test_inexact_negation_rejected(self, rng):
+        plain, twins, _, _ = l1_fit(rng, d=3, m=4)
+        P = plain.P
+        Aeq = P.Aeq.copy()
+        Aeq[0, twins[0][1]] += 1e-15
+        bent = Polyhedron(Aeq=Aeq, beq=P.beq, Ain=P.Ain, bin=P.bin, lo=P.lo, hi=P.hi)
+        LpProblem(c=plain.c, P=P, twins=twins)
+        with pytest.raises(ValueError, match="exact negatives"):
+            LpProblem(c=plain.c, P=bent, twins=twins)
+
+
+class TestBoundGuard:
+    @pytest.mark.parametrize("drift, raises", [(0.5, False), (2.0, True)])
+    def test_drifted_optimal_point(self, monkeypatch, drift, raises):
+        # every column of this LP (x and the slack) has lower bound 0; the
+        # final refactor is made to put each basic column drift * DEFAULT_TOL below it
+        real = _Simplex.refactor
+
+        def drifted(sx):
+            real(sx)
+            sx.xB = sx.lo[sx.basis] - drift * DEFAULT_TOL
+
+        monkeypatch.setattr(_Simplex, "refactor", drifted)
+        lp = LpProblem(c=[-1.0, -2.0], P=make_poly(2, Ain=[[1.0, 1.0]], bin_=[1.0], lo=[0.0, 0.0], hi=[1.0, 1.0]))
+        if raises:
+            with pytest.raises(LpError, match="leaves a column bound"):
+                solve(lp)
+        else:
+            assert solve(lp).status == LpStatus.OPTIMAL

@@ -268,6 +268,22 @@ class TestAffine:
             np.testing.assert_allclose(ra.y, rc.y, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(ra.z, rc.z, rtol=1e-14, atol=0.0)
 
+    def test_operand_tuple_repeated_across_abs(self):
+        # abs(x0) rewrites x0's record: the second affine node, with the same
+        # operands as the first, reads x0 as z_0, so a = [1, 4] and b = [1]
+        tb = TapeBuilder(2)
+        x0, x1 = tb.inputs()
+        before = tb.affine([1.0, 2.0], [x0, x1])
+        kink = tb.abs(x0)
+        after = tb.affine([1.0, 2.0], [x0, x1])
+        form = abs_linearize(tb.build(before + after + kink), [0.5, -1.0])
+        np.testing.assert_array_equal(form.Z, [[1.0, 0.0]])
+        np.testing.assert_array_equal(form.c, [0.5])
+        np.testing.assert_array_equal(form.a, [1.0, 4.0])
+        np.testing.assert_array_equal(form.b, [1.0])
+        np.testing.assert_array_equal(form.babs, [1.0])
+        assert form.d == -3.5
+
     @pytest.mark.parametrize("seed", range(5))
     def test_directional_fd_matches_model(self, seed):
         # the tape is piecewise linear, so the model is exact near xbar
