@@ -19,10 +19,10 @@ objective, no single flip of an active kink descends.  That is weaker than
 local minimality where C's rows tie kinks together: on a face that pins
 several kinks at 0 at once, descent may need several flips at once.
 A flip moves only bounds (Fourer's piecewise-linear simplex, Math. Prog.
-1985), so it is first priced from the parent LP: unless the column it
-unpins passes the simplex's entering test, the parent basis stays optimal
-and the flip is certified without an LP.  Other probes get the parent basis
-as a hint.
+1985), so all flips of a polyhedron are priced from the parent LP in one
+pass: unless the column a flip unpins passes the simplex's entering test,
+the parent basis stays optimal and the flip is certified without an LP.
+Other probes start from the parent's basis and point.
 Probes double as the step to the next polyhedron, which makes descent of the
 accepted chain unconditional.  A visited-signature set guards against
 tolerance-induced cycling; monotone decrease makes genuine revisits
@@ -93,6 +93,8 @@ class _Lifted:
         # z+_i and z-_i have negated columns where no |z_i| feeds a later row
         n, s = form.n, form.s
         self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(~form.L.any(axis=0)).tolist())
+        self.abs_cost = np.abs(self.cost)
+        self.v_max = self.abs_cost[:n][(C.hi - C.lo) > lpmod.FIXED_TOL].max(initial=0.0)
         self.calls = 0
 
     def upper(self, sigma: np.ndarray | None) -> np.ndarray:
@@ -101,31 +103,23 @@ class _Lifted:
         free = np.ones(2 * self.form.s, bool) if sigma is None else np.concatenate([sigma > 0, sigma < 0])
         return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
 
-    def crash(self, sigma: np.ndarray | None, v: np.ndarray):
-        """The crash basis at v, a point of C, and the start (v, 0, 0).
-        Switching row i gets z+_i if sigma_i > 0, z-_i if sigma_i < 0, and
-        where sigma_i = 0 or there is no signature z+_i if z_i(v) >= 0, else
-        z-_i.  C's inequality rows get their slacks.  The z block, I - M - L
-        with signed columns, is lower triangular with diagonal +-1, so the
-        basis is nonsingular, and its point splits z(v)."""
+    def crash(self, z: np.ndarray, v: np.ndarray):
+        """The crash basis at v, a point of C with switching values z, and
+        the start (v, 0, 0): z+_i if z_i >= 0, else z-_i, and C's slacks.
+        The z block, I - M - L with signed columns, is lower triangular with
+        diagonal +-1, so the basis is nonsingular, and its point splits z."""
         n, s = self.form.n, self.form.s
-        z_up = eval_pl(self.form, v)[1] >= 0
-        up = z_up if sigma is None else np.where(sigma == 0, z_up, sigma > 0)
-        cols = np.concatenate([n + np.arange(s) + np.where(up, 0, s),
+        cols = np.concatenate([n + np.arange(s) + np.where(z >= 0, 0, s),
                                n + 2 * s + np.arange(self.C.Ain.shape[0])])
         return LpBasis(tuple(cols.tolist())), np.concatenate([v, np.zeros(2 * s)])
 
-    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None, start=None):
+    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None, x0=None):
         """The LP over the closure of sigma's domain, or with no signature
         the split LP, whose twin pairs (z+_i, z-_i) let the simplex cross
         kinks in one step; returns the solution and psi = objective + d (inf
         unless OPTIMAL).  A signature pins one column of each pair, so its
-        LPs get no twins.  With ``start``, a point of C, the LP runs from the
-        crash basis there in place of ``hint``, unless C has equality rows,
-        which have no slack to crash with."""
-        x0 = None
-        if start is not None and not self.C.Aeq.shape[0]:
-            hint, x0 = self.crash(sigma, start)
+        LPs get no twins.  ``x0``, a point over the LP's columns, places the
+        nonbasic columns of ``hint`` (see ``lp.solve``)."""
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
         twins = self.twins if sigma is None else ()
@@ -138,20 +132,27 @@ class _Lifted:
         n, s = self.form.n, self.form.s
         return sol.x[n:n + s] - sol.x[n + s:]
 
-    def keeps_basis(self, sol, sigma: np.ndarray, i: int) -> bool:
-        """True when the optimal basis of ``sol`` stays optimal for the LP
-        of ``sigma``, which differs from sol's signature only at kink i, so
-        that LP's value is sol's.
-
-        The flip pins the column that carries z_i now, at 0 (to the signature
-        tolerance) basic or not, and unpins z+_i or z-_i.  A, c and B are
-        unchanged, so the basis stays primal feasible and every other
-        reduced cost keeps its value; it stays optimal unless the unpinned
-        column, at 0 and fixed in sol, passes the simplex's entering test.
-        """
-        j = self.form.n + i + (0 if sigma[i] > 0 else self.form.s)
+    def priced_out(self, sol, sigma: np.ndarray, flips) -> np.ndarray:
+        """For each flip (i, f) of sigma, True when the optimal basis of
+        ``sol``, sigma's LP, stays optimal after the flip, so that LP's value
+        is sol's.  A flip pins the column that carries z_i now, at 0 (to the
+        signature tolerance), and unpins column j, z+_i or z-_i.  A, c and B
+        are unchanged, so the basis stays optimal unless j, fixed in sol,
+        passes the simplex's entering test.  Its ``entering_tol`` takes the
+        largest |cost| over the wide v columns, j and sigma's free z columns
+        but kink i's: sigma's largest, or its second largest when kink i
+        holds it."""
+        if not flips:
+            return np.zeros(0, bool)
+        n, s = self.form.n, self.form.s
+        i, f = np.array(flips).T
+        j = n + i + np.where(f > 0, 0, s)
         rc = sol.dual_lo[j] - sol.dual_hi[j]  # both bounds of a fixed column are active
-        return bool(rc >= -lpmod.entering_tol(self.cost, self.lo, self.upper(sigma)))
+        free_cost = np.where(sigma > 0, self.abs_cost[n:n + s], np.where(sigma < 0, self.abs_cost[n + s:], 0.0))
+        top = int(free_cost.argmax())
+        second = np.delete(free_cost, top).max(initial=0.0)
+        wide = np.maximum(np.maximum(self.abs_cost[j], self.v_max), np.where(i == top, second, free_cost[top]))
+        return rc >= -lpmod.DEFAULT_TOL * (1.0 + wide)
 
 
 def _sig_key(sigma: np.ndarray) -> bytes:
@@ -235,15 +236,17 @@ def aasm_minimize(
         raise AasmError("feasible set must be bounded (boxed)")
 
     ws = _Lifted(form, C)
+    z0 = eval_pl(form, start)[1]
+    hint, x0 = ws.crash(z0, start) if not C.Aeq.shape[0] else (None, None)  # no slack for Aeq rows
     if not form.L.any() and np.all(form.babs >= 0):
-        sol, psi = _checked(*ws.solve(start=start))
+        sol, psi = _checked(*ws.solve(hint=hint, x0=x0))
         sigma = switch_signs(form, ws.z(sol))
         if trace_sink is not None:
             trace_sink(_trace_line(sigma, psi, sol))
         return AasmResult(sol.x[:form.n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
 
-    sigma = signature(form, start)
-    sol, psi = _checked(*ws.solve(sigma, start=start))
+    sigma = switch_signs(form, z0)
+    sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
     max_poly = 2 ** min(form.s, 20)
     visited = set()
@@ -259,12 +262,13 @@ def aasm_minimize(
 
         accepted = None
         improving_but_visited = False
-        for i, f in _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol)):
+        flips = _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol))
+        for (i, f), kept in zip(flips, ws.priced_out(sol, sigma, flips)):
+            if kept:
+                continue  # the parent's value, certified without an LP: no descent
             sig2 = sigma.copy()
             sig2[i] = f
-            if ws.keeps_basis(sol, sig2, i):
-                continue  # the parent's value, certified without an LP: no descent
-            sol2, psi2 = ws.solve(sig2, hint=sol.basis)
+            sol2, psi2 = ws.solve(sig2, sol.basis, sol.x)
             if _descends(psi2, psi):
                 if _sig_key(sig2) in visited:
                     improving_but_visited = True

@@ -171,7 +171,7 @@ def asfw_run(
             gap = -dec  # alpha = 1 subproblem gap
         else:
             alpha = scale
-            gap = generalized_gap(form, fbar, x, v, alpha)
+            gap = -delta_eval(sub, fbar, v) / alpha  # generalized_gap, with the sub just built
 
         row = TraceRow(
             t=t,

@@ -202,11 +202,10 @@ class _Simplex:
             eligible = ((self.xN < self.hi) & (rc < -rc_tol)) | ((self.xN > self.lo) & (rc > rc_tol))
             eligible &= movable
             eligible[self.basis] = False
-            idxs = np.flatnonzero(eligible)
-            if idxs.size == 0:
-                return "optimal"
             # Bland: lowest index first; Dantzig: largest |rc_j| first
-            j = idxs[0] if stall >= BLAND_STALL else idxs[np.argmax(np.abs(rc[idxs]))]
+            j = eligible.argmax() if stall >= BLAND_STALL else np.where(eligible, np.abs(rc), 0.0).argmax()
+            if not eligible[j]:
+                return "optimal"
             step = self._pivot_on(j, rc[j], c, rc_tol)
             if step == np.inf:
                 return "unbounded"
@@ -226,7 +225,7 @@ class _Simplex:
         that slope stays below -rc_tol.  A twin cannot be basic with k, as
         their columns would make the basis singular.
         """
-        direction = -np.sign(rcj)
+        direction = 1.0 if rcj < 0 else -1.0
         w = self.Binv @ self.A[:, j]
         dB = -direction * w
         basis = self.basis
@@ -234,16 +233,14 @@ class _Simplex:
         # distance to the entering column's other bound
         t_flip = self.hi[j] - self.xN[j] if direction > 0 else self.xN[j] - self.lo[j]
 
-        moves = np.abs(dB) > PIVOT_HARD_TOL
         bound = np.where(dB > 0, self.hi[basis], self.lo[basis])
-        t_rows = np.full(self.m, np.inf)
-        t_rows[moves] = (bound[moves] - self.xB[moves]) / dB[moves]
+        t_rows = np.divide(bound - self.xB, dB, out=np.full(self.m, np.inf), where=np.abs(dB) > PIVOT_HARD_TOL)
         np.maximum(t_rows, 0.0, out=t_rows)
 
         slope = -abs(rcj)
         crossed = []
         while True:
-            t_min = min(float(np.min(t_rows, initial=np.inf)), t_flip)
+            t_min = min(float(t_rows.min(initial=np.inf)), t_flip)
             if not np.isfinite(t_min):
                 return np.inf
             if t_flip <= t_min + TIE_TOL:
@@ -257,11 +254,11 @@ class _Simplex:
             # t_min is a row's ratio, and every row with a finite ratio has
             # |w_r| > PIVOT_HARD_TOL.  Among the ties prefer pivots above
             # PIVOT_TOL, then the lowest column index for determinism.
-            ties = np.flatnonzero(t_rows <= t_min + TIE_TOL * (1.0 + abs(t_min)))
-            usable = ties[np.abs(w[ties]) > PIVOT_TOL]
-            if not usable.size:
-                usable = ties
-            r = usable[np.argmin(basis[usable])]
+            ties = (t_rows <= t_min + TIE_TOL * (1.0 + abs(t_min))).nonzero()[0]
+            if ties.size > 1:
+                usable = ties[np.abs(w[ties]) > PIVOT_TOL]
+                ties = usable if usable.size else ties
+            r = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
 
             k = basis[r]
             tw = self.twin[k]
@@ -317,10 +314,10 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
     free[sx.basis[sx.basis < n_real]] = False  # movable and nonbasic
     for r in rows:
         row = sx.Binv[r] @ sx.A[:, :n_real]
-        cands = np.flatnonzero((np.abs(row) > PIVOT_TOL) & free)
-        if not cands.size:
+        score = np.where(free, np.abs(row), 0.0)
+        j = int(score.argmax())
+        if score[j] <= PIVOT_TOL:
             continue  # redundant row
-        j = int(cands[np.argmax(np.abs(row[cands]))])
         out = sx.basis[r]
         if min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
             continue
@@ -402,8 +399,7 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
 
     at_upper = (sx.xN == sx.hi) & sx.movable()
     at_upper[sx.basis] = False
-    basis_out = LpBasis(cols=tuple(int(j) for j in sx.basis),
-                        at_upper=tuple(int(j) for j in np.flatnonzero(at_upper[:n_real])))
+    basis_out = LpBasis(cols=tuple(sx.basis.tolist()), at_upper=tuple(np.flatnonzero(at_upper[:n_real]).tolist()))
     return _build_solution(lp, x_full, y, rc, n, me, mi, basis_out, sx.iters)
 
 

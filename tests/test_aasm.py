@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from absfw.plmodel import (
     AbsLinearForm, eval_pl, affine_substitute, restrict, signature, signature_constraints)
 from absfw.polyhedron import Polyhedron, contains, cube, box, intersect
 from absfw.randgen import random_pl_form, midpoint_convex
+from absfw.rng import CounterRng
 from absfw.tape import TapeBuilder, abs_linearize
 
 
@@ -167,10 +169,10 @@ def split_calls(monkeypatch):
     calls = []
     real = _Lifted.solve
 
-    def solve(self, sigma=None, hint=None, start=None):
+    def solve(self, sigma=None, *args, **kwargs):
         if sigma is None:
             calls.append(1)
-        return real(self, sigma, hint, start=start)
+        return real(self, sigma, *args, **kwargs)
 
     monkeypatch.setattr(_Lifted, "solve", solve)
     return calls
@@ -253,9 +255,10 @@ class TestConvexRoute:
             start = np.sort(rng.uniform(-1.5, 1.5, size=3))
             ws = _Lifted(form, C)
             assert ws.twins == tuple((3 + i, 9 + i) for i in range(6))
-            _, psi = ws.solve(start=start)
+            crash = ws.crash(eval_pl(form, start)[1], start)
+            _, psi = ws.solve(None, *crash)
             ws.twins = ()
-            _, psi_plain = ws.solve(start=start)
+            _, psi_plain = ws.solve(None, *crash)
             assert psi == pytest.approx(psi_plain, rel=1e-9, abs=1e-9)
             assert psi == pytest.approx(brute_force_pl_min(form, C)[1], rel=1e-9, abs=1e-9)
 
@@ -391,29 +394,24 @@ class TestProbePricing:
         which must find no descent; LOCAL_MIN still agrees with the cold-LP
         reference ``local_optimality_test``.  On maxq C2 n=20 at iteration 3
         some priced flips pin a column that is basic at 0."""
-        real_solve, real_keeps = _Lifted.solve, _Lifted.keeps_basis
-        signature_of = {}  # id of an LP solution -> (solution, its signature)
+        real_priced = _Lifted.priced_out
         margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)
-        priced = []        # keeps_basis's answers
+        priced = []        # priced_out's answers
 
-        def solve(self, sigma=None, hint=None, start=None):
-            sol, psi = real_solve(self, sigma, hint, start=start)
-            signature_of[id(sol)] = (sol, sigma)
-            return sol, psi
+        def priced_out(self, sol, sigma, flips):
+            verdicts = real_priced(self, sol, sigma, flips)
+            for (i, f), kept in zip(flips, verdicts):
+                priced.append(kept)
+                if kept:
+                    sig2 = sigma.copy()
+                    sig2[i] = f
+                    basic = sigma[i] != 0 and self.form.n + i + (sigma[i] < 0) * self.form.s in sol.basis.cols
+                    psi = sol.objective + self.form.d
+                    _, psi2 = self.solve(sig2)
+                    margins.append((sigma[i], basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
+            return verdicts
 
-        def keeps_basis(self, sol, sig2, i):
-            kept = real_keeps(self, sol, sig2, i)
-            priced.append(kept)
-            if kept:
-                sigma_i = signature_of[id(sol)][1][i]
-                basic = sigma_i != 0 and self.form.n + i + (sigma_i < 0) * self.form.s in sol.basis.cols
-                psi = sol.objective + self.form.d
-                _, psi2 = real_solve(self, sig2)
-                margins.append((sigma_i, basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
-            return kept
-
-        monkeypatch.setattr(_Lifted, "solve", solve)
-        monkeypatch.setattr(_Lifted, "keeps_basis", keeps_basis)
+        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
         C = cube(3, 3.0)
         local_mins = 0
         for _ in range(10):
@@ -436,14 +434,14 @@ class TestProbePricing:
         assert min(m for _, _, m in margins) >= 0.0
 
     def test_pricing_saves_lps_on_maxq(self, monkeypatch):
-        real_keeps = _Lifted.keeps_basis
+        real_priced = _Lifted.priced_out
         probed = []
 
-        def keeps_basis(self, sol, sigma, i):
-            probed.append((i, sigma[i]))
-            return real_keeps(self, sol, sigma, i)
+        def priced_out(self, sol, sigma, flips):
+            probed.extend(flips)
+            return real_priced(self, sol, sigma, flips)
 
-        monkeypatch.setattr(_Lifted, "keeps_basis", keeps_basis)
+        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
         inst = bench.maxq(6, "C2")
         x = np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # four of five kinks at 0
         form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
@@ -469,6 +467,85 @@ class TestProbePricing:
         assert local_optimality_test(form, inst.C, res.v_star)
 
 
+def per_flip_verdict(ws, sol, sigma, i, f) -> bool:
+    """The entering test of the one column a flip unpins, against the
+    entering tolerance of the flipped signature's bounds."""
+    sig2 = sigma.copy()
+    sig2[i] = f
+    j = ws.form.n + i + (0 if f > 0 else ws.form.s)
+    rc = sol.dual_lo[j] - sol.dual_hi[j]
+    return bool(rc >= -lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2)))
+
+
+class TestBatchedPricing:
+    """``_Lifted.priced_out`` gives, for all flips of a polyhedron at once,
+    the verdicts of the per-flip entering test bit for bit."""
+
+    @staticmethod
+    def boundary_verdicts(ws, sigma):
+        """Every single flip of sigma priced with its reduced cost at the
+        per-flip threshold and one ulp past it: (batched, per-flip) verdicts."""
+        flips = [(i, f) for i in range(ws.form.s) for f in (1, -1) if f != sigma[i]]
+        got, want = [], []
+        for beyond in (False, True):
+            rc = np.zeros(ws.cost.size)
+            for i, f in flips:
+                sig2 = sigma.copy()
+                sig2[i] = f
+                j = ws.form.n + i + (0 if f > 0 else ws.form.s)
+                rc[j] = -lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2))
+                if beyond:
+                    rc[j] = np.nextafter(rc[j], -np.inf)
+            sol = SimpleNamespace(dual_lo=np.maximum(rc, 0.0), dual_hi=np.maximum(-rc, 0.0))
+            got += ws.priced_out(sol, sigma, flips).tolist()
+            want += [per_flip_verdict(ws, sol, sigma, i, f) for i, f in flips]
+        return got, want
+
+    @pytest.mark.parametrize("b3", [0.5, 4.0], ids=["unique-largest", "tie"])
+    def test_flipping_the_costliest_kink(self, b3):
+        # free z columns of sigma = (0, +, -, +) cost 5, 0 and b3 + 1; the
+        # flip of kink 1 unpins z-_1 (cost 3) and pins the costliest column:
+        # the tolerance falls to 3 unless kink 3 ties at 5
+        form = AbsLinearForm(n=2, s=4, Z=np.ones((4, 2)), M=np.zeros((4, 4)), L=np.zeros((4, 4)),
+                             a=np.array([0.5, -0.25]), b=np.array([0.0, 4.0, 1.0, b3]),
+                             babs=np.ones(4), c=np.zeros(4), d=0.0)
+        ws = _Lifted(form, cube(2, 1.0))
+        sigma = np.array([0, 1, -1, 1])
+        got, want = self.boundary_verdicts(ws, sigma)
+        assert got == want
+        assert want.count(True) == want.count(False) == 5
+        sig2 = np.array([0, -1, -1, 1])
+        expected = 5.0 if b3 == 4.0 else 3.0
+        assert lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2)) == DEFAULT_TOL * (1.0 + expected)
+
+    def test_random_pinned_forms_at_the_boundary(self, rng):
+        for k in range(20):
+            form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
+            ws = _Lifted(form, cube(3, 3.0))
+            got, want = self.boundary_verdicts(ws, rng.integers(-1, 2, size=5))
+            assert got == want
+
+    def test_walks_match_per_flip(self, rng, monkeypatch):
+        real = _Lifted.priced_out
+        compared = []
+
+        def priced_out(self, sol, sigma, flips):
+            verdicts = real(self, sol, sigma, flips)
+            assert verdicts.tolist() == [per_flip_verdict(self, sol, sigma, i, f) for i, f in flips]
+            compared.extend(verdicts.tolist())
+            return verdicts
+
+        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
+        for _ in range(10):
+            form, start = pinned_form(rng, n=3, s=5, pins=2)
+            aasm_minimize(form, cube(3, 3.0), start)
+        for n, iters in ((6, 500), (20, 200)):
+            inst = bench.maxq(n, "C2")
+            asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert len(compared) > 1000
+        assert True in compared and False in compared
+
+
 class TestCrashStart:
     """The first LP of every call starts at the start point from the crash
     basis and runs phase 2 only; C with equality rows falls back to a cold
@@ -490,6 +567,7 @@ class TestCrashStart:
         return solved
 
     def test_random_forms_skip_phase1(self, rng, phase1_calls, crashed):
+        firsts = []  # the first LP of each call; probes start at their parent's point
         for k in range(30):
             if k % 3 == 0:
                 form, C = convex_form(rng, n=3, s=6), cube(3, 2.0)
@@ -497,10 +575,12 @@ class TestCrashStart:
             else:
                 form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
                 C = cube(3, 3.0)
+            before = len(crashed)
             aasm_minimize(form, C, start)
+            firsts.append(crashed[before])
         assert phase1_calls == []
-        assert len(crashed) == 30
-        for problem, sol in crashed:  # the same LP solved cold
+        assert len(firsts) == 30
+        for problem, sol in firsts:  # the same LP solved cold
             cold = lpmod.solve(problem)
             assert sol.status == cold.status == LpStatus.OPTIMAL
             assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -516,6 +596,31 @@ class TestCrashStart:
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=10)
         assert phase1_calls == []
         assert len(crashed) >= 10
+
+    def test_probes_start_at_the_parent_point(self, phase1_calls, crashed):
+        # a bias-free ReLU regression: kinks sit at 0 with their z column
+        # basic, and a probe pins that column; hinted with the parent's basis
+        # alone, 19 of its 20 probes fell back to a cold phase 1 (163 pivots)
+        d, h, p = 2, 2, 6
+        g = CounterRng(11)
+        X = g.normals(p * d).reshape(p, d)
+        teacher = g.normals(h * d).reshape(h, d)
+        y = np.maximum(X @ teacher.T, 0.0) @ [1.0, -1.0]
+        tb = TapeBuilder(h * d)
+        xs = tb.inputs()
+        loss = []
+        for k in range(p):
+            units = [tb.affine(list(X[k]), xs[j * d:(j + 1) * d]) for j in range(h)]
+            out = tb.scale(0.5, units[0] + tb.abs(units[0])) + tb.scale(-0.5, units[1] + tb.abs(units[1]))
+            loss.append(tb.square(out - float(y[k])))
+        tape = tb.build(tb.scale(1.0 / (2 * p), sum(loss[1:], loss[0])))
+        x0 = g.normals(h * d).clip(-3, 3) / 6
+        res = asfw_run(tape, cube(h * d, 2.0), x0, StepRule.open_loop_sqrt(), max_iters=10)
+        assert len(res.trace.rows) == 3
+        assert phase1_calls == []
+        assert len(crashed) == 23  # 3 first LPs and 20 probes, all started at a point
+        assert sum(sol.simplex_iters for _, sol in crashed) == 11
+        assert res.f_final == pytest.approx(0.04475761357385325, rel=1e-12)
 
     def test_equality_row_solves_cold(self, rng, phase1_calls, crashed):
         # v_1 + v_2 + v_3 = 0 on the cube: no slack to crash that row with

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from absfw import bench
+from absfw import lp as lpmod
+from absfw.asfw import StepRule, asfw_run
 from absfw.plmodel import eval_pl
 from absfw.polyhedron import contains
 from absfw.randgen import midpoint_convex
@@ -202,6 +204,33 @@ class TestLasso:
         for variant in ("box", "ordered"):
             inst = bench.constrained_lasso(8, 12, seed=11, variant=variant)
             assert contains(inst.C, inst.x0, 1e-9)
+
+
+class TestBenchWork:
+    """The work of the perfbench workloads, pinned: a change that claims to
+    leave the solver's path alone must leave the LP solves, the simplex
+    pivots and f_final as they are."""
+
+    @pytest.mark.parametrize("build, iters, solves, pivots, f_final", [
+        (lambda: bench.chained_lq(100), 5, 5, 641, 388.9187393553687),
+        (lambda: bench.maxq(20, "C2"), 200, 56, 491, 3.9165483545573606e-11),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 998,
+         1982.9956613474728),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_lp_work(self, monkeypatch, build, iters, solves, pivots, f_final):
+        iters_per_lp = []
+        real = lpmod.solve
+
+        def solve(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            iters_per_lp.append(sol.simplex_iters)
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", solve)
+        inst = build()
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert (len(iters_per_lp), sum(iters_per_lp)) == (solves, pivots)
+        assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
 
 
 class TestRng:
