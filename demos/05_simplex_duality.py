@@ -32,8 +32,9 @@ dual_obj = (-sol.dual_eq @ P.beq - sol.dual_in @ P.bin
             + sol.dual_lo @ P.lo - sol.dual_hi @ P.hi)
 print("dual objective       :", dual_obj, " (matches primal)")
 
-# warm starts: re-solving from the returned basis takes zero pivots
-again = solve(lp, basis_hint=sol.basis)
+# warm starts: a basis is passed back with its point, which places the
+# nonbasic columns; re-solving from the returned basis and x takes zero pivots
+again = solve(lp, basis_hint=sol.basis, start=sol.x)
 print("\nwarm re-solve pivots :", again.simplex_iters)
 
 # a degenerate instance that cycles under naive pricing terminates here

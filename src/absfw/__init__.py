@@ -33,7 +33,7 @@ from .plmodel import (
     form_from_text,
 )
 from .polyhedron import Polyhedron, box, cube, contains, intersect
-from .lp import LpProblem, LpSolution, LpStatus, LpBasis, LpError, solve, dump_lp
+from .lp import LpProblem, LpSolution, LpStatus, LpError, solve, dump_lp
 from .aasm import (
     AasmResult,
     AasmStatus,

@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp as lpmod
-from .lp import LpBasis, LpProblem, LpStatus
+from .lp import LpProblem, LpStatus
 from .plmodel import (
     AbsLinearForm,
     eval_pl,
@@ -111,15 +111,15 @@ class _Lifted:
         n, s = self.form.n, self.form.s
         cols = np.concatenate([n + np.arange(s) + np.where(z >= 0, 0, s),
                                n + 2 * s + np.arange(self.C.Ain.shape[0])])
-        return LpBasis(tuple(cols.tolist())), np.concatenate([v, np.zeros(2 * s)])
+        return tuple(cols.tolist()), np.concatenate([v, np.zeros(2 * s)])
 
-    def solve(self, sigma: np.ndarray | None = None, hint: LpBasis | None = None, x0=None):
+    def solve(self, sigma: np.ndarray | None = None, hint: tuple[int, ...] | None = None, x0=None):
         """The LP over the closure of sigma's domain, or with no signature
         the split LP, whose twin pairs (z+_i, z-_i) let the simplex cross
         kinks in one step; returns the solution and psi = objective + d (inf
         unless OPTIMAL).  A signature pins one column of each pair, so its
-        LPs get no twins.  ``x0``, a point over the LP's columns, places the
-        nonbasic columns of ``hint`` (see ``lp.solve``)."""
+        LPs get no twins.  ``hint`` and ``x0``, a point over the LP's
+        columns, are a warm start, given together (see ``lp.solve``)."""
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
         twins = self.twins if sigma is None else ()
@@ -198,16 +198,11 @@ def _checked(sol, psi):
     return sol, psi
 
 
-def _trace_line(sigma, psi, sol) -> str:
-    return f"{_sig_key(sigma).hex()} {psi:.17g} {sol.status.value}"
-
-
 def aasm_minimize(
     form: AbsLinearForm,
     C: Polyhedron,
     start,
     partial_inner_limit: int | None = None,
-    trace_sink=None,
 ) -> AasmResult:
     """Minimize ``form`` over C from ``start``.
 
@@ -241,8 +236,6 @@ def aasm_minimize(
     if not form.L.any() and np.all(form.babs >= 0):
         sol, psi = _checked(*ws.solve(hint=hint, x0=x0))
         sigma = switch_signs(form, ws.z(sol))
-        if trace_sink is not None:
-            trace_sink(_trace_line(sigma, psi, sol))
         return AasmResult(sol.x[:form.n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
 
     sigma = switch_signs(form, z0)
@@ -254,8 +247,6 @@ def aasm_minimize(
     while True:
         visited.add(_sig_key(sigma))
         visited_list.append(sigma.copy())
-        if trace_sink is not None:
-            trace_sink(_trace_line(sigma, psi, sol))
         if partial_inner_limit is not None and len(visited_list) >= partial_inner_limit:
             status = AasmStatus.INNER_LIMIT
             break

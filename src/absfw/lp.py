@@ -27,10 +27,9 @@ Optimal solutions carry dual multipliers with the convention
          - pi_lo'(x - lo) + pi_hi'(x - hi),    dual_in, pi_lo, pi_hi >= 0
 
 so stationarity reads c + Aeq' dual_eq + Ain' dual_in = pi_lo - pi_hi.
-A previously returned basis can be passed back as a warm start; if it is
-unusable the solve silently falls back to a cold start.  A hint may come with
-a start point, which places the nonbasic columns (a crash start): from a
-nonsingular basis feasible to ``WARM_TOL`` there, only phase 2 runs.
+A warm start is a basis together with its point, which places the nonbasic
+columns: from a nonsingular basis feasible to ``WARM_TOL`` there, only
+phase 2 runs; any other hint silently falls back to the cold start.
 """
 from __future__ import annotations
 
@@ -95,20 +94,11 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
-class LpBasis:
-    """Warm-start data: basic column per row plus nonbasic-at-upper flags,
-    indexed over structural-plus-slack columns.  An optimal solve always
-    returns its basis; in a row made redundant by the fixed columns it holds
-    the phase-1 artificial, an index past those columns, or after a crash
-    start a fixed column, and such a basis is rejected as a hint without a
-    start point."""
-
-    cols: tuple[int, ...]
-    at_upper: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class LpSolution:
+    """``basis`` is the basic column per row over the structural and slack
+    columns; a row made redundant by fixed columns may hold the phase-1
+    artificial, an index past them, or after a crash start a fixed column."""
+
     status: LpStatus
     x: np.ndarray
     objective: float
@@ -116,7 +106,7 @@ class LpSolution:
     dual_in: np.ndarray
     dual_lo: np.ndarray
     dual_hi: np.ndarray
-    basis: LpBasis | None
+    basis: tuple[int, ...] | None
     simplex_iters: int
 
 
@@ -326,18 +316,23 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
         free[j] = False
 
 
-def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSolution:
+def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=None) -> LpSolution:
     """Solve the LP; deterministic for identical input.
 
     Infeasible/Unbounded are reported as statuses.  LpError signals numerical
     breakdown (see ``LpError``); an OPTIMAL point lies within DEFAULT_TOL of
-    every column bound, slacks included.  With ``start``, a point over
-    the LP's columns within WARM_TOL of their bounds, each nonbasic column of
-    ``basis_hint`` takes start's value clipped onto its bounds, and the hint
-    may hold fixed columns, which are then swapped out where ``_swap_out``
-    allows; only phase 2 runs.  A hint unusable at that point falls back to
-    the cold two-phase solve.
+    every column bound, slacks included.  A warm start is ``basis_hint``, a
+    basic column per row like ``LpSolution.basis``, and ``start``, a point
+    over the LP's columns within WARM_TOL of their bounds, given together:
+    nonbasic columns take start's values clipped onto their bounds, fixed
+    basic columns are swapped out where ``_swap_out`` allows, and only phase
+    2 runs.  An unusable hint falls back to the cold two-phase solve.  Only
+    one of the two, or a start of the wrong length, raises ValueError.
     """
+    if (basis_hint is None) != (start is None):
+        raise ValueError("basis_hint and start must be given together")
+    if start is not None and np.shape(start) != (lp.P.dim,):
+        raise ValueError("start must have one value per column")
     P = lp.P
     n = P.dim
     me, mi = P.Aeq.shape[0], P.Ain.shape[0]
@@ -361,25 +356,19 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
 
     warm_ok = False
     if basis_hint is not None:
-        cols = np.asarray(basis_hint.cols, dtype=np.int64)
-        movable = sx.movable()
-        in_range = np.all((cols >= 0) & (cols < n_real))
-        if cols.shape == (m,) and in_range and (start is not None or movable[cols].all()):
+        cols = np.asarray(basis_hint, dtype=np.int64)
+        if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)):
             xN = _bound_point(lo, hi)
-            for j in basis_hint.at_upper:
-                if 0 <= j < n_real and movable[j] and np.isfinite(hi[j]):
-                    xN[j] = hi[j]
-            start_ok = True
-            if start is not None:
-                xN[:n] = np.clip(start, P.lo, P.hi)
-                start_ok = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
+            xN[:n] = np.clip(start, P.lo, P.hi)
+            # before set_basis, which keeps xN and zeroes its basic entries
+            near = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
             try:
                 sx.set_basis(cols, xN)
-                warm_ok = start_ok and np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= WARM_TOL
+                warm_ok = near and np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= WARM_TOL
             except np.linalg.LinAlgError:
                 warm_ok = False
-            if warm_ok and start is not None:
-                _swap_out(sx, np.flatnonzero(~movable[sx.basis]), n_real)
+            if warm_ok:
+                _swap_out(sx, np.flatnonzero(~sx.movable()[sx.basis]), n_real)
 
     if not warm_ok and not _phase1(sx, max_iters):
         return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
@@ -397,10 +386,7 @@ def solve(lp: LpProblem, basis_hint: LpBasis | None = None, start=None) -> LpSol
     y = sx.Binv.T @ c_work[sx.basis]
     rc = c - A.T @ y
 
-    at_upper = (sx.xN == sx.hi) & sx.movable()
-    at_upper[sx.basis] = False
-    basis_out = LpBasis(cols=tuple(sx.basis.tolist()), at_upper=tuple(np.flatnonzero(at_upper[:n_real]).tolist()))
-    return _build_solution(lp, x_full, y, rc, n, me, mi, basis_out, sx.iters)
+    return _build_solution(lp, x_full, y, rc, n, me, mi, tuple(sx.basis.tolist()), sx.iters)
 
 
 def _phase1(sx: _Simplex, max_iters) -> bool:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .plmodel import AbsLinearForm
+from .plmodel import AbsLinearForm, eval_pl
 from .polyhedron import Polyhedron, box
-from .tape import Tape, TapeBuilder
+from .tape import Tape, TapeBuilder, abs_linearize, evaluate
 
 
 def random_tape(rng: np.random.Generator, n: int, n_ops: int = 12, p_abs: float = 0.3) -> Tape:
@@ -73,8 +73,6 @@ def random_pl_form(
     Convex instances are sums of nonnegative multiples of max-affine terms
     plus an affine part; nonconvex ones mix in negated kink terms.
     """
-    from .tape import abs_linearize, evaluate
-
     tb = TapeBuilder(n)
     xs = tb.inputs()
 
@@ -108,23 +106,14 @@ def random_pl_form(
     assert form.s == s
     # sanity: the tape is piecewise linear, so the model reproduces it
     probe = rng.uniform(-1, 1, size=n)
-    assert abs(evaluate(tape, probe).y - (form.d + _eval(form, probe))) < 1e-8 * (
-        1 + abs(evaluate(tape, probe).y)
-    )
+    y = evaluate(tape, probe).y
+    assert abs(y - eval_pl(form, probe)[0]) < 1e-8 * (1 + abs(y))
     return form
-
-
-def _eval(form, dx):
-    from .plmodel import eval_pl
-
-    return eval_pl(form, dx)[0] - form.d
 
 
 def midpoint_convex(form: AbsLinearForm, lo, hi, rng: np.random.Generator,
                     samples: int = 120, tol: float = 1e-10) -> bool:
     """Midpoint-convexity sampling of the model over a box."""
-    from .plmodel import eval_pl
-
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     for _ in range(samples):

@@ -95,13 +95,19 @@ class TestAasmMinimize:
         assert psi_oracle == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_descent_chain(self):
+        # psi of each visited polyhedron by the oracle route: its affine
+        # restriction minimized by a cold LP over C and its closure
         x0 = np.array([-1.0, 1.0, 1.0, 1.0])
-        form = rn2_form(4, x0)
-        lines = []
-        res = aasm_minimize(form, cube(4, 20.0), x0, trace_sink=lines.append)
-        psis = [float(ln.split()[1]) for ln in lines]
-        assert len(psis) == res.polyhedra_visited
+        form, C = rn2_form(4, x0), cube(4, 20.0)
+        res = aasm_minimize(form, C, x0)
+        psis = []
+        for sigma in res.visited_signatures:
+            r = restrict(form, sigma)
+            sol = lpmod.solve(LpProblem(c=r.g, P=intersect(C, signature_constraints(form, sigma))))
+            psis.append(r.h + r.g @ sol.x)
+        assert len(psis) == res.polyhedra_visited == 8
         assert all(b < a for a, b in zip(psis, psis[1:]))
+        assert psis[-1] == pytest.approx(res.psi_star, abs=1e-9)
 
     def test_infeasible_start_rejected(self, abs_v_form):
         with pytest.raises(AasmError):
@@ -186,14 +192,13 @@ class TestConvexRoute:
             assert form.M.any()
             C = ordered_chain(3, 2.0) if chain else cube(3, 2.0)
             start = np.sort(rng.uniform(-1.5, 1.5, size=3))
-            lines = []
-            res = aasm_minimize(form, C, start, trace_sink=lines.append)
+            res = aasm_minimize(form, C, start)
             _, psi_o = brute_force_pl_min(form, C)
             assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
             assert contains(C, res.v_star)
             assert res.psi_star == pytest.approx(eval_pl(form, res.v_star)[0], rel=1e-9, abs=1e-9)
             assert res.status == AasmStatus.LOCAL_MIN
-            assert (res.polyhedra_visited, res.lp_calls, len(lines)) == (1, 1, 1)
+            assert (res.polyhedra_visited, res.lp_calls) == (1, 1)
         assert len(split_calls) == 8
 
     @pytest.mark.parametrize("seed", range(10))
@@ -405,7 +410,7 @@ class TestProbePricing:
                 if kept:
                     sig2 = sigma.copy()
                     sig2[i] = f
-                    basic = sigma[i] != 0 and self.form.n + i + (sigma[i] < 0) * self.form.s in sol.basis.cols
+                    basic = sigma[i] != 0 and self.form.n + i + (sigma[i] < 0) * self.form.s in sol.basis
                     psi = sol.objective + self.form.d
                     _, psi2 = self.solve(sig2)
                     margins.append((sigma[i], basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
@@ -557,7 +562,7 @@ class TestCrashStart:
         solved = []
         real = lpmod.solve
 
-        def recording(problem, basis_hint=None, start=None):
+        def recording(problem, *, basis_hint=None, start=None):
             sol = real(problem, basis_hint=basis_hint, start=start)
             if start is not None:
                 solved.append((problem, sol))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, LpBasis, _Simplex, solve
+from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 
@@ -86,14 +86,14 @@ class TestBasics:
 
     def test_redundant_row_keeps_basis(self):
         # the row is implied by the fixed x1, so its artificial (column 2)
-        # stays basic at 0; the basis is returned, and as a hint it is
-        # rejected and the solve starts cold
+        # stays basic at 0; the basis is returned, and as a hint, even with
+        # its point, it is rejected and the solve starts cold
         lp = LpProblem(c=[1.0, 1.0], P=make_poly(2, Aeq=[[1, 0]], beq=[1.0], lo=[1, 0], hi=[1, 5]))
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 0.0])
-        assert sol.basis == LpBasis(cols=(2,))
-        again = solve(lp, basis_hint=sol.basis)
+        assert sol.basis == (2,)
+        again = solve(lp, basis_hint=sol.basis, start=sol.x)
         np.testing.assert_array_equal(again.x, sol.x)
         assert again.basis == sol.basis
 
@@ -122,7 +122,7 @@ class TestBasics:
         assert sol.status == LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [2.0, 1.0])
         assert sol.simplex_iters == 0
-        assert sol.basis == LpBasis(cols=())
+        assert sol.basis == ()
 
     def test_all_fixed_with_rows(self):
         lp = LpProblem(
@@ -149,7 +149,7 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0, 0.0])
-        assert sol.basis.cols == (1,)
+        assert sol.basis == (1,)
 
 
 class TestSuperbasicStart:
@@ -170,11 +170,12 @@ class TestSuperbasicStart:
 class TestStartPoint:
     """A hint with a start point: nonbasic columns sit at the start, and
     only phase 2 runs unless the start leaves its bounds by more than
-    WARM_TOL, in which case the solve is the cold one."""
+    WARM_TOL, in which case the solve is the cold one.  A hint without a
+    start, or the reverse, or a start of the wrong shape is rejected."""
 
     # min -x1 - 2 x2 s.t. x1 + x2 <= 4 on [0, 3]^2; the slack is basic
     LP = LpProblem(c=[-1.0, -2.0], P=make_poly(2, Ain=[[1, 1]], bin_=[4.0], lo=[0, 0], hi=[3, 3]))
-    HINT = LpBasis(cols=(2,))
+    HINT = (2,)
 
     @pytest.mark.parametrize("start", [[1.0, 1.0], [0.5, 2.5], [1.0, 3.0 + 5e-8]])
     def test_interior_start_runs_phase2_only(self, start, phase1_calls):
@@ -194,13 +195,27 @@ class TestStartPoint:
         for name in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
             np.testing.assert_array_equal(getattr(sol, name), getattr(cold, name))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(start=np.array([9.0, 9.0])), "together"),  # infeasible, and no hint
+        (dict(basis_hint=HINT), "together"),
+        (dict(basis_hint=HINT, start=1.0), "one value per column"),  # not broadcast
+        (dict(basis_hint=HINT, start=np.zeros(3)), "one value per column"),
+    ], ids=["start-only", "hint-only", "scalar-start", "long-start"])
+    def test_malformed_warm_start_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            solve(self.LP, **kwargs)
+
+    def test_warm_start_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            solve(self.LP, self.HINT, np.ones(2))
+
     @pytest.mark.parametrize("rhs, cols", [(0.0, (1,)), (1e-12, (1,)), (4e-12, (0,))])
     def test_fixed_column_swapped_out_only_if_residual_tiny(self, rhs, cols):
         # x0 - 2 x1 = rhs with x0 fixed at 0 and basic at rhs: swapping in x1
         # drops the residual rhs, allowed up to FIXED_TOL * |alpha| = 2e-12
         lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -2]], beq=[rhs], lo=[0, 0], hi=[0, 1]))
-        sol = solve(lp, basis_hint=LpBasis(cols=(0,)), start=np.zeros(2))
-        assert (sol.status, sol.basis.cols, sol.simplex_iters) == (LpStatus.OPTIMAL, cols, 0)
+        sol = solve(lp, basis_hint=(0,), start=np.zeros(2))
+        assert (sol.status, sol.basis, sol.simplex_iters) == (LpStatus.OPTIMAL, cols, 0)
 
 
 class TestBoxOracle:
@@ -302,11 +317,13 @@ class TestDump:
 
 
 class TestWarmStart:
+    """A warm start is a returned basis together with its point."""
+
     def test_hint_reused(self, rng):
         c, P, _ = random_lp(rng, n=8, m_eq=2, m_in=6)
         lp = LpProblem(c=c, P=P)
         cold = solve(lp)
-        warm = solve(lp, basis_hint=cold.basis)
+        warm = solve(lp, basis_hint=cold.basis, start=cold.x)
         assert warm.status == LpStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert warm.simplex_iters == 0
@@ -314,15 +331,14 @@ class TestWarmStart:
     def test_hint_with_changed_objective(self, rng):
         c, P, _ = random_lp(rng, n=8, m_eq=1, m_in=5)
         cold = solve(LpProblem(c=c, P=P))
-        warm = solve(LpProblem(c=-c, P=P), basis_hint=cold.basis)
+        warm = solve(LpProblem(c=-c, P=P), basis_hint=cold.basis, start=cold.x)
         assert warm.status == LpStatus.OPTIMAL
         check_certificates(LpProblem(c=-c, P=P), warm)
 
     def test_garbage_hint_falls_back(self, rng):
-        c, P, _ = random_lp(rng, n=5, m_eq=1, m_in=3)
+        c, P, x0 = random_lp(rng, n=5, m_eq=1, m_in=3)
         lp = LpProblem(c=c, P=P)
-        bad = LpBasis(cols=(0, 0, 0, 0), at_upper=())
-        sol = solve(lp, basis_hint=bad)
+        sol = solve(lp, basis_hint=(0, 0, 0, 0), start=x0)  # a singular basis
         assert sol.status == LpStatus.OPTIMAL
         check_certificates(lp, sol)
 
@@ -330,8 +346,8 @@ class TestWarmStart:
 class TestFixedColumnOracle:
     """Fixed columns against scipy's HiGHS: same status and objective.  A
     fixed column is basic only in a row of B^-1 A with no movable nonzero
-    entry, and such a basis, like one holding a phase-1 artificial, is not
-    a usable hint; any other returned basis re-solves with no pivot."""
+    entry.  Any returned basis over the LP's columns re-solves at its point
+    with no pivot; one holding a phase-1 artificial is not a usable hint."""
 
     def check(self, lp, sol):
         status, objective = highs(lp)
@@ -339,20 +355,23 @@ class TestFixedColumnOracle:
         if sol.status != LpStatus.OPTIMAL:
             return
         assert abs(sol.objective - objective) <= 1e-9 * (1.0 + abs(objective))
-        P, cols = lp.P, list(sol.basis.cols)
+        P, cols = lp.P, list(sol.basis)
         mi = P.Ain.shape[0]
         A = np.block([[P.Aeq, np.zeros((P.Aeq.shape[0], mi))], [P.Ain, np.eye(mi)]])
         movable = np.concatenate([P.hi - P.lo > FIXED_TOL, np.ones(mi, bool)])
-        if max(cols, default=-1) < A.shape[1] and movable[cols].all():
-            assert solve(lp, basis_hint=sol.basis).simplex_iters == 0
+        again = solve(lp, basis_hint=sol.basis, start=sol.x)
+        if max(cols, default=-1) >= A.shape[1]:
+            cold = solve(lp)
+            assert (again.basis, again.simplex_iters) == (cold.basis, cold.simplex_iters)
+            np.testing.assert_array_equal(again.x, cold.x)
             return
-        if max(cols) < A.shape[1]:
+        if not movable[cols].all():
             rows = np.linalg.solve(A[:, cols], A)[~movable[cols]]
             assert np.max(np.abs(rows[:, movable])) <= PIVOT_TOL
-        cold = solve(lp)
-        again = solve(lp, basis_hint=sol.basis)
-        assert (again.basis, again.simplex_iters) == (cold.basis, cold.simplex_iters)
-        np.testing.assert_array_equal(again.x, cold.x)
+        assert again.simplex_iters == 0
+        # the same basis and point, refactored in a system without phase 1's
+        # artificial columns: x agrees to rounding
+        np.testing.assert_allclose(again.x, sol.x, rtol=1e-14, atol=1e-14)
 
     def test_pinned_random_lps(self, rng):
         for k in range(200):
@@ -369,9 +388,9 @@ class TestFixedColumnOracle:
         # x0 - x1 = 0 with x0 fixed at 0: the crash basis (x0,) is optimal
         # at the start, so only the zero-step swap takes x0 out of it
         lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -1]], beq=[0.0], lo=[0, 0], hi=[0, 1]))
-        sol = solve(lp, basis_hint=LpBasis(cols=(0,)), start=np.zeros(2))
+        sol = solve(lp, basis_hint=(0,), start=np.zeros(2))
         self.check(lp, sol)
-        assert (sol.basis.cols, sol.simplex_iters) == ((1,), 0)
+        assert (sol.basis, sol.simplex_iters) == ((1,), 0)
 
     def test_lifted_lps_on_maxq(self, monkeypatch):
         import absfw.aasm
@@ -468,7 +487,7 @@ def l1_fit(rng, d, m):
     c = np.concatenate([np.zeros(d), np.ones(2 * m)])
     twins = tuple((d + i, d + m + i) for i in range(m))
     v0 = np.full(d, -5.0)
-    crash = LpBasis(tuple(d + i + (0 if zi >= 0 else m) for i, zi in enumerate(A @ v0 - y)))
+    crash = tuple(d + i + (0 if zi >= 0 else m) for i, zi in enumerate(A @ v0 - y))
     return LpProblem(c=c, P=P), twins, crash, np.concatenate([v0, np.zeros(2 * m)])
 
 
@@ -499,7 +518,7 @@ class TestTwins:
                       lo=np.concatenate([[-5.0], np.zeros(2 * m)]),
                       hi=np.concatenate([[5.0], np.full(2 * m, np.inf)]))
         c = np.concatenate([[0.0], np.ones(2 * m)])
-        crash = LpBasis(tuple(range(1 + m, 1 + 2 * m)))  # every z- basic
+        crash = tuple(range(1 + m, 1 + 2 * m))  # every z- basic
         start = np.concatenate([[-5.0], np.zeros(2 * m)])
         twins = tuple((1 + i, 1 + m + i) for i in range(m))
         sol = solve(LpProblem(c=c, P=P, twins=twins), basis_hint=crash, start=start)
