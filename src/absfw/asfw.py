@@ -85,6 +85,7 @@ class TraceRow:
     inner_polyhedra: int
     lp_calls: int
     elapsed_ms: int
+    inner_status: str  # the subproblem's AasmStatus value
 
 
 @dataclass
@@ -181,6 +182,7 @@ def asfw_run(
             inner_polyhedra=inner.polyhedra_visited,
             lp_calls=inner.lp_calls,
             elapsed_ms=int(1000 * (time.perf_counter() - t_start)),
+            inner_status=inner.status.value,
         )
         trace.append(row)
         if trace_sink is not None:

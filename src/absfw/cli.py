@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -81,7 +82,9 @@ def _run_single(args, n: int, out_path: str | None) -> None:
         max_iters=ns.max_iters, gap_tol=ns.gap_tol,
         partial_inner_limit=ns.partial_inner_limit, trace_sink=sink,
     )
-    lines.append(f"# status={res.status.value} f_final={res.f_final!r}")
+    inner = Counter(row.inner_status for row in res.trace.rows)
+    counts = ",".join(f"{k}:{inner[k]}" for k in sorted(inner))
+    lines.append(f"# status={res.status.value} f_final={res.f_final!r} inner={counts}")
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:

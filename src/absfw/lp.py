@@ -391,12 +391,13 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
 
 def _phase1(sx: _Simplex, max_iters) -> bool:
     """Install artificials, minimize their sum, drive out those whose
-    residual ``_swap_out`` may drop; returns False when infeasibility
-    remains."""
+    residual ``_swap_out`` may drop, and remove the artificial columns when
+    none stays basic; returns False when infeasibility remains."""
     m, n_real = sx.m, sx.ncols
     xN = _bound_point(sx.lo, sx.hi)
     resid = sx.b - sx.A @ xN
     art_sign = np.where(resid >= 0, 1.0, -1.0)
+    real = sx.A, sx.lo, sx.hi, sx.twin
     sx.A = np.hstack([sx.A, np.diag(art_sign)])
     sx.lo = np.concatenate([sx.lo, np.zeros(m)])
     sx.hi = np.concatenate([sx.hi, np.full(m, np.inf)])
@@ -414,9 +415,16 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
     if float(c1[sx.basis] @ sx.xB) > DEFAULT_TOL * (1.0 + float(np.max(np.abs(sx.b), initial=0.0))):
         return False
     _swap_out(sx, np.flatnonzero(sx.basis >= n_real), n_real)
-    # pin artificials so phase 2 cannot reuse them
-    sx.lo[n_real:] = 0.0
-    sx.hi[n_real:] = 0.0
+    if np.all(sx.basis < n_real):
+        # back to the real columns: zero-valued artificials still change the
+        # summation order of b - A x_N, which a warm re-solve's system lacks
+        sx.A, sx.lo, sx.hi, sx.twin = real
+        sx.xN, sx.ncols, sx._fresh = sx.xN[:n_real], n_real, False
+    else:
+        # a redundant row keeps its artificial: pin them all so phase 2
+        # cannot reuse them
+        sx.lo[n_real:] = 0.0
+        sx.hi[n_real:] = 0.0
     return True
 
 

@@ -76,12 +76,15 @@ DEFAULT_SIGNATURE_TOL = 1e-10
 
 
 def eval_pl(form: AbsLinearForm, dx) -> tuple[float, np.ndarray]:
-    """Evaluate the model by forward substitution; returns (value, z)."""
+    """Evaluate the model by forward substitution; returns (value, z).
+
+    Only rows with an M or L entry are substituted: any other row would add
+    exact zeros to c_i + Z_i dx, which can change at most the sign of a zero.
+    """
     dx = np.asarray(dx, dtype=float)
-    z = np.empty(form.s)
-    base = form.c + form.Z @ dx
-    for i in range(form.s):
-        z[i] = base[i] + form.M[i, :i] @ z[:i] + form.L[i, :i] @ np.abs(z[:i])
+    z = form.c + form.Z @ dx
+    for i in np.flatnonzero(form.M.any(axis=1) | form.L.any(axis=1)):
+        z[i] = z[i] + form.M[i, :i] @ z[:i] + form.L[i, :i] @ np.abs(z[:i])
     value = form.d + form.a @ dx + form.b @ z + form.babs @ np.abs(z)
     return float(value), z
 

@@ -16,11 +16,16 @@ node keeps ``const`` in ``TapeNode.value``; its operand indices and weights sit
 in the tape's ``affine`` side table, as the switching slots sit in
 ``switch_index``.  Its text line is ``<idx> affine <const> <arg> <weight> ...``
 with one (operand, weight) pair per term.
+
+Linearization drops a node's record once no later node reads it.  Which
+records go after which node depends only on the tape, so ``Tape.release``
+works that plan out on the first linearization and keeps it for the rest.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +73,27 @@ class Tape:
     @property
     def num_switch(self) -> int:
         return len(self.switch_index)
+
+    @cached_property
+    def release(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the operands no later node reads (never the output),
+        whose linearization records may go once the node is done.  Built on
+        first use, as ``__post_init__`` would charge tapes never linearized;
+        the cache sits in ``__dict__``, unseen by ``__eq__`` and ``repr``."""
+        last: dict[int, int] = {}
+        for idx, node in enumerate(self.nodes):
+            if node.op == "affine":
+                last.update(dict.fromkeys(self.affine[idx][0].tolist(), idx))
+            elif node.op != "input":  # an input's ``a`` is its slot
+                if node.a >= 0:
+                    last[node.a] = idx
+                if node.b >= 0:
+                    last[node.b] = idx
+        last.pop(self.output, None)
+        plan: list[list[int]] = [[] for _ in self.nodes]
+        for k, idx in last.items():
+            plan[idx].append(k)
+        return tuple(map(tuple, plan))
 
     def __post_init__(self):
         table = {}
@@ -183,18 +209,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     L = np.zeros((s, s))
     c = np.zeros(s)
 
-    # last position at which each node's record is still needed
-    last_use = list(range(len(tape.nodes)))
-    for idx, node in enumerate(tape.nodes):
-        if node.a >= 0:
-            last_use[node.a] = idx
-        if node.b >= 0:
-            last_use[node.b] = idx
-        if node.op == "affine":
-            for k in tape.affine[idx][0]:
-                last_use[k] = idx
-    last_use[tape.output] = len(tape.nodes)
-
+    release = tape.release
     recs: list[np.ndarray | None] = [None] * len(tape.nodes)
     # operand records stacked per affine operand tuple; an abs node
     # rewrites a record, which makes every stack stale
@@ -243,9 +258,6 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
                 stacked[key] = np.array([recs[k] for k in args])
             r = w @ stacked[key]
             r[0] += node.value
-            for k in args:
-                if last_use[k] == idx:
-                    recs[k] = None
         else:  # abs: freeze the argument's record as switching row i
             i = tape.switch_index[idx]
             arg = recs[node.a]
@@ -261,10 +273,8 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             r = np.zeros(width)
             r[1 + n + s + i] = 1.0
         recs[idx] = r
-        if node.a >= 0 and last_use[node.a] == idx:
-            recs[node.a] = None
-        if node.b >= 0 and last_use[node.b] == idx and node.b != node.a:
-            recs[node.b] = None
+        for k in release[idx]:
+            recs[k] = None
 
     out = recs[tape.output]
     return AbsLinearForm(

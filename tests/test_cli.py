@@ -81,6 +81,19 @@ class TestRun:
         _, rows, _ = read_trace(out)
         assert all(int(r[4]) == 1 for r in rows)  # one polyhedron per inner solve
 
+    def test_status_line_counts_inner_statuses(self, tmp_path):
+        out = tmp_path / "inner.csv"
+        main(["run", "--problem", "maxq", "--n", "6", "--set", "C2", "--out", str(out)])
+        _, rows, status = read_trace(out)
+        assert status.startswith("status=gap_tol_reached")
+        assert status.endswith(f" inner=local_min:{len(rows)}")
+        main(["run", "--problem", "rosenbrock_nesterov2", "--n", "6", "--max-iters", "20",
+              "--partial-inner-limit", "1", "--out", str(out)])
+        _, rows, status = read_trace(out)
+        counts = dict(kv.split(":") for kv in status.split(" inner=")[1].split(","))
+        assert int(counts["inner_limit"]) > 0
+        assert sum(map(int, counts.values())) == len(rows)
+
     def test_partial_inner_limit_below_one_is_exit_2(self, tmp_path, capsys):
         for limit in ("0", "-3"):
             rc = main(["run", "--problem", "rosenbrock_nesterov2", "--n", "4",

@@ -369,9 +369,7 @@ class TestFixedColumnOracle:
             rows = np.linalg.solve(A[:, cols], A)[~movable[cols]]
             assert np.max(np.abs(rows[:, movable])) <= PIVOT_TOL
         assert again.simplex_iters == 0
-        # the same basis and point, refactored in a system without phase 1's
-        # artificial columns: x agrees to rounding
-        np.testing.assert_allclose(again.x, sol.x, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(again.x, sol.x)
 
     def test_pinned_random_lps(self, rng):
         for k in range(200):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,33 @@ class TestFormProperties:
     def test_forms_are_frozen(self, kink3_form):
         with pytest.raises(ValueError):
             kink3_form.Z[0, 0] = 5.0
+
+
+def _substitute_every_row(form, dx):
+    """Forward substitution through all s rows, the reference for eval_pl."""
+    z = np.empty(form.s)
+    base = form.c + form.Z @ dx
+    for i in range(form.s):
+        z[i] = base[i] + form.M[i, :i] @ z[:i] + form.L[i, :i] @ np.abs(z[:i])
+    return float(form.d + form.a @ dx + form.b @ z + form.babs @ np.abs(z)), z
+
+
+class TestDependentRowSubstitution:
+    def test_matches_every_row_substitution(self, rng):
+        dependent = 0
+        for k in range(10):
+            form = random_pl_form(rng, n=3, s=6, convex=bool(k % 2))
+            some = rng.random(form.s) < 0.5
+            for f in (
+                form,
+                replace(form, M=np.zeros_like(form.M), L=np.zeros_like(form.L)),
+                replace(form, M=form.M * some[:, None], L=form.L * some[:, None]),
+            ):
+                dependent += int(np.count_nonzero(f.M.any(axis=1) | f.L.any(axis=1)))
+                for _ in range(5):
+                    dx = rng.uniform(-2, 2, size=3)
+                    value, z = eval_pl(f, dx)
+                    ref_value, ref_z = _substitute_every_row(f, dx)
+                    np.testing.assert_array_equal(z, ref_z)
+                    assert value == ref_value
+        assert dependent > 0

@@ -13,7 +13,9 @@ from absfw.tape import (
     tape_to_text,
     tape_from_text,
 )
+from absfw import bench
 from absfw.plmodel import delta_eval, eval_pl
+from absfw.randgen import random_tape
 
 
 class TestEvaluate:
@@ -358,3 +360,53 @@ class TestAffine:
             tb.build(tb.affine([1.0, np.inf], xs))
         with pytest.raises(TapeError):
             tape_from_text("n=1 s=0\n0 input 0\n1 affine 0.0 0\n")
+
+
+def _plan_cases():
+    """(tape, point) pairs: the three benchmark tapes at their start points
+    and 30 random tapes."""
+    for inst in (bench.chained_lq(100), bench.maxq(20, "C2"), bench.constrained_lasso(50, 100, seed=0)):
+        yield inst.tape, inst.x0
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        yield random_tape(rng, 3, n_ops=15), rng.uniform(-1, 1, size=3)
+
+
+def _operands(tape, idx):
+    node = tape.nodes[idx]
+    if node.op == "affine":
+        return set(tape.affine[idx][0].tolist())
+    if node.op == "input":
+        return set()  # its ``a`` is an input slot
+    return {k for k in (node.a, node.b) if k >= 0}
+
+
+class TestReleasePlan:
+    def test_each_operand_released_once_at_its_last_reader(self):
+        for tape, _ in _plan_cases():
+            released = [(k, idx) for idx, ks in enumerate(tape.release) for k in ks]
+            nodes = [k for k, _ in released]
+            assert len(nodes) == len(set(nodes)) and tape.output not in nodes
+            read = set().union(*(_operands(tape, idx) for idx in range(len(tape.nodes))))
+            assert set(nodes) == read - {tape.output}
+            for k, idx in released:
+                assert k in _operands(tape, idx)
+                assert not any(k in _operands(tape, j) for j in range(idx + 1, len(tape.nodes)))
+
+    def test_built_on_first_linearization_and_kept(self):
+        tape = bench.constrained_lasso(5, 8).tape
+        assert "release" not in vars(tape)
+        abs_linearize(tape, np.zeros(5))
+        plan = tape.release
+        abs_linearize(tape, np.ones(5))
+        assert tape.release is plan
+
+    def test_releasing_nothing_gives_the_same_form(self, monkeypatch):
+        cases = list(_plan_cases())
+        forms = [abs_linearize(tape, x) for tape, x in cases]
+        monkeypatch.setattr(Tape, "release", property(lambda self: [()] * len(self.nodes)))
+        for (tape, x), form in zip(cases, forms):
+            kept = abs_linearize(tape, x)
+            for name in ("Z", "M", "L", "a", "b", "babs", "c"):
+                np.testing.assert_array_equal(getattr(kept, name), getattr(form, name), err_msg=name)
+            assert kept.d == form.d
