@@ -22,6 +22,8 @@ A flip moves only bounds (Fourer's piecewise-linear simplex, Math. Prog.
 1985), so all flips of a polyhedron are priced from the parent LP in one
 pass: unless the column a flip unpins passes the simplex's entering test,
 the parent basis stays optimal and the flip is certified without an LP.
+The entering tolerance reads the cost alone (``lp.entering_tol``), and every
+LP of a call has the same cost, so the test is the probe LP's own.
 Other probes start from the parent's basis and point.
 Probes double as the step to the next polyhedron, which makes descent of the
 accepted chain unconditional.  A visited-signature set guards against
@@ -93,8 +95,7 @@ class _Lifted:
         # z+_i and z-_i have negated columns where no |z_i| feeds a later row
         n, s = form.n, form.s
         self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(~form.L.any(axis=0)).tolist())
-        self.abs_cost = np.abs(self.cost)
-        self.v_max = self.abs_cost[:n][(C.hi - C.lo) > lpmod.FIXED_TOL].max(initial=0.0)
+        self.enter_tol = lpmod.entering_tol(self.cost)  # slacks cost 0: every LP of the call
         self.calls = 0
 
     def upper(self, sigma: np.ndarray | None) -> np.ndarray:
@@ -132,27 +133,20 @@ class _Lifted:
         n, s = self.form.n, self.form.s
         return sol.x[n:n + s] - sol.x[n + s:]
 
-    def priced_out(self, sol, sigma: np.ndarray, flips) -> np.ndarray:
-        """For each flip (i, f) of sigma, True when the optimal basis of
-        ``sol``, sigma's LP, stays optimal after the flip, so that LP's value
-        is sol's.  A flip pins the column that carries z_i now, at 0 (to the
-        signature tolerance), and unpins column j, z+_i or z-_i.  A, c and B
-        are unchanged, so the basis stays optimal unless j, fixed in sol,
-        passes the simplex's entering test.  Its ``entering_tol`` takes the
-        largest |cost| over the wide v columns, j and sigma's free z columns
-        but kink i's: sigma's largest, or its second largest when kink i
-        holds it."""
+    def priced_out(self, sol, flips) -> np.ndarray:
+        """For each flip (i, f) of sol's signature, True when the optimal
+        basis of ``sol`` stays optimal after the flip, so the flipped LP's
+        value is sol's.  A flip pins the column that carries z_i now, at 0
+        (to the signature tolerance), and unpins column j, z+_i or z-_i.  A,
+        c and B are unchanged, so the basis stays optimal unless j, fixed in
+        sol, passes the probe LP's own entering test against ``enter_tol``."""
         if not flips:
             return np.zeros(0, bool)
         n, s = self.form.n, self.form.s
         i, f = np.array(flips).T
         j = n + i + np.where(f > 0, 0, s)
-        rc = sol.dual_lo[j] - sol.dual_hi[j]  # both bounds of a fixed column are active
-        free_cost = np.where(sigma > 0, self.abs_cost[n:n + s], np.where(sigma < 0, self.abs_cost[n + s:], 0.0))
-        top = int(free_cost.argmax())
-        second = np.delete(free_cost, top).max(initial=0.0)
-        wide = np.maximum(np.maximum(self.abs_cost[j], self.v_max), np.where(i == top, second, free_cost[top]))
-        return rc >= -lpmod.DEFAULT_TOL * (1.0 + wide)
+        # both bounds of a fixed column are active
+        return sol.dual_lo[j] - sol.dual_hi[j] >= -self.enter_tol
 
 
 def _sig_key(sigma: np.ndarray) -> bytes:
@@ -242,19 +236,17 @@ def aasm_minimize(
     sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
     max_poly = 2 ** min(form.s, 20)
-    visited = set()
-    visited_list = []
+    visited = {}  # _sig_key -> signature, in visiting order
     while True:
-        visited.add(_sig_key(sigma))
-        visited_list.append(sigma.copy())
-        if partial_inner_limit is not None and len(visited_list) >= partial_inner_limit:
+        visited[_sig_key(sigma)] = sigma.copy()
+        if partial_inner_limit is not None and len(visited) >= partial_inner_limit:
             status = AasmStatus.INNER_LIMIT
             break
 
         accepted = None
         improving_but_visited = False
         flips = _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol))
-        for (i, f), kept in zip(flips, ws.priced_out(sol, sigma, flips)):
+        for (i, f), kept in zip(flips, ws.priced_out(sol, flips)):
             if kept:
                 continue  # the parent's value, certified without an LP: no descent
             sig2 = sigma.copy()
@@ -269,7 +261,7 @@ def aasm_minimize(
         if accepted is None:
             status = AasmStatus.POLYHEDRA_EXHAUSTED if improving_but_visited else AasmStatus.LOCAL_MIN
             break
-        if len(visited_list) >= max_poly:
+        if len(visited) >= max_poly:
             status = AasmStatus.POLYHEDRA_EXHAUSTED
             break
         sigma, sol, psi = accepted
@@ -278,9 +270,9 @@ def aasm_minimize(
         v_star=sol.x[:form.n].copy(),
         psi_star=float(psi),
         status=status,
-        polyhedra_visited=len(visited_list),
+        polyhedra_visited=len(visited),
         lp_calls=ws.calls,
-        visited_signatures=visited_list,
+        visited_signatures=list(visited.values()),
     )
 
 

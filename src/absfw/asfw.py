@@ -4,8 +4,8 @@ Per iteration: abs-linearize the tape at the iterate, pose the piecewise
 linear subproblem min over v in C of the model increment at alpha*(v - x),
 solve it with the active-signature method, record the generalized gap
 -increment/alpha, and take the convex-combination step.  A vanishing gap
-certifies first-order minimality, so the loop stops early when the gap hits
-zero (or the configured tolerance).
+certifies first-order minimality, so the loop stops early when the gap of a
+fully solved subproblem hits zero (or the configured tolerance).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .aasm import aasm_minimize
+from .aasm import AasmStatus, aasm_minimize
 from .plmodel import AbsLinearForm, affine_substitute, delta_eval
 from .polyhedron import Polyhedron, contains
 from .tape import Tape, abs_linearize, evaluate
@@ -139,7 +139,9 @@ def asfw_run(
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
     ``partial_inner_limit`` (at least 1) caps the polyhedra each subproblem
     solve visits when it walks; a subproblem convex in its kinks is one LP
-    and ignores it (see ``aasm_minimize``).  ``trace_sink`` receives each
+    and ignores it (see ``aasm_minimize``).  Neither gap test applies to a
+    subproblem the cap cut short (INNER_LIMIT): its gap is at most the full
+    walk's, so a small one certifies nothing.  ``trace_sink`` receives each
     TraceRow as it is produced.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -188,11 +190,9 @@ def asfw_run(
         if trace_sink is not None:
             trace_sink(row)
 
-        if gap <= 0.0:
-            status = RunStatus.EXACT_GAP_ZERO
-            break
-        if gap <= gap_tol:
-            status = RunStatus.GAP_TOL_REACHED
+        # a cut-short walk's gap is at most the full walk's: it proves nothing
+        if inner.status != AasmStatus.INNER_LIMIT and gap <= gap_tol:
+            status = RunStatus.EXACT_GAP_ZERO if gap <= 0.0 else RunStatus.GAP_TOL_REACHED
             break
 
         if alpha <= 0.0:

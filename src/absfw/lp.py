@@ -7,9 +7,10 @@ which may also lie strictly inside its bounds (see ``_Simplex``).  Fixed
 columns (bounds within ``FIXED_TOL``) stay in the system at their lower bound
 and never enter the basis (a crash basis may hold some), and no row is
 dropped, so every row keeps its dual and basis indices are the caller's
-column indices.  Pricing is Dantzig's
-rule; after a stall of 50 degenerate pivots it switches to Bland's rule until
-a nondegenerate pivot is made, which makes crafted cycling instances
+column indices.  A column may enter when its reduced cost passes zero by
+``entering_tol(c)``, which reads the cost alone.  Pricing is Dantzig's rule;
+after a stall of 50 degenerate pivots it switches to Bland's rule until a
+nondegenerate pivot is made, which makes crafted cycling instances
 terminate.  The basis inverse is kept explicitly and refactorized
 periodically.
 
@@ -110,11 +111,11 @@ class LpSolution:
     simplex_iters: int
 
 
-def entering_tol(c, lo, hi) -> float:
+def entering_tol(c) -> float:
     """The margin by which a reduced cost must pass zero before its column
-    may enter: DEFAULT_TOL scaled by the largest |c_j| over the columns wider
-    than FIXED_TOL."""
-    return DEFAULT_TOL * (1.0 + float(np.max(np.abs(c[(hi - lo) > FIXED_TOL]), initial=0.0)))
+    may enter: DEFAULT_TOL scaled by the largest |c_j|.  It reads the cost
+    alone, so LPs that differ only in their bounds share it."""
+    return DEFAULT_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
 
 
 def _bound_point(lo, hi):
@@ -185,7 +186,7 @@ class _Simplex:
         """
         stall = 0
         movable = self.movable()
-        rc_tol = entering_tol(c, self.lo, self.hi)
+        rc_tol = entering_tol(c)
         for _ in range(max_iters):
             y = self.Binv.T @ c[self.basis]
             rc = c - self.A.T @ y

@@ -128,8 +128,6 @@ def smooth_collapse_suite(seed: int = 23, cases: int = 20, iters: int = 25) -> C
             if gap_ref <= 0.0:
                 break
             x = (1 - rule.alpha(row.t)) * x + rule.alpha(row.t) * lmo.x
-        else:
-            pass
         if np.max(np.abs(res.x_final - x)) > 1e-10:
             failed += 1
     return CheckResult(

@@ -15,6 +15,7 @@ from absfw.aasm import (
     local_optimality_test,
     brute_force_pl_min,
 )
+from absfw import aasm as aasm_mod
 from absfw import lp as lpmod
 from absfw.lp import DEFAULT_TOL, LpProblem, LpStatus
 from absfw.plmodel import (
@@ -399,12 +400,18 @@ class TestProbePricing:
         which must find no descent; LOCAL_MIN still agrees with the cold-LP
         reference ``local_optimality_test``.  On maxq C2 n=20 at iteration 3
         some priced flips pin a column that is basic at 0."""
-        real_priced = _Lifted.priced_out
+        real_priced, real_flips = _Lifted.priced_out, aasm_mod._candidate_flips
         margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)
         priced = []        # priced_out's answers
+        parent = []        # the signature whose flips are priced next
 
-        def priced_out(self, sol, sigma, flips):
-            verdicts = real_priced(self, sol, sigma, flips)
+        def candidate_flips(form, sigma, *args):
+            parent[:] = [sigma]
+            return real_flips(form, sigma, *args)
+
+        def priced_out(self, sol, flips):
+            verdicts = real_priced(self, sol, flips)
+            sigma = parent[0]
             for (i, f), kept in zip(flips, verdicts):
                 priced.append(kept)
                 if kept:
@@ -416,6 +423,7 @@ class TestProbePricing:
                     margins.append((sigma[i], basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
             return verdicts
 
+        monkeypatch.setattr(aasm_mod, "_candidate_flips", candidate_flips)
         monkeypatch.setattr(_Lifted, "priced_out", priced_out)
         C = cube(3, 3.0)
         local_mins = 0
@@ -442,9 +450,9 @@ class TestProbePricing:
         real_priced = _Lifted.priced_out
         probed = []
 
-        def priced_out(self, sol, sigma, flips):
+        def priced_out(self, sol, flips):
             probed.extend(flips)
-            return real_priced(self, sol, sigma, flips)
+            return real_priced(self, sol, flips)
 
         monkeypatch.setattr(_Lifted, "priced_out", priced_out)
         inst = bench.maxq(6, "C2")
@@ -472,45 +480,42 @@ class TestProbePricing:
         assert local_optimality_test(form, inst.C, res.v_star)
 
 
-def per_flip_verdict(ws, sol, sigma, i, f) -> bool:
+def per_flip_verdict(ws, sol, i, f) -> bool:
     """The entering test of the one column a flip unpins, against the
-    entering tolerance of the flipped signature's bounds."""
-    sig2 = sigma.copy()
-    sig2[i] = f
+    entering tolerance of the call's cost."""
     j = ws.form.n + i + (0 if f > 0 else ws.form.s)
     rc = sol.dual_lo[j] - sol.dual_hi[j]
-    return bool(rc >= -lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2)))
+    return bool(rc >= -lpmod.entering_tol(ws.cost))
 
 
 class TestBatchedPricing:
     """``_Lifted.priced_out`` gives, for all flips of a polyhedron at once,
-    the verdicts of the per-flip entering test bit for bit."""
+    the verdicts of the per-flip entering test bit for bit, with the one
+    tolerance every LP of the call enters with."""
 
     @staticmethod
     def boundary_verdicts(ws, sigma):
         """Every single flip of sigma priced with its reduced cost at the
-        per-flip threshold and one ulp past it: (batched, per-flip) verdicts."""
+        threshold and one ulp past it: (batched, per-flip) verdicts."""
         flips = [(i, f) for i in range(ws.form.s) for f in (1, -1) if f != sigma[i]]
         got, want = [], []
         for beyond in (False, True):
             rc = np.zeros(ws.cost.size)
             for i, f in flips:
-                sig2 = sigma.copy()
-                sig2[i] = f
                 j = ws.form.n + i + (0 if f > 0 else ws.form.s)
-                rc[j] = -lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2))
+                rc[j] = -lpmod.entering_tol(ws.cost)
                 if beyond:
                     rc[j] = np.nextafter(rc[j], -np.inf)
             sol = SimpleNamespace(dual_lo=np.maximum(rc, 0.0), dual_hi=np.maximum(-rc, 0.0))
-            got += ws.priced_out(sol, sigma, flips).tolist()
-            want += [per_flip_verdict(ws, sol, sigma, i, f) for i, f in flips]
+            got += ws.priced_out(sol, flips).tolist()
+            want += [per_flip_verdict(ws, sol, i, f) for i, f in flips]
         return got, want
 
     @pytest.mark.parametrize("b3", [0.5, 4.0], ids=["unique-largest", "tie"])
     def test_flipping_the_costliest_kink(self, b3):
         # free z columns of sigma = (0, +, -, +) cost 5, 0 and b3 + 1; the
-        # flip of kink 1 unpins z-_1 (cost 3) and pins the costliest column:
-        # the tolerance falls to 3 unless kink 3 ties at 5
+        # flip of kink 1 unpins z-_1 (cost 3) and pins the costliest column,
+        # yet the tolerance reads the cost alone: 5 with or without a tie
         form = AbsLinearForm(n=2, s=4, Z=np.ones((4, 2)), M=np.zeros((4, 4)), L=np.zeros((4, 4)),
                              a=np.array([0.5, -0.25]), b=np.array([0.0, 4.0, 1.0, b3]),
                              babs=np.ones(4), c=np.zeros(4), d=0.0)
@@ -519,9 +524,7 @@ class TestBatchedPricing:
         got, want = self.boundary_verdicts(ws, sigma)
         assert got == want
         assert want.count(True) == want.count(False) == 5
-        sig2 = np.array([0, -1, -1, 1])
-        expected = 5.0 if b3 == 4.0 else 3.0
-        assert lpmod.entering_tol(ws.cost, ws.lo, ws.upper(sig2)) == DEFAULT_TOL * (1.0 + expected)
+        assert lpmod.entering_tol(ws.cost) == ws.enter_tol == DEFAULT_TOL * (1.0 + 5.0)
 
     def test_random_pinned_forms_at_the_boundary(self, rng):
         for k in range(20):
@@ -534,9 +537,9 @@ class TestBatchedPricing:
         real = _Lifted.priced_out
         compared = []
 
-        def priced_out(self, sol, sigma, flips):
-            verdicts = real(self, sol, sigma, flips)
-            assert verdicts.tolist() == [per_flip_verdict(self, sol, sigma, i, f) for i, f in flips]
+        def priced_out(self, sol, flips):
+            verdicts = real(self, sol, flips)
+            assert verdicts.tolist() == [per_flip_verdict(self, sol, i, f) for i, f in flips]
             compared.extend(verdicts.tolist())
             return verdicts
 
@@ -549,6 +552,29 @@ class TestBatchedPricing:
             asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         assert len(compared) > 1000
         assert True in compared and False in compared
+
+    def test_every_lp_of_a_call_enters_with_enter_tol(self, rng, monkeypatch, phase1_calls):
+        """The simplex of each LP a walk solves, probes included, enters
+        columns against the threshold ``priced_out`` uses."""
+        real = lpmod.entering_tol
+        used = []
+
+        def entering_tol(c):
+            used.append(real(c))
+            return used[-1]
+
+        monkeypatch.setattr(lpmod, "entering_tol", entering_tol)
+        probes = 0
+        for _ in range(10):
+            form, start = pinned_form(rng, n=3, s=5, pins=2)
+            ws = _Lifted(form, cube(3, 3.0))
+            del used[:]
+            res = aasm_minimize(form, cube(3, 3.0), start)
+            assert len(used) == 1 + res.lp_calls  # the call's _Lifted, then one phase 2 per LP
+            assert set(used) == {ws.enter_tol}
+            probes += res.lp_calls - 1
+        assert probes > 0
+        assert phase1_calls == []
 
 
 class TestCrashStart:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from absfw import bench
 from absfw.asfw import (
     StepRule,
     RunStatus,
@@ -108,6 +109,21 @@ class TestAsfwRun:
         res = asfw_run(tape, cube(1, 5.0), [0.0], StepRule.open_loop_sqrt())
         assert res.status == RunStatus.EXACT_GAP_ZERO
         assert len(res.trace.rows) == 1
+        # a subproblem convex in its kinks is solved whole despite the limit
+        res = asfw_run(tape, cube(1, 5.0), [0.0], StepRule.open_loop_sqrt(), partial_inner_limit=1)
+        assert res.status == RunStatus.EXACT_GAP_ZERO
+        assert res.trace.rows[0].inner_status == "local_min"
+
+    def test_cut_short_subproblem_gap_does_not_stop(self):
+        # RN2 n=6 walking one polyhedron per subproblem: from the second row
+        # on the cut-short walks report a zero gap, which certifies nothing
+        inst = bench.rosenbrock_nesterov2(6)
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(),
+                       max_iters=20, partial_inner_limit=1)
+        assert res.status == RunStatus.MAX_ITERS
+        assert len(res.trace.rows) == 20
+        assert {r.inner_status for r in res.trace.rows} == {"inner_limit"}
+        assert res.trace.rows[1].gap <= 0.0
 
     def test_trace_sink_called(self, abs_tape):
         # alpha_0 = 1 jumps |x| straight to its minimizer, so the run stops

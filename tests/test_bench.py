@@ -3,6 +3,7 @@ import pytest
 
 from absfw import bench
 from absfw import lp as lpmod
+from absfw.aasm import _Lifted
 from absfw.asfw import StepRule, asfw_run
 from absfw.plmodel import eval_pl
 from absfw.polyhedron import contains
@@ -231,6 +232,29 @@ class TestBenchWork:
         res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         assert (len(iters_per_lp), sum(iters_per_lp)) == (solves, pivots)
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
+
+
+class TestPricingWork:
+    """The flips the walks price from their parent LP, pinned: on maxq every
+    one is settled without a probe LP."""
+
+    @pytest.mark.parametrize("n, iters, priced, settled", [
+        (20, 200, 1692, 1692),
+        (6, 500, 327, 327),
+    ], ids=["maxq_C2-n20", "maxq_C2-n6"])
+    def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
+        verdicts = []
+        real = _Lifted.priced_out
+
+        def priced_out(self, sol, flips):
+            kept = real(self, sol, flips)
+            verdicts.extend(kept.tolist())
+            return kept
+
+        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
+        inst = bench.maxq(n, "C2")
+        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert (len(verdicts), sum(verdicts)) == (priced, settled)
 
 
 class TestRng:
