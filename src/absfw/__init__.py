@@ -22,7 +22,6 @@ from .tape import (
 from .plmodel import (
     AbsLinearForm,
     AffineRestriction,
-    LinearConstraint,
     eval_pl,
     delta_eval,
     signature,

@@ -309,8 +309,7 @@ def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):
     for signs in itertools.product((-1, 1), repeat=form.s):
         sigma = np.array(signs, dtype=int)
         res = restrict(form, sigma)
-        P2 = intersect(C, signature_constraints(form, sigma))
-        sol = lpmod.solve(LpProblem(c=res.g, P=P2))
+        sol = lpmod.solve(LpProblem(c=res.g, P=intersect(C, *signature_constraints(res, sigma))))
         if sol.status != LpStatus.OPTIMAL:
             continue
         val = res.h + res.g @ sol.x

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plmodel import LinearConstraint
-from .polyhedron import Polyhedron, box, contains, intersect
+from .polyhedron import Polyhedron, box, contains, cube, intersect
 from .rng import CounterRng, GENERATOR_NAME
 from .tape import Tape, TapeBuilder
 
@@ -32,10 +31,6 @@ class BenchmarkInstance:
             raise ValueError("tape dimension does not match feasible set")
         if not contains(self.C, self.x0):
             raise ValueError("x0 must be feasible")
-
-
-def _clip_into(x, P: Polyhedron) -> np.ndarray:
-    return np.minimum(np.maximum(x, P.lo), P.hi)
 
 
 def maxq(n: int, feasible_set: str = "C1") -> BenchmarkInstance:
@@ -67,7 +62,7 @@ def maxq(n: int, feasible_set: str = "C1") -> BenchmarkInstance:
     C = box(lo, hi)
     # the standard start (i, ..., -i, ...) leaves the first coordinate outside
     # C1/C2; project componentwise onto the box
-    x0 = _clip_into(np.where(first, i1, -i1), C)
+    x0 = np.clip(np.where(first, i1, -i1), C.lo, C.hi)
     return BenchmarkInstance(
         name=f"maxq_{feasible_set}", tape=tape, C=C, x0=x0, known_optimum=opt,
         metadata={"name": "maxq", "n": n, "feasible_set": feasible_set},
@@ -92,7 +87,7 @@ def chained_lq(n: int) -> BenchmarkInstance:
     fstar = -(n - 1) * math.sqrt(2.0)
     xstar = np.full(n, 1.0 / math.sqrt(2.0))
     return BenchmarkInstance(
-        name="chained_lq", tape=tape, C=box(-5 * np.ones(n), 5 * np.ones(n)),
+        name="chained_lq", tape=tape, C=cube(n, 5.0),
         x0=np.full(n, -0.5), known_optimum=(xstar, fstar),
         metadata={"name": "chained_lq", "n": n},
     )
@@ -109,8 +104,7 @@ def rosenbrock_nesterov1(n: int) -> BenchmarkInstance:
         expr = expr + tb.abs(xs[i + 1] - 2.0 * tb.square(xs[i]) + 1.0)
     x0 = np.array([-0.5 if (i + 1) % 2 == 1 else 0.5 for i in range(n)])
     return BenchmarkInstance(
-        name="rosenbrock_nesterov1", tape=tb.build(expr),
-        C=box(-5 * np.ones(n), 5 * np.ones(n)), x0=x0,
+        name="rosenbrock_nesterov1", tape=tb.build(expr), C=cube(n, 5.0), x0=x0,
         known_optimum=(np.ones(n), 0.0),
         metadata={"name": "rosenbrock_nesterov1", "n": n},
     )
@@ -129,8 +123,7 @@ def rosenbrock_nesterov2(n: int) -> BenchmarkInstance:
         expr = expr + tb.abs(xs[i + 1] - 2.0 * tb.abs(xs[i]) + 1.0)
     x0 = np.array([-1.0] + [1.0] * (n - 1))
     return BenchmarkInstance(
-        name="rosenbrock_nesterov2", tape=tb.build(expr),
-        C=box(-20 * np.ones(n), 20 * np.ones(n)), x0=x0,
+        name="rosenbrock_nesterov2", tape=tb.build(expr), C=cube(n, 20.0), x0=x0,
         known_optimum=(np.ones(n), 0.0),
         metadata={"name": "rosenbrock_nesterov2", "n": n},
     )
@@ -152,8 +145,7 @@ def chained_crescent1(n: int) -> BenchmarkInstance:
     tape = tb.build(tb.max_(f1, f2))
     x0 = np.array([-1.5 if (i + 1) % 2 == 1 else 2.0 for i in range(n)])
     return BenchmarkInstance(
-        name="chained_crescent1", tape=tape,
-        C=box(-5 * np.ones(n), 5 * np.ones(n)), x0=x0,
+        name="chained_crescent1", tape=tape, C=cube(n, 5.0), x0=x0,
         known_optimum=(np.zeros(n), 0.0),
         metadata={"name": "chained_crescent1", "n": n},
     )
@@ -167,7 +159,7 @@ def mifflin2() -> BenchmarkInstance:
     w = tb.abs(q)
     tape = tb.build(-x1 + 2.0 * q + 1.75 * w)
     return BenchmarkInstance(
-        name="mifflin2", tape=tape, C=box([-5.0, -5.0], [5.0, 5.0]),
+        name="mifflin2", tape=tape, C=cube(2, 5.0),
         x0=np.array([-1.0, 1.0]), known_optimum=(np.array([1.0, 0.0]), -1.0),
         metadata={"name": "mifflin2", "n": 2},
     )
@@ -209,15 +201,12 @@ def constrained_lasso(
         total = total + tb.scale(rho, penalty)
     tape = tb.build(total)
 
-    base = box(-5 * np.ones(n), 5 * np.ones(n))
+    C = cube(n, 5.0)
     if variant == "box":
-        C = base
-        x0 = _clip_into(gen.normals(n), C)
+        x0 = np.clip(gen.normals(n), C.lo, C.hi)
     elif variant == "ordered":
-        chain = [
-            LinearConstraint(a=_chain_row(n, i), b=0.0) for i in range(n - 1)
-        ]
-        C = intersect(base, chain)
+        chain = np.eye(n - 1, n) - np.eye(n - 1, n, 1)  # x_i <= x_{i+1}
+        C = intersect(C, Ain=chain, bin=np.zeros(n - 1))
         x0 = -1.0 + 2.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
     else:
         raise ValueError("variant must be 'box' or 'ordered'")
@@ -236,12 +225,6 @@ def lasso_design(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return gen.normals(p * n).reshape(p, n), gen.normals(p)
 
 
-def _chain_row(n, i):
-    row = np.zeros(n)
-    row[i], row[i + 1] = 1.0, -1.0  # x_i <= x_{i+1}
-    return row
-
-
 def chained_mifflin2(n: int) -> BenchmarkInstance:
     """Chained variant of mifflin2; optional extension, not acceptance-gated."""
     if n < 2:
@@ -253,8 +236,7 @@ def chained_mifflin2(n: int) -> BenchmarkInstance:
         q = tb.square(xs[i]) + tb.square(xs[i + 1]) - 1.0
         expr = expr + (-xs[i]) + 2.0 * q + 1.75 * tb.abs(q)
     return BenchmarkInstance(
-        name="chained_mifflin2", tape=tb.build(expr),
-        C=box(-5 * np.ones(n), 5 * np.ones(n)), x0=np.full(n, -1.0),
+        name="chained_mifflin2", tape=tb.build(expr), C=cube(n, 5.0), x0=np.full(n, -1.0),
         metadata={"name": "chained_mifflin2", "n": n, "extended": True},
     )
 
@@ -274,8 +256,7 @@ def chained_crescent2(n: int) -> BenchmarkInstance:
         expr = expr + tb.max_(t1, t2)
     x0 = np.array([-1.5 if (i + 1) % 2 == 1 else 2.0 for i in range(n)])
     return BenchmarkInstance(
-        name="chained_crescent2", tape=tb.build(expr),
-        C=box(-5 * np.ones(n), 5 * np.ones(n)), x0=x0,
+        name="chained_crescent2", tape=tb.build(expr), C=cube(n, 5.0), x0=x0,
         metadata={"name": "chained_crescent2", "n": n, "extended": True},
     )
 

@@ -44,27 +44,11 @@ def _build_instance(args) -> bench.BenchmarkInstance:
     return ctor(args.n)
 
 
-def _step_rule(args) -> StepRule:
-    if args.step == "sqrt":
-        return StepRule.open_loop_sqrt(monotone=args.monotone)
-    if args.step == "harmonic":
-        return StepRule.open_loop_harmonic(monotone=args.monotone)
-    if args.step == "fixed":
-        if args.horizon is None:
-            raise ConfigError("--step fixed requires --horizon")
-        return StepRule.fixed_horizon(args.horizon, monotone=args.monotone)
-    if args.step == "short":
-        if args.gamma is None:
-            raise ConfigError("--step short requires --gamma")
-        return StepRule.short_step(args.gamma, monotone=args.monotone)
-    raise ConfigError(f"unknown step rule {args.step!r}")
-
-
 def _run_single(args, n: int, out_path: str | None) -> None:
     ns = argparse.Namespace(**vars(args))
     ns.n = n
     inst = _build_instance(ns)
-    rule = _step_rule(ns)
+    rule = StepRule(kind=ns.step, T=ns.horizon, gamma=ns.gamma, monotone=ns.monotone)
     lines: list[str] = []
     meta = dict(inst.metadata)
     meta.update({"step": ns.step, "max_iters": ns.max_iters, "gap_tol": ns.gap_tol})

@@ -1,7 +1,8 @@
 """Piecewise-linear models in abs-linear form.
 
 The data (Z, M, L, a, b, babs, c, d) with M, L strictly lower triangular
-represents the function
+(switching variables numbered in evaluation order, which ``AbsLinearForm``
+checks) represents the function
 
     z_i(dx) = c_i + Z_i dx + sum_{j<i} (M_ij z_j + L_ij |z_j|)
     value(dx) = d + a^T dx + b^T z + babs^T |z|
@@ -13,7 +14,9 @@ keep it explicit so the switch count always equals the number of abs nodes of
 the originating tape.
 
 All values are plain numpy arrays, frozen read-only after construction; every
-operation here is pure.
+operation here is pure.  A signature domain's closure is described by the
+row blocks of ``signature_constraints``, which ``polyhedron.intersect``
+appends to a feasible set.
 """
 from __future__ import annotations
 
@@ -51,6 +54,9 @@ class AbsLinearForm:
         object.__setattr__(self, "babs", _frozen(self.babs, (s,)))
         object.__setattr__(self, "c", _frozen(self.c, (s,)))
         object.__setattr__(self, "d", float(self.d))
+        upper = ~np.tri(s, k=-1, dtype=bool)  # on and above the diagonal
+        if self.M[upper].any() or self.L[upper].any():
+            raise ValueError("M and L must be strictly lower triangular")
 
 
 @dataclass(frozen=True)
@@ -61,15 +67,6 @@ class AffineRestriction:
     r: np.ndarray
     g: np.ndarray
     h: float
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """a . x <= b, or a . x = b when ``equality``."""
-
-    a: np.ndarray
-    b: float
-    equality: bool = False
 
 
 DEFAULT_SIGNATURE_TOL = 1e-10
@@ -127,22 +124,18 @@ def restrict(form: AbsLinearForm, sigma) -> AffineRestriction:
     return AffineRestriction(R=R, r=r, g=g, h=float(h))
 
 
-def signature_constraints(form: AbsLinearForm, sigma) -> list[LinearConstraint]:
-    """Linear description of the closed signature domain in dx.
+def signature_constraints(res: AffineRestriction, sigma) -> tuple[np.ndarray, ...]:
+    """Linear description (Aeq, beq, Ain, bin) of the closed domain of
+    ``sigma`` in dx, given ``res = restrict(form, sigma)``.
 
-    sigma_i = +1/-1 keep sigma_i*(R_i dx + r_i) >= 0; sigma_i = 0 pins the
-    kink: R_i dx + r_i = 0.
+    sigma_i = 0 pins the kink, R_i dx + r_i = 0, as an Aeq row; sigma_i =
+    +1/-1 keeps sigma_i (R_i dx + r_i) >= 0, the Ain row -sigma_i R_i dx <=
+    sigma_i r_i.  Rows keep the order of i within each block.
     """
     sigma = np.asarray(sigma, dtype=int)
-    res = restrict(form, sigma)
-    out = []
-    for i in range(form.s):
-        if sigma[i] == 0:
-            out.append(LinearConstraint(a=res.R[i].copy(), b=-float(res.r[i]), equality=True))
-        else:
-            # sigma_i (R_i dx + r_i) >= 0  <=>  -sigma_i R_i dx <= sigma_i r_i
-            out.append(LinearConstraint(a=-sigma[i] * res.R[i], b=float(sigma[i] * res.r[i])))
-    return out
+    pin = sigma == 0
+    sign = sigma[~pin, np.newaxis]
+    return res.R[pin], -res.r[pin], -sign * res.R[~pin], sign[:, 0] * res.r[~pin]
 
 
 def affine_substitute(form: AbsLinearForm, scale: float, shift) -> AbsLinearForm:

@@ -2,16 +2,13 @@
 
 A polyhedron keeps equalities, inequalities, and box bounds separate so the
 LP core can treat bounds natively; intersecting with extra constraints just
-concatenates rows.
+appends row blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .plmodel import LinearConstraint
 
 DEFAULT_FEAS_TOL = 1e-9
 
@@ -77,15 +74,11 @@ def contains(P: Polyhedron, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
     return bool(np.all(x >= P.lo - tol) and np.all(x <= P.hi + tol))
 
 
-def intersect(P: Polyhedron, constraints: Iterable[LinearConstraint]) -> Polyhedron:
-    """Concatenate extra rows onto P; no simplification is performed."""
-    cons = list(constraints)
-    if not cons:
-        return P
-    eqs = [c for c in cons if c.equality]
-    ins = [c for c in cons if not c.equality]
-    Aeq = np.vstack([P.Aeq] + [c.a.reshape(1, -1) for c in eqs]) if eqs else P.Aeq
-    beq = np.concatenate([P.beq, np.array([c.b for c in eqs])]) if eqs else P.beq
-    Ain = np.vstack([P.Ain] + [c.a.reshape(1, -1) for c in ins]) if ins else P.Ain
-    bin_ = np.concatenate([P.bin, np.array([c.b for c in ins])]) if ins else P.bin
-    return Polyhedron(Aeq=Aeq, beq=beq, Ain=Ain, bin=bin_, lo=P.lo, hi=P.hi)
+def intersect(P: Polyhedron, Aeq=(), beq=(), Ain=(), bin=()) -> Polyhedron:
+    """P with the rows Aeq x = beq and Ain x <= bin appended below its own;
+    no simplification is performed."""
+    return Polyhedron(
+        Aeq=np.vstack([P.Aeq, np.reshape(Aeq, (-1, P.dim))]), beq=np.concatenate([P.beq, beq]),
+        Ain=np.vstack([P.Ain, np.reshape(Ain, (-1, P.dim))]), bin=np.concatenate([P.bin, bin]),
+        lo=P.lo, hi=P.hi,
+    )

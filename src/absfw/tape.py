@@ -13,9 +13,15 @@ Besides the scalar primitives there is one n-ary node, ``affine``, with value
 then one node instead of a chain of ``scale`` and ``add`` per entry, and its
 linearization is one vector-matrix product over its operands' records.  The
 node keeps ``const`` in ``TapeNode.value``; its operand indices and weights sit
-in the tape's ``affine`` side table, as the switching slots sit in
-``switch_index``.  Its text line is ``<idx> affine <const> <arg> <weight> ...``
-with one (operand, weight) pair per term.
+in the tape's ``affine`` side table.  Its text line is
+``<idx> affine <const> <arg> <weight> ...`` with one (operand, weight) pair
+per term.
+
+An abs node's switching slot is its rank among the abs nodes, so no table
+stores it: ``evaluate`` and ``abs_linearize`` count slots as they go, and
+``Tape.switch_index`` derives the map for readers.  The other unary
+primitives are smooth, each one (value, derivative) pair in ``_SMOOTH``
+that the one tangent rule ``f(a) + f'(a) (rec - a)`` linearizes.
 
 Linearization drops a node's record once no later node reads it.  Which
 records go after which node depends only on the tape, so ``Tape.release``
@@ -33,8 +39,15 @@ from .plmodel import AbsLinearForm
 
 # ops taking (a, b)
 _BINARY = ("add", "sub", "mul")
-# ops taking a single argument
-_UNARY = ("neg", "square", "sin", "cos", "exp", "abs")
+# smooth ops taking a single argument: (value, derivative)
+_SMOOTH = {
+    "neg": (lambda a: -a, lambda a: -1.0),
+    "square": (lambda a: a * a, lambda a: 2.0 * a),
+    "sin": (math.sin, math.cos),
+    "cos": (math.cos, lambda a: -math.sin(a)),
+    "exp": (math.exp, math.exp),
+}
+_UNARY = tuple(_SMOOTH) + ("abs",)
 _OPS = ("input", "const", "scale", "affine") + _BINARY + _UNARY
 
 
@@ -65,14 +78,18 @@ class Tape:
     nodes: tuple[TapeNode, ...]
     num_inputs: int
     output: int
-    # switching slot (0-based) per abs node, in tape order
-    switch_index: dict[int, int] = field(default_factory=dict, repr=False)
     # (operand indices, weights) per affine node
     affine: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def num_switch(self) -> int:
-        return len(self.switch_index)
+        return sum(node.op == "abs" for node in self.nodes)
+
+    @property
+    def switch_index(self) -> dict[int, int]:
+        """Switching slot (0-based) per abs node: its rank among them."""
+        kinks = [idx for idx, node in enumerate(self.nodes) if node.op == "abs"]
+        return {idx: k for k, idx in enumerate(kinks)}
 
     @cached_property
     def release(self) -> tuple[tuple[int, ...], ...]:
@@ -148,6 +165,7 @@ def evaluate(tape: Tape, x) -> EvalRecord:
         raise ValueError(f"expected input of length {tape.num_inputs}, got {x.shape}")
     vals = np.empty(len(tape.nodes))
     z = np.empty(tape.num_switch)
+    i = 0  # the next switching slot
     for idx, node in enumerate(tape.nodes):
         op = node.op
         if op == "input":
@@ -160,28 +178,20 @@ def evaluate(tape: Tape, x) -> EvalRecord:
             v = vals[node.a] - vals[node.b]
         elif op == "mul":
             v = vals[node.a] * vals[node.b]
-        elif op == "neg":
-            v = -vals[node.a]
         elif op == "scale":
             v = node.value * vals[node.a]
-        elif op == "square":
-            v = vals[node.a] * vals[node.a]
-        elif op == "sin":
-            v = math.sin(vals[node.a])
-        elif op == "cos":
-            v = math.cos(vals[node.a])
-        elif op == "exp":
-            try:
-                v = math.exp(vals[node.a])
-            except OverflowError:
-                raise EvaluationError(idx, "exp overflow") from None
         elif op == "affine":
             args, w = tape.affine[idx]
             v = w @ vals[args] + node.value
-        else:  # abs
-            arg = vals[node.a]
-            z[tape.switch_index[idx]] = arg
-            v = abs(arg)
+        elif op == "abs":
+            z[i] = vals[node.a]
+            v = abs(z[i])
+            i += 1
+        else:
+            try:
+                v = _SMOOTH[op][0](vals[node.a])
+            except OverflowError:
+                raise EvaluationError(idx, f"{op} overflow") from None
         if not math.isfinite(v):
             raise EvaluationError(idx, f"non-finite value in {op}")
         vals[idx] = v
@@ -192,10 +202,11 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     """Piecewise-linear model of the tape at ``xbar``.
 
     Propagates, per node, an affine record in (dx, z, |z|) of length 1+n+2s:
-    smooth primitives are replaced by their tangents at the current values,
-    abs nodes freeze their argument's record as one switching row.  Once a
-    node becomes the argument of an abs, later uses of it refer to the
-    switching variable symbolically, which is what populates M and b.
+    smooth primitives are replaced by their tangents at the current values
+    (``f(a) + f'(a) (rec - a)`` for the unary ones), abs nodes freeze their
+    argument's record as one switching row.  Once a node becomes the
+    argument of an abs, later uses of it refer to the switching variable
+    symbolically, which is what populates M and b.
     ``record``, if given, must be ``evaluate(tape, xbar)``; it saves that run.
     """
     rec = evaluate(tape, xbar) if record is None else record
@@ -214,6 +225,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     # operand records stacked per affine operand tuple; an abs node
     # rewrites a record, which makes every stack stale
     stacked: dict[bytes, np.ndarray] = {}
+    i = 0  # the next switching slot
     for idx, node in enumerate(tape.nodes):
         op = node.op
         if op == "input":
@@ -227,30 +239,12 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             r = recs[node.a] + recs[node.b]
         elif op == "sub":
             r = recs[node.a] - recs[node.b]
-        elif op == "neg":
-            r = -recs[node.a]
         elif op == "scale":
             r = node.value * recs[node.a]
         elif op == "mul":
             va, vb = vals[node.a], vals[node.b]
             r = vb * recs[node.a] + va * recs[node.b]
             r[0] -= va * vb
-        elif op == "square":
-            va = vals[node.a]
-            r = (2.0 * va) * recs[node.a]
-            r[0] -= va * va
-        elif op == "sin":
-            va = vals[node.a]
-            r = math.cos(va) * recs[node.a]
-            r[0] += math.sin(va) - math.cos(va) * va
-        elif op == "cos":
-            va = vals[node.a]
-            r = (-math.sin(va)) * recs[node.a]
-            r[0] += math.cos(va) + math.sin(va) * va
-        elif op == "exp":
-            e = math.exp(vals[node.a])
-            r = e * recs[node.a]
-            r[0] += e * (1.0 - vals[node.a])
         elif op == "affine":
             args, w = tape.affine[idx]
             key = args.tobytes()
@@ -258,8 +252,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
                 stacked[key] = np.array([recs[k] for k in args])
             r = w @ stacked[key]
             r[0] += node.value
-        else:  # abs: freeze the argument's record as switching row i
-            i = tape.switch_index[idx]
+        elif op == "abs":  # freeze the argument's record as switching row i
             arg = recs[node.a]
             c[i] = arg[0]
             Z[i] = arg[xpart]
@@ -272,6 +265,12 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             stacked.clear()
             r = np.zeros(width)
             r[1 + n + s + i] = 1.0
+            i += 1
+        else:  # the tangent f(a) + f'(a) (rec - a), with f(a) this node's value
+            va = vals[node.a]
+            d = _SMOOTH[op][1](va)
+            r = d * recs[node.a]
+            r[0] += vals[idx] - d * va
         recs[idx] = r
         for k in release[idx]:
             recs[k] = None
@@ -352,7 +351,6 @@ class TapeBuilder:
             raise TapeError("num_inputs must be nonnegative")
         self.num_inputs = num_inputs
         self._nodes: list[TapeNode] = []
-        self._switch: dict[int, int] = {}
         self._affine: dict[int, tuple] = {}  # (operand indices, weights) per affine node
         self._consts: dict[float, int] = {}
         self._inputs = [self._push(TapeNode("input", a=k)) for k in range(num_inputs)]
@@ -396,9 +394,7 @@ class TapeBuilder:
         return Expr(self, idx)
 
     def abs(self, e: Expr) -> Expr:
-        idx = self._push(TapeNode("abs", a=e.index))
-        self._switch[idx] = len(self._switch)
-        return Expr(self, idx)
+        return self._emit("abs", e)
 
     def square(self, e: Expr) -> Expr:
         return self._emit("square", e)
@@ -439,7 +435,6 @@ class TapeBuilder:
             nodes=tuple(self._nodes),
             num_inputs=self.num_inputs,
             output=output.index,
-            switch_index=dict(self._switch),
             affine=dict(self._affine),
         )
 
@@ -478,7 +473,6 @@ def tape_from_text(text: str) -> Tape:
     head = dict(part.split("=") for part in lines[0].split())
     n = int(head["n"])
     nodes: list[TapeNode] = []
-    switch: dict[int, int] = {}
     affine: dict[int, tuple[list[int], list[float]]] = {}
     for ln in lines[1:]:
         parts = ln.split()
@@ -501,11 +495,9 @@ def tape_from_text(text: str) -> Tape:
             nodes.append(TapeNode(op, a=int(parts[2]), b=int(parts[3])))
         elif op in _UNARY:
             nodes.append(TapeNode(op, a=int(parts[2])))
-            if op == "abs":
-                switch[idx] = len(switch)
         else:
             raise TapeError(f"unknown op {op!r}")
-    if int(head["s"]) != len(switch):
+    tape = Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1, affine=affine)
+    if int(head["s"]) != tape.num_switch:
         raise TapeError("header switch count does not match abs nodes")
-    return Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1,
-                switch_index=switch, affine=affine)
+    return tape

@@ -104,7 +104,7 @@ class TestAasmMinimize:
         psis = []
         for sigma in res.visited_signatures:
             r = restrict(form, sigma)
-            sol = lpmod.solve(LpProblem(c=r.g, P=intersect(C, signature_constraints(form, sigma))))
+            sol = lpmod.solve(LpProblem(c=r.g, P=intersect(C, *signature_constraints(r, sigma))))
             psis.append(r.h + r.g @ sol.x)
         assert len(psis) == res.polyhedra_visited == 8
         assert all(b < a for a, b in zip(psis, psis[1:]))
@@ -373,6 +373,37 @@ def pinned_form(rng, n, s, pins):
     return dataclasses.replace(form, c=c), start
 
 
+class TestExhaustedExits:
+    """Both POLYHEDRA_EXHAUSTED exits.  Every probe is solved (none priced
+    out) and counts as a descent, so the walk accepts each new flip."""
+
+    @pytest.fixture(autouse=True)
+    def every_probe_descends(self, monkeypatch):
+        monkeypatch.setattr(aasm_mod, "_descends", lambda psi_child, psi: True)
+        monkeypatch.setattr(_Lifted, "priced_out", lambda self, sol, flips: np.zeros(len(flips), bool))
+
+    def test_only_visited_polyhedra_descend(self):
+        # z_1 = v, z_2 = |z_1| - 1, psi = |z_1|: from v = 0 the walk goes
+        # (0, -1) -> (+1, -1) -> (-1, -1), whose one flip leads back
+        form = AbsLinearForm(n=1, s=2, Z=[[1.0], [0.0]], M=np.zeros((2, 2)), L=[[0.0, 0.0], [1.0, 0.0]],
+                             a=[0.0], b=[0.0, 0.0], babs=[1.0, 0.0], c=[0.0, -1.0], d=0.0)
+        res = aasm_minimize(form, cube(1, 5.0), [0.0])
+        assert res.status == AasmStatus.POLYHEDRA_EXHAUSTED
+        assert [sig.tolist() for sig in res.visited_signatures] == [[0, -1], [1, -1], [-1, -1]]
+        assert res.polyhedra_visited < 2 ** form.s
+        assert res.lp_calls == 4  # the last probe solved the revisited polyhedron
+
+    def test_cap_of_two_to_the_s_polyhedra(self):
+        # psi = 3v - |v|: sigma = +1 has its optimum v = 0 at the kink, and
+        # the new flip to -1 would be the third polyhedron, past 2^s = 2
+        form = AbsLinearForm(n=1, s=1, Z=[[1.0]], M=[[0.0]], L=[[0.0]],
+                             a=[3.0], b=[0.0], babs=[-1.0], c=[0.0], d=0.0)
+        res = aasm_minimize(form, cube(1, 5.0), [0.0])
+        assert res.status == AasmStatus.POLYHEDRA_EXHAUSTED
+        assert [sig.tolist() for sig in res.visited_signatures] == [[0], [1]]
+        assert res.lp_calls == 3
+
+
 class TestLiftedLp:
     def test_matches_restricted_lp(self, rng):
         """The lifted LP of a signature has the status and value of the LP
@@ -386,7 +417,7 @@ class TestLiftedLp:
                 sigma[rng.integers(5)] = rng.integers(-1, 2)
             sol, psi = _Lifted(form, C).solve(sigma)
             res = restrict(form, sigma)
-            ref = lpmod.solve(LpProblem(c=res.g, P=intersect(C, signature_constraints(form, sigma))))
+            ref = lpmod.solve(LpProblem(c=res.g, P=intersect(C, *signature_constraints(res, sigma))))
             assert sol.status == ref.status
             statuses.add(sol.status)
             if ref.status == LpStatus.OPTIMAL:

@@ -114,6 +114,17 @@ class TestAsfwRun:
         assert res.status == RunStatus.EXACT_GAP_ZERO
         assert res.trace.rows[0].inner_status == "local_min"
 
+    def test_short_step_at_the_minimizer_takes_alpha_one(self):
+        # the subproblem cannot decrease f = |x| at 0, so the short step is
+        # alpha = 1 and the gap is exactly zero
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        tape = tb.build(tb.abs(x))
+        res = asfw_run(tape, cube(1, 5.0), [0.0], StepRule.short_step(gamma=1.0))
+        assert res.status == RunStatus.EXACT_GAP_ZERO
+        (row,) = res.trace.rows
+        assert row.alpha == 1.0 and row.gap == 0.0
+
     def test_cut_short_subproblem_gap_does_not_stop(self):
         # RN2 n=6 walking one polyhedron per subproblem: from the second row
         # on the cut-short walks report a zero gap, which certifies nothing

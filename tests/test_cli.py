@@ -125,6 +125,30 @@ class TestRun:
                    "--out", str(tmp_path / "no.csv")])
         assert rc == 2
 
+    def test_harmonic_step(self, tmp_path):
+        out = tmp_path / "h.csv"
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "harmonic",
+                   "--max-iters", "5", "--out", str(out)])
+        assert rc == 0
+        meta, rows, _ = read_trace(out)
+        assert meta["step"] == "harmonic"
+        assert [float(r[1]) for r in rows] == [2.0 / (t + 2.0) for t in range(5)]
+
+    def test_fixed_step_with_horizon(self, tmp_path):
+        out = tmp_path / "f.csv"
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "fixed",
+                   "--horizon", "9", "--max-iters", "5", "--out", str(out)])
+        assert rc == 0
+        _, rows, _ = read_trace(out)
+        assert [float(r[1]) for r in rows] == [1.0 / 3.0] * 5
+
+    def test_fixed_step_without_horizon_is_exit_2(self, tmp_path, capsys):
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "fixed",
+                   "--out", str(tmp_path / "no.csv")])
+        assert rc == 2
+        assert "fixed-horizon rule needs T >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
+
     def test_short_step_with_gamma(self, tmp_path):
         out = tmp_path / "ss.csv"
         rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "short",
@@ -174,12 +198,13 @@ class TestSelftest:
         assert "FAIL" not in out
 
     def test_corrupted_linearization_detected(self):
-        # corrupting L must flip the decay suite to a failure
+        # corrupting L must flip the decay suite to a failure; with s = 1,
+        # L[-1, 0] is the diagonal, which no form may hold
         from absfw.plmodel import AbsLinearForm
         from absfw.selftest import linearization_decay_suite
 
         def tamper(form):
-            if form.s == 0:
+            if form.s < 2:
                 return form
             L = np.array(form.L)
             L[-1, 0] += 0.37

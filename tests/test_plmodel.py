@@ -5,6 +5,7 @@ import pytest
 
 from absfw.tape import abs_linearize, evaluate
 from absfw.plmodel import (
+    AbsLinearForm,
     eval_pl,
     delta_eval,
     signature,
@@ -98,36 +99,33 @@ class TestRestrict:
 
 class TestSignatureConstraints:
     def test_abs_inequality(self, abs_form):
-        (con,) = signature_constraints(abs_form, [1])
-        assert not con.equality
+        Aeq, beq, Ain, bin_ = signature_constraints(restrict(abs_form, [1]), [1])
+        assert Aeq.shape == (0, 1) and beq.shape == (0,)
         # -(1+dx) <= 0, i.e. a=-1, b=1
-        np.testing.assert_allclose(con.a, [-1.0])
-        assert con.b == pytest.approx(1.0)
+        np.testing.assert_allclose(Ain, [[-1.0]])
+        np.testing.assert_allclose(bin_, [1.0])
 
     def test_abs_equality(self, abs_form):
-        (con,) = signature_constraints(abs_form, [0])
-        assert con.equality
-        np.testing.assert_allclose(con.a, [1.0])
-        assert con.b == pytest.approx(-1.0)
+        Aeq, beq, Ain, bin_ = signature_constraints(restrict(abs_form, [0]), [0])
+        assert Ain.shape == (0, 1) and bin_.shape == (0,)
+        np.testing.assert_allclose(Aeq, [[1.0]])
+        np.testing.assert_allclose(beq, [-1.0])
 
     def test_three_kink_all_positive(self, kink3_form):
-        cons = signature_constraints(kink3_form, [1, 1, 1])
+        Aeq, _, Ain, bin_ = signature_constraints(restrict(kink3_form, [1, 1, 1]), [1, 1, 1])
         # z1 = 1+x >= 0, z2 = 2+4x >= 0, z3 = 3+5x >= 0
-        expected = [([-1.0], 1.0), ([-4.0], 2.0), ([-5.0], 3.0)]
-        for con, (ea, eb) in zip(cons, expected):
-            assert not con.equality
-            np.testing.assert_allclose(con.a, ea)
-            assert con.b == pytest.approx(eb)
+        assert Aeq.shape == (0, 1)
+        np.testing.assert_allclose(Ain, [[-1.0], [-4.0], [-5.0]])
+        np.testing.assert_allclose(bin_, [1.0, 2.0, 3.0])
 
     def test_constraints_hold_at_matching_points(self, kink3_form, rng):
         for _ in range(40):
             dx = rng.uniform(-2, 2, size=1)
             sig = signature(kink3_form, dx)
-            for con in signature_constraints(kink3_form, sig):
-                if con.equality:
-                    assert con.a @ dx == pytest.approx(con.b, abs=1e-9)
-                else:
-                    assert con.a @ dx <= con.b + 1e-9
+            Aeq, beq, Ain, bin_ = signature_constraints(restrict(kink3_form, sig), sig)
+            assert len(beq) + len(bin_) == kink3_form.s
+            np.testing.assert_allclose(Aeq @ dx, beq, atol=1e-9)
+            assert np.all(Ain @ dx <= bin_ + 1e-9)
 
 
 class TestAffineSubstitute:
@@ -213,6 +211,24 @@ class TestFormProperties:
     def test_forms_are_frozen(self, kink3_form):
         with pytest.raises(ValueError):
             kink3_form.Z[0, 0] = 5.0
+
+    @pytest.mark.parametrize("block, entry", [("M", (0, 1)), ("L", (0, 1)), ("M", (1, 1)), ("L", (0, 0))])
+    def test_entries_on_or_above_diagonal_rejected(self, block, entry):
+        # eval_pl reads only the strict lower triangle, the lifted LPs all of
+        # I - M - L: with M[0, 1] = 5, aasm_minimize on [-2, 2] from 0
+        # returned psi = -1/12 at v = -1/12, where the model is 1/3
+        data = dict(n=1, s=2, Z=[[1.0], [1.0]], M=np.zeros((2, 2)), L=np.zeros((2, 2)),
+                    a=[0.0], b=[0.0, 0.0], babs=[1.0, -1.0], c=[0.5, 0.0], d=0.0)
+        text = form_to_text(AbsLinearForm(**data))
+        data[block][entry] = 5.0
+        with pytest.raises(ValueError, match="strictly lower triangular"):
+            AbsLinearForm(**data)
+        row = ["0.0"] * 4
+        row[2 * entry[0] + entry[1]] = "5.0"
+        bad = text.replace(f"{block} 0.0 0.0 0.0 0.0", " ".join([block] + row))
+        assert bad != text
+        with pytest.raises(ValueError, match="strictly lower triangular"):
+            form_from_text(bad)
 
 
 def _substitute_every_row(form, dx):

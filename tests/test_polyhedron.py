@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from absfw.plmodel import LinearConstraint
 from absfw.polyhedron import Polyhedron, box, cube, contains, intersect
 
 
@@ -17,12 +16,12 @@ class TestContains:
         assert not contains(cube(3, 5.0), np.array([6.0, 0.0, 0.0]))
 
     def test_rows_checked(self):
-        P = intersect(cube(2, 5.0), [LinearConstraint(a=np.array([1.0, 1.0]), b=1.0)])
+        P = intersect(cube(2, 5.0), Ain=[[1.0, 1.0]], bin=[1.0])
         assert contains(P, np.array([0.4, 0.5]))
         assert not contains(P, np.array([1.0, 1.0]))
 
     def test_equality_rows(self):
-        P = intersect(cube(2, 5.0), [LinearConstraint(a=np.array([1.0, -1.0]), b=0.0, equality=True)])
+        P = intersect(cube(2, 5.0), Aeq=[[1.0, -1.0]], beq=[0.0])
         assert contains(P, np.array([2.0, 2.0]))
         assert not contains(P, np.array([2.0, 1.0]))
 
@@ -34,28 +33,31 @@ class TestContains:
 class TestIntersect:
     def test_empty_is_identity(self):
         P = cube(2, 5.0)
-        assert intersect(P, []) is P
+        Q = intersect(P)
+        for name in ("Aeq", "beq", "Ain", "bin", "lo", "hi"):
+            np.testing.assert_array_equal(getattr(Q, name), getattr(P, name))
 
     def test_concatenates(self):
-        P = intersect(cube(2, 5.0), [LinearConstraint(a=np.array([-1.0, 0.0]), b=0.0)])
+        P = intersect(cube(2, 5.0), Ain=[[-1.0, 0.0]], bin=[0.0])
         assert P.Ain.shape == (1, 2)
         assert contains(P, np.array([1.0, 0.0]))
         assert not contains(P, np.array([-1.0, 0.0]))
+        Q = intersect(P, Ain=[[0.0, 1.0]], bin=[2.0])  # appended below P's rows
+        np.testing.assert_array_equal(Q.Ain, [[-1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(Q.bin, [0.0, 2.0])
 
     def test_monotone_chain(self):
         n = 5
-        rows = []
+        rows = np.zeros((n - 1, n))
         for i in range(n - 1):
-            a = np.zeros(n)
-            a[i], a[i + 1] = 1.0, -1.0
-            rows.append(LinearConstraint(a=a, b=0.0))
-        P = intersect(cube(n, 5.0), rows)
+            rows[i, i], rows[i, i + 1] = 1.0, -1.0
+        P = intersect(cube(n, 5.0), Ain=rows, bin=np.zeros(n - 1))
         assert contains(P, np.linspace(-1, 1, n))
         assert not contains(P, np.linspace(1, -1, n))
 
     def test_subset_property(self, rng):
         P = cube(3, 5.0)
-        Q = intersect(P, [LinearConstraint(a=rng.normal(size=3), b=0.5)])
+        Q = intersect(P, Ain=rng.normal(size=(1, 3)), bin=[0.5])
         for _ in range(50):
             x = rng.uniform(-6, 6, size=3)
             if contains(Q, x, 1e-9):

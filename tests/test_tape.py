@@ -107,6 +107,22 @@ class TestAbsLinearize:
             assert delta_eval(form, fbar, [dx]) == pytest.approx(exact - fbar, abs=1e-12)
 
 
+class TestSwitchSlots:
+    def test_two_abs_chain_slots_follow_node_order(self):
+        # |x| feeds a second abs, so slot 1 depends on slot 0; the slots are
+        # the abs nodes' ranks, and no table can order them otherwise
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        tape = tb.build(tb.abs(tb.abs(x) - 1.0))  # abs nodes 1 and 4
+        assert tape.switch_index == {1: 0, 4: 1}
+        assert tape_from_text(tape_to_text(tape)).switch_index == {1: 0, 4: 1}
+        np.testing.assert_array_equal(evaluate(tape, [0.5]).z, [0.5, -0.5])
+        form = abs_linearize(tape, [0.5])
+        np.testing.assert_array_equal(form.L, [[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(TypeError):
+            Tape(nodes=tape.nodes, num_inputs=1, output=4, switch_index={1: 1, 4: 0})
+
+
 class TestDirectionalFd:
     def test_abs_at_kink_right(self, abs_tape):
         assert directional_fd(abs_tape, [0.0], [1.0], 1e-6) == pytest.approx(1.0)
@@ -146,6 +162,29 @@ class TestSmoothCollapse:
                 form.a @ dx, rel=1e-12, abs=1e-12
             )
         assert checked == 36
+
+    def test_exp_tangent_matches_central_differences(self):
+        # exp under an abs and on its own; both away from the kink at xbar.
+        # The tangent's constant term is exp(a) - exp(a) a, which rounds
+        # differently from exp(a) (1 - a), so compare by differences, not bits
+        tb = TapeBuilder(2)
+        x0, x1 = tb.inputs()
+        z = tb.exp(x0 * x1) - 1.5
+        tape = tb.build(tb.abs(z) + tb.exp(tb.scale(-0.5, x1)))
+        xbar = np.array([0.3, -0.8])
+        rec = evaluate(tape, xbar)
+        form = abs_linearize(tape, xbar, rec)
+        assert form.c[0] == pytest.approx(rec.z[0], rel=1e-14)
+        assert eval_pl(form, np.zeros(2))[0] == pytest.approx(rec.y, rel=1e-14)
+        h = 1e-5
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            dz = (evaluate(tape, xbar + e).z[0] - evaluate(tape, xbar - e).z[0]) / (2 * h)
+            assert form.Z[0, k] == pytest.approx(dz, rel=1e-8)
+            fd = (evaluate(tape, xbar + e).y - evaluate(tape, xbar - e).y) / (2 * h)
+            model = (eval_pl(form, e)[0] - eval_pl(form, -e)[0]) / (2 * h)
+            assert model == pytest.approx(fd, rel=1e-8)
 
 
 class TestSerialization:
