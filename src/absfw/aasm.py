@@ -3,28 +3,27 @@ LP solves on signature-domain closures.
 
 All LPs of one call share their rows and cost, in the lifted variables
 (v, z+, z-) with z = z+ - z- and |z| = z+ + z-: the switching recursion
-becomes s equality rows and the objective is affine.  A signature only sets
-bounds, pinning z+_i or z-_i at 0.  A form with L = 0 (no |z_i| feeds a
-later row) and babs >= 0 is convex, and the LP with nothing pinned gives its
-exact minimum.  That LP passes each kink's (z+_i, z-_i) to the simplex as
-twins, so Fourer's piecewise-linear ratio test crosses a kink in one step
-where a plain simplex pivots z+_i out and z-_i in.  Every other form is
-solved by the descent below.  The first LP of a call starts at the start
-point, from a crash basis of z columns and C's slacks (``_Lifted.crash``),
-so it runs no phase 1.
+becomes s equality rows and the objective is affine.  A kink whose |z_i|
+feeds no later row (zero L column) and whose babs_i >= 0 is convex in z_i,
+and no LP pins it.  Its (z+_i, z-_i) pair goes to the simplex as twins, so
+Fourer's piecewise-linear ratio test (Math. Prog. 1985) crosses the kink in
+one step where a plain simplex pivots z+_i out and z-_i in.  A signature
+pins z+_i or z-_i of the other, nonconvex kinks at 0, so a form with L = 0
+and babs >= 0 is solved by one LP.  The first LP of a call starts at the
+start point, from a crash basis of z columns and C's slacks
+(``_Lifted.crash``), so it runs no phase 1.
 
-At the per-polyhedron optimum every single flip of an active kink is probed
-(both signs for pinned kinks); if no probe LP strictly decreases the
-objective, no single flip of an active kink descends.  That is weaker than
-local minimality where C's rows tie kinks together: on a face that pins
+At the per-polyhedron optimum every single flip of an active nonconvex kink
+is probed (both signs for pinned kinks); if no probe LP strictly decreases
+the objective, no single flip of a nonconvex kink descends.  That is weaker
+than local minimality where C's rows tie kinks together: on a face that pins
 several kinks at 0 at once, descent may need several flips at once.
-A flip moves only bounds (Fourer's piecewise-linear simplex, Math. Prog.
-1985), so all flips of a polyhedron are priced from the parent LP in one
-pass: unless the column a flip unpins passes the simplex's entering test,
-the parent basis stays optimal and the flip is certified without an LP.
-The entering tolerance reads the cost alone (``lp.entering_tol``), and every
-LP of a call has the same cost, so the test is the probe LP's own.
-Other probes start from the parent's basis and point.
+A flip moves only bounds, so all flips of a polyhedron are priced from the
+parent LP in one pass: unless the column a flip unpins passes the simplex's
+entering test, the parent basis stays optimal and the flip is certified
+without an LP.  The entering tolerance reads the cost alone
+(``lp.entering_tol``), and every LP of a call has the same cost, so the test
+is the probe LP's own.  Other probes start from the parent's basis and point.
 Probes double as the step to the next polyhedron, which makes descent of the
 accepted chain unconditional.  A visited-signature set guards against
 tolerance-induced cycling; monotone decrease makes genuine revisits
@@ -77,9 +76,9 @@ class AasmResult:
 
 class _Lifted:
     """The LPs of one AASM call over the columns (v, z+, z-): the switching
-    recursion's rows, then C's rows on v; cost (a, b + babs, babs - b).  With
-    babs >= 0 the cost is at least b^T z + babs^T |z|, with equality when
-    min(z+_i, z-_i) = 0, which some optimum of the unpinned LP meets."""
+    recursion's rows, then C's rows on v; cost (a, b + babs, babs - b).  For
+    a convex kink z+_i + z-_i enters no row and costs 2 babs_i >= 0, so some
+    optimum has min(z+_i, z-_i) = 0, where z_i costs b_i z_i + babs_i |z_i|."""
 
     def __init__(self, form: AbsLinearForm, C: Polyhedron):
         self.form = form
@@ -92,16 +91,17 @@ class _Lifted:
         self.Ain = np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))])
         self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
         self.lo = np.concatenate([C.lo, np.zeros(k)])
-        # z+_i and z-_i have negated columns where no |z_i| feeds a later row
+        self.convex = ~form.L.any(axis=0) & (form.babs >= 0)
+        # a convex kink's z+_i and z-_i have negated columns and are both free
         n, s = form.n, form.s
-        self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(~form.L.any(axis=0)).tolist())
+        self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(self.convex).tolist())
         self.enter_tol = lpmod.entering_tol(self.cost)  # slacks cost 0: every LP of the call
         self.calls = 0
 
-    def upper(self, sigma: np.ndarray | None) -> np.ndarray:
+    def upper(self, sigma: np.ndarray) -> np.ndarray:
         """Column upper bounds: z+_i is pinned at 0 unless sigma_i > 0, and
-        z-_i unless sigma_i < 0; nothing is pinned when sigma is None."""
-        free = np.ones(2 * self.form.s, bool) if sigma is None else np.concatenate([sigma > 0, sigma < 0])
+        z-_i unless sigma_i < 0; a convex kink's columns are never pinned."""
+        free = np.concatenate([(sigma > 0) | self.convex, (sigma < 0) | self.convex])
         return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
 
     def crash(self, z: np.ndarray, v: np.ndarray):
@@ -114,17 +114,14 @@ class _Lifted:
                                n + 2 * s + np.arange(self.C.Ain.shape[0])])
         return tuple(cols.tolist()), np.concatenate([v, np.zeros(2 * s)])
 
-    def solve(self, sigma: np.ndarray | None = None, hint: tuple[int, ...] | None = None, x0=None):
-        """The LP over the closure of sigma's domain, or with no signature
-        the split LP, whose twin pairs (z+_i, z-_i) let the simplex cross
-        kinks in one step; returns the solution and psi = objective + d (inf
-        unless OPTIMAL).  A signature pins one column of each pair, so its
-        LPs get no twins.  ``hint`` and ``x0``, a point over the LP's
+    def solve(self, sigma: np.ndarray, hint: tuple[int, ...] | None = None, x0=None):
+        """The LP over the closure of sigma's domain, with the convex kinks
+        free and passed as twins; returns the solution and psi = objective +
+        d (inf unless OPTIMAL).  ``hint`` and ``x0``, a point over the LP's
         columns, are a warm start, given together (see ``lp.solve``)."""
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
-        twins = self.twins if sigma is None else ()
-        sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=twins), basis_hint=hint, start=x0)
+        sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=self.twins), basis_hint=hint, start=x0)
         self.calls += 1
         psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
@@ -153,14 +150,14 @@ def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
 
 
-def _candidate_flips(form, sigma, z, kink_duals) -> list[tuple[int, int]]:
-    """Single flips (i, new sign) of the active kinks: pinned kinks (sigma_i
-    = 0) both ways, kinks with z_i at zero to the other sign.  Largest
+def _candidate_flips(form, sigma, z, kink_duals, convex) -> list[tuple[int, int]]:
+    """Single flips (i, new sign) of the active nonconvex kinks: pinned kinks
+    (sigma_i = 0) both ways, kinks with z_i at zero to the other sign.  Largest
     |kink multiplier| first, then lower index, then + before -."""
-    at_zero = switch_signs(form, z) == 0
+    active = ~convex & ((sigma == 0) | (switch_signs(form, z) == 0))
     cands = [
         (i, f)
-        for i in range(form.s) if sigma[i] == 0 or at_zero[i]
+        for i in np.flatnonzero(active).tolist()
         for f in ((1, -1) if sigma[i] == 0 else (-int(sigma[i]),))
     ]
     return sorted(cands, key=lambda c: (-abs(kink_duals[c[0]]), c[0], -c[1]))
@@ -198,23 +195,20 @@ def aasm_minimize(
     start,
     partial_inner_limit: int | None = None,
 ) -> AasmResult:
-    """Minimize ``form`` over C from ``start``.
+    """Minimize ``form`` over C from ``start`` by adapted active signature
+    descent over the nonconvex kinks.
 
     The first LP starts at ``start`` from a crash basis and runs phase 2
     only (cold, with phase 1, if C has equality rows).  Requires start
     feasible to ``lp.WARM_TOL``, C bounded and ``partial_inner_limit``, if
-    set, at least 1.  A form with L = 0 and babs >= 0 is convex: one LP with no
-    kink pinned (``_Lifted.solve`` without a signature) gives its exact
-    minimum, returned as LOCAL_MIN with 1 polyhedron and 1 LP, and
-    ``partial_inner_limit`` does not apply.
-
-    Any other form walks by adapted active signature descent.  The accepted
-    chain of per-polyhedron optima strictly decreases; LOCAL_MIN means every
-    single flip of an active kink was probed without strict descent.  The
-    descent stops with INNER_LIMIT once ``partial_inner_limit`` polyhedra
-    have been visited (the paper's partial solution), and with
-    POLYHEDRA_EXHAUSTED when only visited polyhedra descend or 2^min(s, 20)
-    have been visited.
+    set, at least 1.  The accepted chain of per-polyhedron optima strictly
+    decreases.  LOCAL_MIN means no single flip of an active nonconvex kink
+    descends, and the convex kinks are LP-optimal.  The descent stops with
+    INNER_LIMIT when, after ``partial_inner_limit`` polyhedra, a flip still
+    needs an LP (the paper's partial solution), and with POLYHEDRA_EXHAUSTED
+    when only visited polyhedra descend or 2^min(k, 20) have been visited,
+    for k nonconvex kinks.  ``visited_signatures`` gives each convex kink
+    its sign at that polyhedron's optimum.
     """
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
@@ -227,28 +221,26 @@ def aasm_minimize(
     ws = _Lifted(form, C)
     z0 = eval_pl(form, start)[1]
     hint, x0 = ws.crash(z0, start) if not C.Aeq.shape[0] else (None, None)  # no slack for Aeq rows
-    if not form.L.any() and np.all(form.babs >= 0):
-        sol, psi = _checked(*ws.solve(hint=hint, x0=x0))
-        sigma = switch_signs(form, ws.z(sol))
-        return AasmResult(sol.x[:form.n].copy(), float(psi), AasmStatus.LOCAL_MIN, 1, ws.calls, [sigma])
-
     sigma = switch_signs(form, z0)
     sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
-    max_poly = 2 ** min(form.s, 20)
-    visited = {}  # _sig_key -> signature, in visiting order
+    max_poly = 2 ** min(int(np.count_nonzero(~ws.convex)), 20)
+    visited = {}  # _sig_key -> signature, in visiting order; no flip moves sigma's convex entries
     while True:
-        visited[_sig_key(sigma)] = sigma.copy()
+        visited[_sig_key(sigma)] = np.where(ws.convex, switch_signs(form, ws.z(sol)), sigma)
+        flips = _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol), ws.convex)
+        # a priced-out flip keeps the parent's value, certified without an LP
+        flips = [flip for flip, kept in zip(flips, ws.priced_out(sol, flips)) if not kept]
+        if not flips:
+            status = AasmStatus.LOCAL_MIN
+            break
         if partial_inner_limit is not None and len(visited) >= partial_inner_limit:
             status = AasmStatus.INNER_LIMIT
             break
 
         accepted = None
         improving_but_visited = False
-        flips = _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol))
-        for (i, f), kept in zip(flips, ws.priced_out(sol, flips)):
-            if kept:
-                continue  # the parent's value, certified without an LP: no descent
+        for i, f in flips:
             sig2 = sigma.copy()
             sig2[i] = f
             sol2, psi2 = ws.solve(sig2, sol.basis, sol.x)
@@ -277,22 +269,22 @@ def aasm_minimize(
 
 
 def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
-    """True iff no single flip of an active kink at ``v`` admits strict descent.
+    """True iff neither the LP over v's own signature closure, with the
+    convex kinks free, nor one single flip of an active nonconvex kink at
+    ``v`` admits strict descent below the model at ``v``.
 
-    ``v`` must already be LP-optimal over its own signature closure and C.
-    The reference for ``aasm_minimize``'s LOCAL_MIN: every flip is solved as
-    a cold LP, with no pricing.
+    The reference for ``aasm_minimize``'s LOCAL_MIN: every LP is solved
+    cold, with no pricing.
     """
     v = np.asarray(v, dtype=float)
     ws = _Lifted(form, C)
     psi_v, z = eval_pl(form, v)
     sigma = signature(form, v)
-    for i, f in _candidate_flips(form, sigma, z, np.zeros(form.s)):
-        sig2 = sigma.copy()
-        sig2[i] = f
-        if _descends(ws.solve(sig2)[1], psi_v):
-            return False
-    return True
+    sigmas = [sigma]
+    for i, f in _candidate_flips(form, sigma, z, np.zeros(form.s), ws.convex):
+        sigmas.append(sigma.copy())
+        sigmas[-1][i] = f
+    return not any(_descends(ws.solve(sig)[1], psi_v) for sig in sigmas)
 
 
 def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):

@@ -43,6 +43,10 @@ class StepRule:
             raise ValueError("short-step rule needs gamma > 0")
         if self.kind not in (OPEN_LOOP_SQRT, OPEN_LOOP_HARMONIC, FIXED_HORIZON, SHORT_STEP):
             raise ValueError(f"unknown step rule {self.kind!r}")
+        if self.T is not None and self.kind != FIXED_HORIZON:
+            raise ValueError(f"{self.kind!r} rule takes no T (horizon)")
+        if self.gamma is not None and self.kind != SHORT_STEP:
+            raise ValueError(f"{self.kind!r} rule takes no gamma")
 
     @classmethod
     def open_loop_sqrt(cls, monotone: bool = False):
@@ -138,8 +142,8 @@ def asfw_run(
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
     ``partial_inner_limit`` (at least 1) caps the polyhedra each subproblem
-    solve visits when it walks; a subproblem convex in its kinks is one LP
-    and ignores it (see ``aasm_minimize``).  Neither gap test applies to a
+    walk visits; the walk stops there only while a flip still needs an LP
+    (see ``aasm_minimize``).  Neither gap test applies to a
     subproblem the cap cut short (INNER_LIMIT): its gap is at most the full
     walk's, so a small one certifies nothing.  ``trace_sink`` receives each
     TraceRow as it is produced.

@@ -226,7 +226,7 @@ def lasso_design(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chained_mifflin2(n: int) -> BenchmarkInstance:
-    """Chained variant of mifflin2; optional extension, not acceptance-gated."""
+    """Chained variant of mifflin2; not acceptance-gated."""
     if n < 2:
         raise ValueError("chained_mifflin2 needs n >= 2")
     tb = TapeBuilder(n)
@@ -237,12 +237,12 @@ def chained_mifflin2(n: int) -> BenchmarkInstance:
         expr = expr + (-xs[i]) + 2.0 * q + 1.75 * tb.abs(q)
     return BenchmarkInstance(
         name="chained_mifflin2", tape=tb.build(expr), C=cube(n, 5.0), x0=np.full(n, -1.0),
-        metadata={"name": "chained_mifflin2", "n": n, "extended": True},
+        metadata={"name": "chained_mifflin2", "n": n},
     )
 
 
 def chained_crescent2(n: int) -> BenchmarkInstance:
-    """Termwise max of the two crescent expressions; optional extension."""
+    """Termwise max of the two crescent expressions; not acceptance-gated."""
     if n < 2:
         raise ValueError("chained_crescent2 needs n >= 2")
     tb = TapeBuilder(n)
@@ -257,11 +257,11 @@ def chained_crescent2(n: int) -> BenchmarkInstance:
     x0 = np.array([-1.5 if (i + 1) % 2 == 1 else 2.0 for i in range(n)])
     return BenchmarkInstance(
         name="chained_crescent2", tape=tb.build(expr), C=cube(n, 5.0), x0=x0,
-        metadata={"name": "chained_crescent2", "n": n, "extended": True},
+        metadata={"name": "chained_crescent2", "n": n},
     )
 
 
-CORE_PROBLEMS = {
+PROBLEMS = {
     "maxq": maxq,
     "chained_lq": chained_lq,
     "rosenbrock_nesterov1": rosenbrock_nesterov1,
@@ -269,9 +269,6 @@ CORE_PROBLEMS = {
     "chained_crescent1": chained_crescent1,
     "mifflin2": mifflin2,
     "lasso": constrained_lasso,
-}
-
-EXTENDED_PROBLEMS = {
     "chained_mifflin2": chained_mifflin2,
     "chained_crescent2": chained_crescent2,
 }

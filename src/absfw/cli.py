@@ -29,12 +29,9 @@ class ConfigError(Exception):
 
 
 def _build_instance(args) -> bench.BenchmarkInstance:
-    problems = dict(bench.CORE_PROBLEMS)
-    if args.extended:
-        problems.update(bench.EXTENDED_PROBLEMS)
-    if args.problem not in problems:
-        raise ConfigError(f"unknown problem {args.problem!r} (try --extended?)")
-    ctor = problems[args.problem]
+    if args.problem not in bench.PROBLEMS:
+        raise ConfigError(f"unknown problem {args.problem!r}")
+    ctor = bench.PROBLEMS[args.problem]
     if args.problem == "maxq":
         return ctor(args.n, feasible_set=args.set)
     if args.problem == "lasso":
@@ -163,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--gap-tol", type=float, default=1e-10)
     run_p.add_argument(
         "--partial-inner-limit", type=int, default=None,
-        help="at most this many polyhedra (>= 1) per subproblem walk; a subproblem "
-             "convex in its kinks is one LP and ignores it")
-    run_p.add_argument("--extended", action="store_true")
+        help="at most this many polyhedra (>= 1) per subproblem walk; the walk stops "
+             "there only while a flip still needs an LP")
     run_p.add_argument("--out", default=None)
     run_p.set_defaults(func=cmd_run)
 

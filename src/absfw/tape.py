@@ -131,6 +131,14 @@ class Tape:
         if not 0 <= self.output < len(self.nodes):
             raise TapeError("output index out of range")
 
+    def __eq__(self, other):
+        """Field by field, the affine table's arrays by value."""
+        if not isinstance(other, Tape):
+            return NotImplemented
+        same = (self.nodes, self.num_inputs, self.output) == (other.nodes, other.num_inputs, other.output)
+        return same and self.affine.keys() == other.affine.keys() and all(
+            np.array_equal(u, v) for k in self.affine for u, v in zip(self.affine[k], other.affine[k]))
+
     def _checked_affine(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Node idx's table entry, validated, as read-only arrays."""
         if idx not in self.affine:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,8 @@ from absfw import aasm as aasm_mod
 from absfw import lp as lpmod
 from absfw.lp import DEFAULT_TOL, LpProblem, LpStatus
 from absfw.plmodel import (
-    AbsLinearForm, eval_pl, affine_substitute, restrict, signature, signature_constraints)
+    AbsLinearForm, eval_pl, affine_substitute, restrict, signature, signature_constraints,
+    switch_signs)
 from absfw.polyhedron import Polyhedron, contains, cube, box, intersect
 from absfw.randgen import random_pl_form, midpoint_convex
 from absfw.rng import CounterRng
@@ -101,11 +103,7 @@ class TestAasmMinimize:
         x0 = np.array([-1.0, 1.0, 1.0, 1.0])
         form, C = rn2_form(4, x0), cube(4, 20.0)
         res = aasm_minimize(form, C, x0)
-        psis = []
-        for sigma in res.visited_signatures:
-            r = restrict(form, sigma)
-            sol = lpmod.solve(LpProblem(c=r.g, P=intersect(C, *signature_constraints(r, sigma))))
-            psis.append(r.h + r.g @ sol.x)
+        psis = [restricted_lp(form, C, sigma)[1] for sigma in res.visited_signatures]
         assert len(psis) == res.polyhedra_visited == 8
         assert all(b < a for a, b in zip(psis, psis[1:]))
         assert psis[-1] == pytest.approx(res.psi_star, abs=1e-9)
@@ -120,11 +118,22 @@ class TestAasmMinimize:
             aasm_minimize(abs_v_form, P, [0.0])
 
     def test_partial_inner_limit_descent(self, neg_abs_v_form):
+        # the first LP reaches v = 5, where no kink is active: no flip is
+        # left to solve, so the limit does not cut the walk short
         res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.5], partial_inner_limit=1)
-        assert res.status == AasmStatus.INNER_LIMIT
+        assert res.status == AasmStatus.LOCAL_MIN
         assert res.polyhedra_visited == 1
         psi_start, _ = eval_pl(neg_abs_v_form, [0.5])
         assert res.psi_star <= psi_start + 1e-12
+        assert res.psi_star == pytest.approx(-5.0, abs=1e-12)
+
+    def test_partial_inner_limit_stops_a_needed_lp(self, neg_abs_v_form):
+        # from the pinned kink v = 0 both flips descend, and the limit stops
+        # the walk before their LPs
+        res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.0], partial_inner_limit=1)
+        assert res.status == AasmStatus.INNER_LIMIT
+        assert res.polyhedra_visited == res.lp_calls == 1
+        assert res.psi_star == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_partial_inner_limit_below_one_rejected(self, neg_abs_v_form, limit):
@@ -170,24 +179,31 @@ def ordered_chain(n, radius):
                       lo=-radius * np.ones(n), hi=radius * np.ones(n))
 
 
+def convex_pairs(form, convex):
+    """The (z+_i, z-_i) column pairs of the kinks in the mask ``convex``."""
+    return tuple((form.n + i, form.n + form.s + i) for i in np.flatnonzero(convex).tolist())
+
+
 @pytest.fixture
-def split_calls(monkeypatch):
-    """Counts the calls of the convex route's LP, the one with no kink pinned."""
-    calls = []
+def lifted_lps(monkeypatch):
+    """(twins, number of pinned z columns) of every LP ``_Lifted.solve`` poses."""
+    lps = []
     real = _Lifted.solve
 
-    def solve(self, sigma=None, *args, **kwargs):
-        if sigma is None:
-            calls.append(1)
+    def solve(self, sigma, *args, **kwargs):
+        lps.append((self.twins, int(np.count_nonzero(self.upper(sigma)[self.form.n:] == 0))))
         return real(self, sigma, *args, **kwargs)
 
     monkeypatch.setattr(_Lifted, "solve", solve)
-    return calls
+    return lps
 
 
 class TestConvexRoute:
+    """Kinks with a zero L column and babs >= 0 are never pinned, and every
+    LP passes their pairs as twins; a form of only such kinks is one LP."""
+
     @pytest.mark.parametrize("chain", [False, True])
-    def test_random_forms_match_oracle(self, rng, split_calls, chain):
+    def test_random_forms_match_oracle(self, rng, lifted_lps, chain):
         for _ in range(8):
             form = convex_form(rng, n=3, s=6)
             assert form.M.any()
@@ -200,10 +216,11 @@ class TestConvexRoute:
             assert res.psi_star == pytest.approx(eval_pl(form, res.v_star)[0], rel=1e-9, abs=1e-9)
             assert res.status == AasmStatus.LOCAL_MIN
             assert (res.polyhedra_visited, res.lp_calls) == (1, 1)
-        assert len(split_calls) == 8
+            assert lifted_lps[-1] == (convex_pairs(form, np.ones(form.s, bool)), 0)
+        assert len(lifted_lps) == 8
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_ordered_lasso_first_subproblem_is_global(self, seed, split_calls):
+    def test_ordered_lasso_first_subproblem_is_global(self, seed, lifted_lps):
         # the single-flip walk stops above the minimum on most of these
         inst = bench.constrained_lasso(8, 12, seed=seed, variant="ordered")
         x = inst.x0
@@ -212,46 +229,52 @@ class TestConvexRoute:
         _, psi_o = brute_force_pl_min(form, inst.C)
         assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
         assert contains(inst.C, res.v_star)
-        assert split_calls == [1]
+        assert lifted_lps == [(convex_pairs(form, np.ones(form.s, bool)), 0)]
 
-    def test_partial_inner_limit_does_not_apply(self, abs_v_form, split_calls):
+    def test_partial_inner_limit_does_not_apply(self, abs_v_form, lifted_lps):
         res = aasm_minimize(abs_v_form, cube(1, 5.0), [3.0], partial_inner_limit=1)
         assert res.status == AasmStatus.LOCAL_MIN
         assert res.psi_star == pytest.approx(0.0, abs=1e-9)
-        assert split_calls == [1]
+        assert lifted_lps == [(((1, 2),), 0)]
 
-    def test_negative_babs_walks(self, neg_abs_v_form, split_calls):
+    def test_negative_babs_walks(self, neg_abs_v_form, lifted_lps):
         res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.0])
         assert res.polyhedra_visited == 2
-        assert split_calls == []
+        assert lifted_lps and all(twins == () and pinned >= 1 for twins, pinned in lifted_lps)
 
-    def test_one_negative_babs_walks(self, rng, split_calls):
+    def test_one_negative_babs_walks(self, rng, lifted_lps):
+        # only kink 3 is pinned; the other five stay free in every LP
         form = convex_form(rng, n=3, s=6)
         babs = form.babs.copy()
         babs[3] = -0.5
         res = aasm_minimize(dataclasses.replace(form, babs=babs), cube(3, 2.0), np.zeros(3))
-        assert split_calls == []
         assert res.lp_calls >= 1
+        pairs = convex_pairs(form, np.arange(6) != 3)
+        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in lifted_lps)
 
-    def test_nested_kinks_walk(self, split_calls):
+    def test_nested_kinks_walk(self, lifted_lps):
+        # |x_0| feeds the last kink (L != 0); |x_0 - 1| and the last are convex
         x0 = np.array([-1.0, 1.0])
         form = rn2_form(2, x0)
         assert form.L.any() and np.all(form.babs >= 0)
         res = aasm_minimize(form, cube(2, 20.0), x0)
         assert res.polyhedra_visited == 2
-        assert split_calls == []
+        convex = ~form.L.any(axis=0)
+        assert np.count_nonzero(convex) == 2
+        pairs = convex_pairs(form, convex)
+        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in lifted_lps)
 
-    def test_infeasible_start_rejected(self, rng, split_calls):
+    def test_infeasible_start_rejected(self, rng, lifted_lps):
         form = convex_form(rng, n=3, s=4)
         with pytest.raises(AasmError):
             aasm_minimize(form, ordered_chain(3, 2.0), np.array([1.0, 0.0, 0.0]))
-        assert split_calls == []
+        assert lifted_lps == []
 
-    def test_unboxed_set_rejected(self, rng, split_calls):
+    def test_unboxed_set_rejected(self, rng, lifted_lps):
         form = convex_form(rng, n=3, s=4)
         with pytest.raises(AasmError):
             aasm_minimize(form, box([-1.0] * 3, [1.0, 1.0, np.inf]), np.zeros(3))
-        assert split_calls == []
+        assert lifted_lps == []
 
     @pytest.mark.parametrize("chain", [False, True])
     def test_twins_keep_the_split_lp_value(self, rng, chain):
@@ -261,19 +284,22 @@ class TestConvexRoute:
             start = np.sort(rng.uniform(-1.5, 1.5, size=3))
             ws = _Lifted(form, C)
             assert ws.twins == tuple((3 + i, 9 + i) for i in range(6))
+            sigma = rng.integers(-1, 2, size=6)  # convex kinks ignore it
+            assert np.all(ws.upper(sigma)[3:] == np.inf)
             crash = ws.crash(eval_pl(form, start)[1], start)
-            _, psi = ws.solve(None, *crash)
+            _, psi = ws.solve(sigma, *crash)
             ws.twins = ()
-            _, psi_plain = ws.solve(None, *crash)
+            _, psi_plain = ws.solve(sigma, *crash)
             assert psi == pytest.approx(psi_plain, rel=1e-9, abs=1e-9)
             assert psi == pytest.approx(brute_force_pl_min(form, C)[1], rel=1e-9, abs=1e-9)
 
-    def test_walk_lps_get_no_twins(self, rng, monkeypatch):
+    def test_walk_lps_twin_only_the_convex_kinks(self, rng, monkeypatch):
         form = convex_form(rng, n=3, s=6)
         babs = form.babs.copy()
         babs[3] = -0.5
         form = dataclasses.replace(form, babs=babs)
-        assert _Lifted(form, cube(3, 2.0)).twins  # L = 0: every kink has a pair
+        convex = np.arange(6) != 3
+        np.testing.assert_array_equal(_Lifted(form, cube(3, 2.0)).convex, convex)
         twins = []
         real = lpmod.solve
 
@@ -282,8 +308,9 @@ class TestConvexRoute:
             return real(lp, *args, **kwargs)
 
         monkeypatch.setattr(lpmod, "solve", solve)
-        aasm_minimize(form, cube(3, 2.0), np.zeros(3))
-        assert twins and all(t == () for t in twins)
+        res = aasm_minimize(form, cube(3, 2.0), np.zeros(3))
+        assert len(twins) == res.lp_calls
+        assert twins and all(t == convex_pairs(form, convex) for t in twins)
 
     def test_lasso_bench_pivots(self, monkeypatch):
         """Twins cross the LASSO kinks in one step each: 1,987 pivots over
@@ -327,8 +354,11 @@ class TestCandidateFlips:
         )
         sigma = signature(form, [0.0, 0.0])
         np.testing.assert_array_equal(sigma, [0, 0])
-        flips = _candidate_flips(form, sigma, np.zeros(2), np.array([-0.1, -5.0]))
+        duals = np.array([-0.1, -5.0])
+        flips = _candidate_flips(form, sigma, np.zeros(2), duals, np.zeros(2, bool))
         assert flips == [(1, 1), (1, -1), (0, 1), (0, -1)]
+        # a kink marked convex is never a candidate
+        assert _candidate_flips(form, sigma, np.zeros(2), duals, np.array([False, True])) == [(0, 1), (0, -1)]
 
 
 class TestOracleSoundness:
@@ -383,10 +413,11 @@ class TestExhaustedExits:
         monkeypatch.setattr(_Lifted, "priced_out", lambda self, sol, flips: np.zeros(len(flips), bool))
 
     def test_only_visited_polyhedra_descend(self):
-        # z_1 = v, z_2 = |z_1| - 1, psi = |z_1|: from v = 0 the walk goes
-        # (0, -1) -> (+1, -1) -> (-1, -1), whose one flip leads back
+        # z_1 = v, z_2 = |z_1| - 1, psi = |z_1| - |z_2| / 2, both kinks
+        # nonconvex: from v = 0 the walk goes (0, -1) -> (+1, -1) -> (-1, -1),
+        # whose one flip leads back
         form = AbsLinearForm(n=1, s=2, Z=[[1.0], [0.0]], M=np.zeros((2, 2)), L=[[0.0, 0.0], [1.0, 0.0]],
-                             a=[0.0], b=[0.0, 0.0], babs=[1.0, 0.0], c=[0.0, -1.0], d=0.0)
+                             a=[0.0], b=[0.0, 0.0], babs=[1.0, -0.5], c=[0.0, -1.0], d=0.0)
         res = aasm_minimize(form, cube(1, 5.0), [0.0])
         assert res.status == AasmStatus.POLYHEDRA_EXHAUSTED
         assert [sig.tolist() for sig in res.visited_signatures] == [[0, -1], [1, -1], [-1, -1]]
@@ -404,25 +435,50 @@ class TestExhaustedExits:
         assert res.lp_calls == 3
 
 
+def restricted_lp(form, C, sigma):
+    """(status, value) of the LP over the closure of sigma's domain, built
+    from the affine restriction."""
+    res = restrict(form, sigma)
+    ref = lpmod.solve(LpProblem(c=res.g, P=intersect(C, *signature_constraints(res, sigma))))
+    return ref.status, (res.h + res.g @ ref.x if ref.status == LpStatus.OPTIMAL else np.inf)
+
+
+def best_over_convex_signs(form, C, sigma, convex):
+    """The least restricted-LP value over the closures that keep sigma on
+    the nonconvex kinks and give the convex kinks every sign (inf if none is
+    feasible)."""
+    best = np.inf
+    idx = np.flatnonzero(convex)
+    for signs in itertools.product((-1, 1), repeat=idx.size):
+        sig2 = sigma.copy()
+        sig2[idx] = signs
+        best = min(best, restricted_lp(form, C, sig2)[1])
+    return best
+
+
 class TestLiftedLp:
     def test_matches_restricted_lp(self, rng):
-        """The lifted LP of a signature has the status and value of the LP
-        over the same closure built from the affine restriction."""
+        """The lifted LP of a signature has the status and value of the best
+        LP over the closures that keep sigma on the nonconvex kinks and give
+        the convex kinks every sign, built from the affine restriction."""
         C = cube(3, 3.0)
         statuses = set()
+        free = 0
         for k in range(40):
             form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
             sigma = signature(form, start)
             if k % 2:  # a neighbor, whose domain may miss C
                 sigma[rng.integers(5)] = rng.integers(-1, 2)
-            sol, psi = _Lifted(form, C).solve(sigma)
-            res = restrict(form, sigma)
-            ref = lpmod.solve(LpProblem(c=res.g, P=intersect(C, *signature_constraints(res, sigma))))
-            assert sol.status == ref.status
+            ws = _Lifted(form, C)
+            sol, psi = ws.solve(sigma)
+            free += np.count_nonzero(ws.convex)
+            best = best_over_convex_signs(form, C, sigma, ws.convex)
+            assert sol.status == (LpStatus.OPTIMAL if best < np.inf else LpStatus.INFEASIBLE)
             statuses.add(sol.status)
-            if ref.status == LpStatus.OPTIMAL:
-                assert psi == pytest.approx(res.h + res.g @ ref.x, rel=1e-9, abs=1e-9)
+            if best < np.inf:
+                assert psi == pytest.approx(best, rel=1e-9, abs=1e-9)
         assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert free > 0
 
 
 class TestProbePricing:
@@ -493,7 +549,9 @@ class TestProbePricing:
         res = aasm_minimize(form, inst.C, x)
         assert res.status == AasmStatus.LOCAL_MIN
         assert local_optimality_test(form, inst.C, res.v_star)
-        assert len(probed) == 9  # both signs of each pinned kink, one flip of the other
+        # both signs of the three pinned nonconvex kinks and one flip of
+        # kink 0; the fourth kink at 0, the root, is convex and never pinned
+        assert len(probed) == 7
         assert res.lp_calls < len(probed)
 
     def test_redundant_row_basis_prices_probes(self):
@@ -662,7 +720,7 @@ class TestCrashStart:
     def test_probes_start_at_the_parent_point(self, phase1_calls, crashed):
         # a bias-free ReLU regression: kinks sit at 0 with their z column
         # basic, and a probe pins that column; hinted with the parent's basis
-        # alone, 19 of its 20 probes fell back to a cold phase 1 (163 pivots)
+        # alone, most probes fell back to a cold phase 1
         d, h, p = 2, 2, 6
         g = CounterRng(11)
         X = g.normals(p * d).reshape(p, d)
@@ -678,10 +736,10 @@ class TestCrashStart:
         tape = tb.build(tb.scale(1.0 / (2 * p), sum(loss[1:], loss[0])))
         x0 = g.normals(h * d).clip(-3, 3) / 6
         res = asfw_run(tape, cube(h * d, 2.0), x0, StepRule.open_loop_sqrt(), max_iters=10)
-        assert len(res.trace.rows) == 3
+        assert len(res.trace.rows) == 4
         assert phase1_calls == []
-        assert len(crashed) == 23  # 3 first LPs and 20 probes, all started at a point
-        assert sum(sol.simplex_iters for _, sol in crashed) == 11
+        assert len(crashed) == 29  # 4 first LPs and 25 probes, all started at a point
+        assert sum(sol.simplex_iters for _, sol in crashed) == 30
         assert res.f_final == pytest.approx(0.04475761357385325, rel=1e-12)
 
     def test_equality_row_solves_cold(self, rng, phase1_calls, crashed):
@@ -700,3 +758,54 @@ class TestCrashStart:
             assert contains(C, res.v_star)
             del phase1_calls[:]
         assert crashed == []
+
+
+class TestMixedForms:
+    """Forms with convex and nonconvex kinks, checked through the
+    affine-restriction route, which shares no code with ``_Lifted``."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ordered_lasso_with_one_nonconvex_kink(self, seed):
+        # babs_0 < 0 makes kink 0 the only one the walk pins; a walk that
+        # pinned all eight kinks stopped above the minimum on 9 of 10 seeds
+        inst = bench.constrained_lasso(8, 12, seed=seed, variant="ordered")
+        x = inst.x0
+        form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+        babs = form.babs.copy()
+        babs[0] = -0.05
+        form = dataclasses.replace(form, babs=babs)
+        res = aasm_minimize(form, inst.C, x)
+        _, psi_o = brute_force_pl_min(form, inst.C)
+        assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
+        assert contains(inst.C, res.v_star)
+        assert res.status == AasmStatus.LOCAL_MIN
+
+    def test_local_min_against_restricted_enumeration(self, rng):
+        """At each LOCAL_MIN the convex kinks' signs in the final signature
+        give psi, no other signs of them do better, and no single flip of an
+        active nonconvex kink descends."""
+        local_mins = flips = mixed = 0
+        for k in range(24):
+            n = int(rng.integers(2, 4))
+            form = random_pl_form(rng, n=n, s=int(rng.integers(4, 11)), convex=False)
+            C = ordered_chain(n, 3.0) if k % 2 else cube(n, 3.0)
+            res = aasm_minimize(form, C, np.sort(rng.uniform(-1.5, 1.5, size=n)))
+            if res.status != AasmStatus.LOCAL_MIN:
+                continue
+            local_mins += 1
+            convex = ~form.L.any(axis=0) & (form.babs >= 0)
+            mixed += bool(convex.any() and not convex.all())
+            sigma, psi = res.visited_signatures[-1], res.psi_star
+            tol = 1e-8 * (1.0 + abs(psi))
+            status, value = restricted_lp(form, C, sigma)
+            assert status == LpStatus.OPTIMAL
+            assert value == pytest.approx(psi, rel=1e-8, abs=1e-8)
+            assert best_over_convex_signs(form, C, sigma, convex) >= psi - tol
+            at_zero = switch_signs(form, eval_pl(form, res.v_star)[1]) == 0
+            for i in np.flatnonzero(~convex & ((sigma == 0) | at_zero)):
+                for f in {-1, 1} - {sigma[i]}:
+                    sig2 = sigma.copy()
+                    sig2[i] = f
+                    assert best_over_convex_signs(form, C, sig2, convex) >= psi - tol
+                    flips += 1
+        assert local_mins >= 12 and flips > 0 and mixed > 0

@@ -214,7 +214,7 @@ class TestBenchWork:
 
     @pytest.mark.parametrize("build, iters, solves, pivots, f_final", [
         (lambda: bench.chained_lq(100), 5, 5, 641, 388.9187393553687),
-        (lambda: bench.maxq(20, "C2"), 200, 56, 491, 3.9165483545573606e-11),
+        (lambda: bench.maxq(20, "C2"), 200, 56, 521, 3.9165483545573606e-11),
         (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 998,
          1982.9956613474728),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
@@ -239,8 +239,8 @@ class TestPricingWork:
     one is settled without a probe LP."""
 
     @pytest.mark.parametrize("n, iters, priced, settled", [
-        (20, 200, 1692, 1692),
-        (6, 500, 327, 327),
+        (20, 200, 1599, 1599),
+        (6, 500, 249, 249),
     ], ids=["maxq_C2-n20", "maxq_C2-n6"])
     def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
         verdicts = []

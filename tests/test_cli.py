@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from absfw.cli import main, CSV_HEADER
 
@@ -103,13 +104,16 @@ class TestRun:
             assert "--partial-inner-limit must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "no.csv").exists()
 
-    def test_extended_problem_gated(self, tmp_path):
-        rc = main(["run", "--problem", "chained_mifflin2", "--n", "4", "--max-iters", "2",
-                   "--out", str(tmp_path / "x.csv")])
+    def test_chained_problems_need_no_flag(self, tmp_path, capsys):
+        for problem in ("chained_mifflin2", "chained_crescent2"):
+            rc = main(["run", "--problem", problem, "--n", "4", "--max-iters", "2",
+                       "--out", str(tmp_path / "x.csv")])
+            assert rc == 0
+        rc = main(["run", "--problem", "chained_nothing", "--n", "4", "--max-iters", "2",
+                   "--out", str(tmp_path / "no.csv")])
         assert rc == 2
-        rc = main(["run", "--problem", "chained_mifflin2", "--n", "4", "--max-iters", "2",
-                   "--extended", "--out", str(tmp_path / "x.csv")])
-        assert rc == 0
+        assert "unknown problem 'chained_nothing'" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -147,6 +151,19 @@ class TestRun:
                    "--out", str(tmp_path / "no.csv")])
         assert rc == 2
         assert "fixed-horizon rule needs T >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
+
+    @pytest.mark.parametrize("step, extra", [
+        ("sqrt", ["--horizon", "0", "--gamma", "-3"]),
+        ("harmonic", ["--gamma", "4.0"]),
+        ("fixed", ["--horizon", "9", "--gamma", "4.0"]),
+        ("short", ["--gamma", "4.0", "--horizon", "9"]),
+    ])
+    def test_unused_step_parameter_is_exit_2(self, tmp_path, capsys, step, extra):
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", step, *extra,
+                   "--out", str(tmp_path / "no.csv")])
+        assert rc == 2
+        assert "rule takes no" in capsys.readouterr().err
         assert not (tmp_path / "no.csv").exists()
 
     def test_short_step_with_gamma(self, tmp_path):

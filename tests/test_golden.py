@@ -3,9 +3,11 @@
 ``golden_trajectories.json`` holds, for each case, ``f_final``, the run
 status and every trace row's (gap, fval, inner_polyhedra, lp_calls) as
 recorded before the AASM probe loop was folded into ``aasm_minimize``.  The
-chained LQ and box LASSO subproblems are convex in their kinks and have since
-become one LP each, so those two cases hold 1 polyhedron and 1 LP per row;
-their floats are the walk's, which the one LP reproduces to a relative 1e-14.
+chained LQ and box LASSO subproblems are convex in their kinks: the walk
+pins none of them and its first LP leaves no flip, so those two cases hold 1
+polyhedron and 1 LP per row; their floats are those of the older walk that
+pinned every kink, which the one LP reproduces to a relative 1e-14.  On
+maxq only the root kink is convex, and leaving it free keeps every integer.
 Integers must match exactly and floats to a relative 1e-12.  After a change
 that is meant to alter trajectories, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.

@@ -293,6 +293,17 @@ def _affine_pair(seed, n=5):
 
 
 class TestAffine:
+    def test_tapes_compare_by_value(self):
+        a, b = bench.constrained_lasso(3, 4).tape, bench.constrained_lasso(3, 4).tape
+        assert a.affine and a == b
+        idx = next(iter(b.affine))
+        args, w = b.affine[idx]
+        for args2, w2 in ((args, w + np.eye(1, w.size)[0]), (args[::-1], w)):
+            changed = Tape(nodes=b.nodes, num_inputs=b.num_inputs, output=b.output,
+                           affine={**b.affine, idx: (args2, w2)})
+            assert a != changed
+        assert tape_from_text(tape_to_text(a)) == a
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scale_add_chain(self, seed):
         aff, chain = _affine_pair(seed)
