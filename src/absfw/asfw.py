@@ -151,6 +151,8 @@ def asfw_run(
     x = np.asarray(x0, dtype=float).copy()
     if not contains(C, x):
         raise ValueError("x0 must be feasible")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     if gap_tol < 0:
         raise ValueError("gap_tol must be nonnegative")
     if partial_inner_limit is not None and partial_inner_limit < 1:

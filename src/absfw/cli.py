@@ -88,8 +88,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_aasm_table(args) -> int:
-    if args.n_max > 20:
-        raise ConfigError("--n-max is limited to 20")
+    if not 1 <= args.n_max <= 20:
+        raise ConfigError("--n-max must be between 1 and 20")
     print("n  visited  target(2^(n-1))  bound(2^n)  pass  at_ones  psi          seconds")
     t_total = time.perf_counter()
     for n in range(1, args.n_max + 1):

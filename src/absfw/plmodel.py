@@ -171,21 +171,25 @@ def form_to_text(form: AbsLinearForm) -> str:
 
 
 def form_from_text(text: str) -> AbsLinearForm:
+    """Inverse of ``form_to_text``; malformed text raises ``ValueError``
+    naming the offending line or the missing blocks."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    n, s = (int(v) for v in lines[0].split())
+    try:
+        n, s = (int(v) for v in lines[0].split())
+    except (IndexError, ValueError):
+        raise ValueError(f"bad header line {lines[0] if lines else ''!r}") from None
+    sizes = dict(zip(_FORM_BLOCKS, (s * n, s * s, s * s, n, s, s, s, 1)))
     data = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        data[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return AbsLinearForm(
-        n=n,
-        s=s,
-        Z=data["Z"].reshape(s, n),
-        M=data["M"].reshape(s, s),
-        L=data["L"].reshape(s, s),
-        a=data["a"],
-        b=data["b"],
-        babs=data["babs"],
-        c=data["c"],
-        d=float(data["d"][0]),
-    )
+        name, *values = ln.split()
+        if len(values) != sizes.get(name):
+            raise ValueError(f"bad block line {ln!r}: unknown block or wrong length")
+        try:
+            data[name] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"bad block line {ln!r}: not a number") from None
+    missing = [name for name in _FORM_BLOCKS if name not in data]
+    if missing:
+        raise ValueError(f"missing blocks {' '.join(missing)}")
+    d = data.pop("d")[0]
+    return AbsLinearForm(n=n, s=s, d=d, **data)

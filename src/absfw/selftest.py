@@ -209,9 +209,9 @@ def aasm_oracle_suite(seed: int = 13, convex_cases: int = 50, nonconvex_cases: i
     )
 
 
-def run_all(seed: int = 0, tamper=None) -> list[CheckResult]:
+def run_all(seed: int = 0) -> list[CheckResult]:
     return [
-        linearization_decay_suite(seed + 7, tamper=tamper),
+        linearization_decay_suite(seed + 7),
         directional_derivative_suite(seed + 11),
         smooth_collapse_suite(seed + 23),
         lp_duality_suite(seed + 5),

@@ -8,12 +8,14 @@ tape gives the function value together with all switching values; linearizing
 it at a point produces the piecewise-linear model data consumed by
 :mod:`absfw.plmodel`.
 
-Besides the scalar primitives there is one n-ary node, ``affine``, with value
-``const + sum_k w_k * v[arg_k]``.  A regression residual ``A_k x - y_k`` is
-then one node instead of a chain of ``scale`` and ``add`` per entry, and its
-linearization is one vector-matrix product over its operands' records.  The
-node keeps ``const`` in ``TapeNode.value``; its operand indices and weights sit
-in the tape's ``affine`` side table.  Its text line is
+A node states its operands once: ``TapeNode.args`` holds the indices of the
+nodes it reads, and ``TapeNode.value`` the input slot, the constant, the
+scale factor or the affine constant.  Besides the scalar primitives there is
+one n-ary node, ``affine``, with value ``value + sum_k weights[k] *
+v[args[k]]``.  A regression residual ``A_k x - y_k`` is then one node instead
+of a chain of ``scale`` and ``add`` per entry, and its linearization is one
+vector-matrix product over its operands' records.  ``Tape.affine`` derives
+the numpy arrays those products read.  Its text line is
 ``<idx> affine <const> <arg> <weight> ...`` with one (operand, weight) pair
 per term.
 
@@ -30,14 +32,14 @@ works that plan out on the first linearization and keeps it for the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .plmodel import AbsLinearForm
 
-# ops taking (a, b)
+# ops taking two operands
 _BINARY = ("add", "sub", "mul")
 # smooth ops taking a single argument: (value, derivative)
 _SMOOTH = {
@@ -48,7 +50,9 @@ _SMOOTH = {
     "exp": (math.exp, math.exp),
 }
 _UNARY = tuple(_SMOOTH) + ("abs",)
-_OPS = ("input", "const", "scale", "affine") + _BINARY + _UNARY
+# operand count per op; None for affine, which takes one or more
+_ARITY = {"input": 0, "const": 0, "scale": 1, "affine": None,
+          **dict.fromkeys(_BINARY, 2), **dict.fromkeys(_UNARY, 1)}
 
 
 class TapeError(Exception):
@@ -66,9 +70,9 @@ class EvaluationError(Exception):
 @dataclass(frozen=True)
 class TapeNode:
     op: str
-    a: int = -1
-    b: int = -1
-    value: float = 0.0
+    args: tuple[int, ...] = ()  # operand node indices
+    value: float = 0.0  # input slot, constant, scale factor or affine constant
+    weights: tuple[float, ...] = ()  # affine only: one per operand
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,6 @@ class Tape:
     nodes: tuple[TapeNode, ...]
     num_inputs: int
     output: int
-    # (operand indices, weights) per affine node
-    affine: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     @cached_property
     def num_switch(self) -> int:
@@ -99,64 +101,43 @@ class Tape:
         the cache sits in ``__dict__``, unseen by ``__eq__`` and ``repr``."""
         last: dict[int, int] = {}
         for idx, node in enumerate(self.nodes):
-            if node.op == "affine":
-                last.update(dict.fromkeys(self.affine[idx][0].tolist(), idx))
-            elif node.op != "input":  # an input's ``a`` is its slot
-                if node.a >= 0:
-                    last[node.a] = idx
-                if node.b >= 0:
-                    last[node.b] = idx
+            last.update(dict.fromkeys(node.args, idx))
         last.pop(self.output, None)
         plan: list[list[int]] = [[] for _ in self.nodes]
         for k, idx in last.items():
             plan[idx].append(k)
         return tuple(map(tuple, plan))
 
-    def __post_init__(self):
+    @cached_property
+    def affine(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per affine node, its operands and weights as read-only arrays, for
+        the products of ``evaluate`` and ``abs_linearize``.  Built on first
+        use and cached like ``release``."""
         table = {}
         for idx, node in enumerate(self.nodes):
-            if node.op not in _OPS:
-                raise TapeError(f"node {idx}: unknown op {node.op!r}")
-            if node.op in _BINARY and not (0 <= node.a < idx and 0 <= node.b < idx):
-                raise TapeError(f"node {idx}: operands must precede the node")
-            if node.op in _UNARY + ("scale",) and not 0 <= node.a < idx:
-                raise TapeError(f"node {idx}: operand must precede the node")
-            if node.op == "input" and not 0 <= node.a < self.num_inputs:
-                raise TapeError(f"node {idx}: input slot {node.a} out of range")
             if node.op == "affine":
-                table[idx] = self._checked_affine(idx)
-        if len(table) != len(self.affine):
-            raise TapeError("affine table holds a node that is not affine")
-        object.__setattr__(self, "affine", table)
+                args, weights = np.array(node.args, dtype=np.intp), np.array(node.weights)
+                args.flags.writeable = weights.flags.writeable = False
+                table[idx] = args, weights
+        return table
+
+    def __post_init__(self):
+        for idx, node in enumerate(self.nodes):
+            op, args = node.op, node.args
+            if op not in _ARITY:
+                raise TapeError(f"node {idx}: unknown op {op!r}")
+            if not (len(args) == _ARITY[op] or op == "affine" and args):
+                raise TapeError(f"node {idx}: {op} cannot take {len(args)} operands")
+            if args and not (0 <= min(args) and max(args) < idx):
+                raise TapeError(f"node {idx}: operands must precede the node")
+            if len(node.weights) != (len(args) if op == "affine" else 0):
+                raise TapeError(f"node {idx}: weights go on affine nodes, one per operand")
+            if op == "affine" and not all(map(math.isfinite, node.weights)):
+                raise TapeError(f"node {idx}: affine weights must be finite")
+            if op == "input" and not (type(node.value) is int and 0 <= node.value < self.num_inputs):
+                raise TapeError(f"node {idx}: input slot {node.value!r} out of range")
         if not 0 <= self.output < len(self.nodes):
             raise TapeError("output index out of range")
-
-    def __eq__(self, other):
-        """Field by field, the affine table's arrays by value."""
-        if not isinstance(other, Tape):
-            return NotImplemented
-        same = (self.nodes, self.num_inputs, self.output) == (other.nodes, other.num_inputs, other.output)
-        return same and self.affine.keys() == other.affine.keys() and all(
-            np.array_equal(u, v) for k in self.affine for u, v in zip(self.affine[k], other.affine[k]))
-
-    def _checked_affine(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node idx's table entry, validated, as read-only arrays."""
-        if idx not in self.affine:
-            raise TapeError(f"node {idx}: affine node has no operand table entry")
-        args, weights = self.affine[idx]
-        args = np.array(args, dtype=np.intp)
-        weights = np.array(weights, dtype=float)
-        if args.ndim != 1 or not args.size:
-            raise TapeError(f"node {idx}: affine needs a nonempty list of operands")
-        if not np.all((0 <= args) & (args < idx)):
-            raise TapeError(f"node {idx}: operands must precede the node")
-        if weights.shape != args.shape:
-            raise TapeError(f"node {idx}: affine needs one weight per operand")
-        if not np.all(np.isfinite(weights)):
-            raise TapeError(f"node {idx}: affine weights must be finite")
-        args.flags.writeable = False
-        weights.flags.writeable = False
-        return args, weights
 
 
 @dataclass(frozen=True)
@@ -175,29 +156,29 @@ def evaluate(tape: Tape, x) -> EvalRecord:
     z = np.empty(tape.num_switch)
     i = 0  # the next switching slot
     for idx, node in enumerate(tape.nodes):
-        op = node.op
+        op, args = node.op, node.args
         if op == "input":
-            v = x[node.a]
+            v = x[node.value]
         elif op == "const":
             v = node.value
         elif op == "add":
-            v = vals[node.a] + vals[node.b]
+            v = vals[args[0]] + vals[args[1]]
         elif op == "sub":
-            v = vals[node.a] - vals[node.b]
+            v = vals[args[0]] - vals[args[1]]
         elif op == "mul":
-            v = vals[node.a] * vals[node.b]
+            v = vals[args[0]] * vals[args[1]]
         elif op == "scale":
-            v = node.value * vals[node.a]
+            v = node.value * vals[args[0]]
         elif op == "affine":
-            args, w = tape.affine[idx]
-            v = w @ vals[args] + node.value
+            ks, w = tape.affine[idx]
+            v = w @ vals[ks] + node.value
         elif op == "abs":
-            z[i] = vals[node.a]
+            z[i] = vals[args[0]]
             v = abs(z[i])
             i += 1
         else:
             try:
-                v = _SMOOTH[op][0](vals[node.a])
+                v = _SMOOTH[op][0](vals[args[0]])
             except OverflowError:
                 raise EvaluationError(idx, f"{op} overflow") from None
         if not math.isfinite(v):
@@ -232,36 +213,34 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     recs: list[np.ndarray | None] = [None] * len(tape.nodes)
     # operand records stacked per affine operand tuple; an abs node
     # rewrites a record, which makes every stack stale
-    stacked: dict[bytes, np.ndarray] = {}
+    stacked: dict[tuple[int, ...], np.ndarray] = {}
     i = 0  # the next switching slot
     for idx, node in enumerate(tape.nodes):
-        op = node.op
+        op, args = node.op, node.args
         if op == "input":
             r = np.zeros(width)
             r[0] = vals[idx]
-            r[1 + node.a] = 1.0
+            r[1 + node.value] = 1.0
         elif op == "const":
             r = np.zeros(width)
             r[0] = node.value
         elif op == "add":
-            r = recs[node.a] + recs[node.b]
+            r = recs[args[0]] + recs[args[1]]
         elif op == "sub":
-            r = recs[node.a] - recs[node.b]
+            r = recs[args[0]] - recs[args[1]]
         elif op == "scale":
-            r = node.value * recs[node.a]
+            r = node.value * recs[args[0]]
         elif op == "mul":
-            va, vb = vals[node.a], vals[node.b]
-            r = vb * recs[node.a] + va * recs[node.b]
+            va, vb = vals[args[0]], vals[args[1]]
+            r = vb * recs[args[0]] + va * recs[args[1]]
             r[0] -= va * vb
         elif op == "affine":
-            args, w = tape.affine[idx]
-            key = args.tobytes()
-            if key not in stacked:
-                stacked[key] = np.array([recs[k] for k in args])
-            r = w @ stacked[key]
+            if args not in stacked:
+                stacked[args] = np.array([recs[k] for k in args])
+            r = tape.affine[idx][1] @ stacked[args]
             r[0] += node.value
         elif op == "abs":  # freeze the argument's record as switching row i
-            arg = recs[node.a]
+            arg = recs[args[0]]
             c[i] = arg[0]
             Z[i] = arg[xpart]
             M[i] = arg[1 + n:1 + n + s]
@@ -269,15 +248,15 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
             # later uses of the argument refer to z_i, of this node to |z_i|
             zr = np.zeros(width)
             zr[1 + n + i] = 1.0
-            recs[node.a] = zr
+            recs[args[0]] = zr
             stacked.clear()
             r = np.zeros(width)
             r[1 + n + s + i] = 1.0
             i += 1
         else:  # the tangent f(a) + f'(a) (rec - a), with f(a) this node's value
-            va = vals[node.a]
+            va = vals[args[0]]
             d = _SMOOTH[op][1](va)
-            r = d * recs[node.a]
+            r = d * recs[args[0]]
             r[0] += vals[idx] - d * va
         recs[idx] = r
         for k in release[idx]:
@@ -359,16 +338,15 @@ class TapeBuilder:
             raise TapeError("num_inputs must be nonnegative")
         self.num_inputs = num_inputs
         self._nodes: list[TapeNode] = []
-        self._affine: dict[int, tuple] = {}  # (operand indices, weights) per affine node
         self._consts: dict[float, int] = {}
-        self._inputs = [self._push(TapeNode("input", a=k)) for k in range(num_inputs)]
+        self._inputs = [self._push(TapeNode("input", value=k)) for k in range(num_inputs)]
 
     def _push(self, node: TapeNode) -> int:
         self._nodes.append(node)
         return len(self._nodes) - 1
 
     def _emit(self, op: str, a: Expr, b: Expr | None = None) -> Expr:
-        idx = self._push(TapeNode(op, a=a.index, b=b.index if b is not None else -1))
+        idx = self._push(TapeNode(op, (a.index,) if b is None else (a.index, b.index)))
         return Expr(self, idx)
 
     def inputs(self) -> list[Expr]:
@@ -381,7 +359,7 @@ class TapeBuilder:
         return Expr(self, self._consts[value])
 
     def scale(self, value: float, e: Expr) -> Expr:
-        idx = self._push(TapeNode("scale", a=e.index, value=float(value)))
+        idx = self._push(TapeNode("scale", (e.index,), float(value)))
         return Expr(self, idx)
 
     def affine(self, weights, exprs, const: float = 0.0) -> Expr:
@@ -397,8 +375,10 @@ class TapeBuilder:
             if not isinstance(e, Expr) or e.builder is not self:
                 raise TapeError("affine operands must be expressions of this builder")
             args.append(e.index)
-        idx = self._push(TapeNode("affine", value=float(const)))
-        self._affine[idx] = (args, weights)
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise TapeError("affine weights must be a vector")
+        idx = self._push(TapeNode("affine", tuple(args), float(const), tuple(weights.tolist())))
         return Expr(self, idx)
 
     def abs(self, e: Expr) -> Expr:
@@ -439,12 +419,7 @@ class TapeBuilder:
     def build(self, output: Expr) -> Tape:
         if output.builder is not self:
             raise TapeError("output belongs to a different builder")
-        return Tape(
-            nodes=tuple(self._nodes),
-            num_inputs=self.num_inputs,
-            output=output.index,
-            affine=dict(self._affine),
-        )
+        return Tape(nodes=tuple(self._nodes), num_inputs=self.num_inputs, output=output.index)
 
 
 def tape_to_text(tape: Tape) -> str:
@@ -459,53 +434,60 @@ def tape_to_text(tape: Tape) -> str:
     lines = [f"n={tape.num_inputs} s={tape.num_switch}"]
     for idx, node in enumerate(tape.nodes):
         if node.op == "input":
-            lines.append(f"{idx} input {node.a}")
+            fields = [node.value]
         elif node.op == "const":
-            lines.append(f"{idx} const {node.value!r}")
+            fields = [repr(node.value)]
         elif node.op == "scale":
-            lines.append(f"{idx} scale {node.a} {node.value!r}")
+            fields = [*node.args, repr(node.value)]
         elif node.op == "affine":
-            terms = " ".join(f"{k} {float(w)!r}" for k, w in zip(*tape.affine[idx]))
-            lines.append(f"{idx} affine {node.value!r} {terms}")
-        elif node.op in _BINARY:
-            lines.append(f"{idx} {node.op} {node.a} {node.b}")
+            fields = [repr(node.value), *(f"{k} {w!r}" for k, w in zip(node.args, node.weights))]
         else:
-            lines.append(f"{idx} {node.op} {node.a}")
+            fields = node.args
+        lines.append(" ".join(map(str, (idx, node.op, *fields))))
     return "\n".join(lines) + "\n"
 
 
 def tape_from_text(text: str) -> Tape:
+    """Inverse of ``tape_to_text``; malformed text raises ``TapeError``
+    naming the offending line."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n="):
-        raise TapeError("missing header line")
-    head = dict(part.split("=") for part in lines[0].split())
-    n = int(head["n"])
+    try:
+        head = dict(part.split("=") for part in lines[0].split())
+        n, s = int(head["n"]), int(head["s"])
+    except (IndexError, KeyError, ValueError):
+        raise TapeError(f"bad header line {lines[0] if lines else ''!r}") from None
     nodes: list[TapeNode] = []
-    affine: dict[int, tuple[list[int], list[float]]] = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        idx, op = int(parts[0]), parts[1]
-        if idx != len(nodes):
-            raise TapeError(f"node index {idx} out of order")
-        if op == "input":
-            nodes.append(TapeNode("input", a=int(parts[2])))
-        elif op == "const":
-            nodes.append(TapeNode("const", value=float(parts[2])))
-        elif op == "scale":
-            nodes.append(TapeNode("scale", a=int(parts[2]), value=float(parts[3])))
-        elif op == "affine":
-            terms = parts[3:]
-            if len(terms) % 2:
-                raise TapeError(f"node {idx}: affine needs (operand, weight) pairs")
-            nodes.append(TapeNode("affine", value=float(parts[2])))
-            affine[idx] = ([int(k) for k in terms[::2]], [float(w) for w in terms[1::2]])
-        elif op in _BINARY:
-            nodes.append(TapeNode(op, a=int(parts[2]), b=int(parts[3])))
-        elif op in _UNARY:
-            nodes.append(TapeNode(op, a=int(parts[2])))
-        else:
-            raise TapeError(f"unknown op {op!r}")
-    tape = Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1, affine=affine)
-    if int(head["s"]) != tape.num_switch:
+        try:
+            idx, op, *fields = ln.split()
+            if int(idx) != len(nodes):
+                raise TapeError("node index out of order")
+            nodes.append(_node_from_fields(op, fields))
+        except (TapeError, ValueError) as exc:
+            raise TapeError(f"line {ln!r}: {exc}") from None
+    tape = Tape(nodes=tuple(nodes), num_inputs=n, output=len(nodes) - 1)
+    if s != tape.num_switch:
         raise TapeError("header switch count does not match abs nodes")
     return tape
+
+
+def _node_from_fields(op: str, fields: list[str]) -> TapeNode:
+    """One node from the fields after ``<idx> <op>``; the operand counts of
+    the scalar ops are left to ``Tape``'s validation."""
+    if op == "input":
+        (slot,) = fields
+        return TapeNode("input", value=int(slot))
+    if op == "const":
+        (value,) = fields
+        return TapeNode("const", value=float(value))
+    if op == "scale":
+        arg, value = fields
+        return TapeNode("scale", (int(arg),), float(value))
+    if op == "affine":
+        const, *terms = fields
+        if len(terms) % 2:
+            raise TapeError("affine needs (operand, weight) pairs")
+        return TapeNode("affine", tuple(map(int, terms[::2])), float(const), tuple(map(float, terms[1::2])))
+    if op not in _ARITY:
+        raise TapeError(f"unknown op {op!r}")
+    return TapeNode(op, tuple(map(int, fields)))

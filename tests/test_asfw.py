@@ -76,6 +76,12 @@ class TestAsfwRun:
         with pytest.raises(ValueError):
             asfw_run(abs_tape, cube(1, 5.0), [7.0], StepRule.open_loop_sqrt())
 
+    def test_negative_max_iters_rejected(self, abs_tape):
+        with pytest.raises(ValueError, match="max_iters"):
+            asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(), max_iters=-1)
+        res = asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(), max_iters=0)
+        assert res.trace.rows == [] and res.f_final == 3.0
+
     def test_gap_nonnegative_and_feasible(self, mifflin2_tape):
         res = asfw_run(mifflin2_tape, cube(2, 5.0), [-1.0, 1.0],
                        StepRule.open_loop_sqrt(), max_iters=60)

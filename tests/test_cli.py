@@ -104,6 +104,19 @@ class TestRun:
             assert "--partial-inner-limit must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "no.csv").exists()
 
+    def test_negative_max_iters_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no.csv"
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--max-iters", "-3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "max_iters must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        # zero iterations stay legal: an empty trace
+        assert main(["run", "--problem", "chained_lq", "--n", "4", "--max-iters", "0",
+                     "--out", str(out)]) == 0
+        _, rows, status = read_trace(out)
+        assert rows == [] and status.startswith("status=max_iters")
+
     def test_chained_problems_need_no_flag(self, tmp_path, capsys):
         for problem in ("chained_mifflin2", "chained_crescent2"):
             rc = main(["run", "--problem", problem, "--n", "4", "--max-iters", "2",
@@ -204,6 +217,13 @@ class TestAasmTable:
 
     def test_rejects_large_n(self, capsys):
         assert main(["aasm-table", "--n-max", "25"]) == 2
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_rejects_n_max_below_one(self, capsys, n_max):
+        assert main(["aasm-table", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-max must be between 1 and 20" in captured.err
 
 
 class TestSelftest:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestFormProperties:
         bad = text.replace(f"{block} 0.0 0.0 0.0 0.0", " ".join([block] + row))
         assert bad != text
         with pytest.raises(ValueError, match="strictly lower triangular"):
+            form_from_text(bad)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: "", "bad header line ''"),
+        (lambda t: t.replace("1 3\n", "1\n"), "bad header line '1'"),
+        (lambda t: t.replace("1 3\n", "1 x\n"), "bad header line '1 x'"),
+        (lambda t: t.replace("\nd 0.25\n", "\n"), "missing blocks d"),
+        (lambda t: t.replace("\nZ 1.0 ", "\nZ x "), "bad block line 'Z x "),
+        (lambda t: t.replace("\nd 0.25", "\nd 0.25 1.0"), "bad block line 'd 0.25 1.0'"),
+        (lambda t: t + "q 1.0\n", "bad block line 'q 1.0'"),
+    ], ids=["empty", "short-header", "non-numeric-header", "missing-block",
+            "non-numeric-entry", "wrong-length", "unknown-block"])
+    def test_malformed_text_names_the_line(self, kink3_form, edit, match):
+        text = form_to_text(kink3_form)
+        bad = edit(text)
+        assert bad != text
+        with pytest.raises(ValueError, match=re.escape(match)):
             form_from_text(bad)
 
 

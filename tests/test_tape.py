@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,32 @@ class TestSerialization:
         with pytest.raises(TapeError):
             tape_from_text("n=1 s=0\n0 frobnicate 0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("", ""),
+        ("n=1\n0 input 0\n", "n=1"),
+        ("n=1 s=x\n0 input 0\n", "n=1 s=x"),
+        ("n=1 s=0\n0 input\n", "0 input"),
+        ("n=1 s=0\n0 input 0.5\n", "0 input 0.5"),
+        ("n=1 s=0\n0\n", "0"),
+        ("n=1 s=0\n0 input 0\n1 neg x\n", "1 neg x"),
+        ("n=1 s=0\n0 input 0\n1 scale 0\n", "1 scale 0"),
+        ("n=1 s=0\n0 input 0\n1 affine 1.0 0 w\n", "1 affine 1.0 0 w"),
+        ("n=1 s=0\n0 input 0\nx neg 0\n", "x neg 0"),
+    ])
+    def test_malformed_text_names_the_line(self, text, line):
+        with pytest.raises(TapeError, match=re.escape(repr(line))):
+            tape_from_text(text)
+
+    def test_problem_and_random_tapes_round_trip(self):
+        tapes = [
+            (ctor() if name == "mifflin2" else ctor(6, 9) if name == "lasso" else ctor(6)).tape
+            for name, ctor in bench.PROBLEMS.items()
+        ]
+        rng = np.random.default_rng(5)
+        tapes += [random_tape(rng, 3, n_ops=15) for _ in range(20)]
+        for tape in tapes:
+            assert tape_from_text(tape_to_text(tape)) == tape
+
 
 class TestBuilderHelpers:
     def test_max_identity(self):
@@ -292,16 +321,19 @@ def _affine_pair(seed, n=5):
     return tapes
 
 
+_X0 = TapeNode("input", value=0)
+
+
 class TestAffine:
     def test_tapes_compare_by_value(self):
         a, b = bench.constrained_lasso(3, 4).tape, bench.constrained_lasso(3, 4).tape
         assert a.affine and a == b
         idx = next(iter(b.affine))
-        args, w = b.affine[idx]
-        for args2, w2 in ((args, w + np.eye(1, w.size)[0]), (args[::-1], w)):
-            changed = Tape(nodes=b.nodes, num_inputs=b.num_inputs, output=b.output,
-                           affine={**b.affine, idx: (args2, w2)})
-            assert a != changed
+        node = b.nodes[idx]
+        weights = (node.weights[0] + 1.0,) + node.weights[1:]
+        for changed_node in (replace(node, weights=weights), replace(node, args=node.args[::-1])):
+            nodes = b.nodes[:idx] + (changed_node,) + b.nodes[idx + 1:]
+            assert a != Tape(nodes=nodes, num_inputs=b.num_inputs, output=b.output)
         assert tape_from_text(tape_to_text(a)) == a
 
     @pytest.mark.parametrize("seed", range(20))
@@ -383,21 +415,24 @@ class TestAffine:
         with pytest.raises(ValueError):
             tape.affine[2][1][0] = 5.0
 
-    @pytest.mark.parametrize("nodes, table", [
-        ((TapeNode("input", a=0), TapeNode("affine")), {}),  # no table entry
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([], [])}),  # no operand
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([1], [1.0])}),  # itself
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([-1], [1.0])}),
-        ((TapeNode("affine"), TapeNode("input", a=0)), {0: ([1], [1.0])}),  # later node
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0], [1.0, 2.0])}),
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0, 0], [1.0])}),
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0], [np.nan])}),
-        ((TapeNode("input", a=0), TapeNode("affine")), {1: ([0, 0], [1.0, np.inf])}),
-        ((TapeNode("input", a=0), TapeNode("neg", a=0)), {1: ([0], [1.0])}),  # not affine
-    ])
-    def test_validation_errors(self, nodes, table):
-        with pytest.raises(TapeError):
-            Tape(nodes=nodes, num_inputs=1, output=len(nodes) - 1, affine=table)
+    @pytest.mark.parametrize("nodes, match", [
+        ((_X0, TapeNode("affine")), "cannot take 0 operands"),
+        ((_X0, TapeNode("affine", (1,), weights=(1.0,))), "precede"),
+        ((_X0, TapeNode("affine", (-1,), weights=(1.0,))), "precede"),
+        ((TapeNode("affine", (1,), weights=(1.0,)), _X0), "precede"),
+        ((_X0, TapeNode("affine", (0,), weights=(1.0, 2.0))), "one per operand"),
+        ((_X0, TapeNode("affine", (0, 0), weights=(1.0,))), "one per operand"),
+        ((_X0, TapeNode("affine", (0,), weights=(np.nan,))), "finite"),
+        ((_X0, TapeNode("affine", (0, 0), weights=(1.0, np.inf))), "finite"),
+        ((_X0, TapeNode("add", (0,))), "cannot take 1 operands"),
+        ((_X0, TapeNode("neg", (0,), weights=(1.0,))), "weights go on affine nodes"),
+        ((_X0, TapeNode("input", value=1)), "out of range"),
+    ], ids=["no-operand", "itself", "negative-operand", "later-node", "extra-weight",
+            "missing-weight", "nan-weight", "inf-weight", "binary-with-one-operand",
+            "weights-not-affine", "input-slot-out-of-range"])
+    def test_validation_errors(self, nodes, match):
+        with pytest.raises(TapeError, match=match):
+            Tape(nodes=nodes, num_inputs=1, output=len(nodes) - 1)
 
     def test_builder_and_text_errors(self):
         tb, other = TapeBuilder(2), TapeBuilder(2)
@@ -408,6 +443,8 @@ class TestAffine:
             tb.affine([1.0], [2.0])
         with pytest.raises(TapeError):
             tb.build(tb.affine([1.0, np.inf], xs))
+        with pytest.raises(TapeError):
+            tb.affine([[1.0], [2.0]], xs)
         with pytest.raises(TapeError):
             tape_from_text("n=1 s=0\n0 input 0\n1 affine 0.0 0\n")
 
@@ -423,12 +460,7 @@ def _plan_cases():
 
 
 def _operands(tape, idx):
-    node = tape.nodes[idx]
-    if node.op == "affine":
-        return set(tape.affine[idx][0].tolist())
-    if node.op == "input":
-        return set()  # its ``a`` is an input slot
-    return {k for k in (node.a, node.b) if k >= 0}
+    return set(tape.nodes[idx].args)
 
 
 class TestReleasePlan:
