@@ -16,8 +16,8 @@ start point, from a crash basis of z columns and C's slacks
 At the per-polyhedron optimum every single flip of an active nonconvex kink
 is probed (both signs for pinned kinks); if no probe LP strictly decreases
 the objective, no single flip of a nonconvex kink descends.  That is weaker
-than local minimality where C's rows tie kinks together: on a face that pins
-several kinks at 0 at once, descent may need several flips at once.
+than first-order minimality where C's rows, or M's shared switching values,
+tie kinks together: descent may then need several flips at once.
 A flip moves only bounds, so all flips of a polyhedron are priced from the
 parent LP in one pass: unless the column a flip unpins passes the simplex's
 entering test, the parent basis stays optimal and the flip is certified
@@ -29,9 +29,9 @@ accepted chain unconditional.  A visited-signature set guards against
 tolerance-induced cycling; monotone decrease makes genuine revisits
 impossible in exact arithmetic.
 
-``brute_force_pl_min`` is the test oracle: it enumerates all 2^s closed
-signature domains through the affine-restriction route, which shares no code
-path with the lifted solver.
+The test oracles ``brute_force_pl_min`` and ``local_optimality_test``
+enumerate closed signature domains (all of them, or those around a point) by
+the affine-restriction route, which shares no code with the lifted solver.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from .plmodel import (
     AbsLinearForm,
     eval_pl,
     restrict,
-    signature,
     signature_constraints,
     switch_signs,
 )
@@ -203,12 +202,13 @@ def aasm_minimize(
     feasible to ``lp.WARM_TOL``, C bounded and ``partial_inner_limit``, if
     set, at least 1.  The accepted chain of per-polyhedron optima strictly
     decreases.  LOCAL_MIN means no single flip of an active nonconvex kink
-    descends, and the convex kinks are LP-optimal.  The descent stops with
-    INNER_LIMIT when, after ``partial_inner_limit`` polyhedra, a flip still
-    needs an LP (the paper's partial solution), and with POLYHEDRA_EXHAUSTED
-    when only visited polyhedra descend or 2^min(k, 20) have been visited,
-    for k nonconvex kinks.  ``visited_signatures`` gives each convex kink
-    its sign at that polyhedron's optimum.
+    descends and the convex kinks are LP-optimal, which is weaker than
+    first-order minimality where C's rows or M tie kinks.  The descent stops
+    with INNER_LIMIT when, after ``partial_inner_limit`` polyhedra, a flip
+    still needs an LP (the paper's partial solution), and with
+    POLYHEDRA_EXHAUSTED when only visited polyhedra descend or 2^min(k, 20)
+    have been visited, for k nonconvex kinks.  ``visited_signatures`` gives
+    each convex kink its sign at that polyhedron's optimum.
     """
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
@@ -269,37 +269,33 @@ def aasm_minimize(
 
 
 def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
-    """True iff neither the LP over v's own signature closure, with the
-    convex kinks free, nor one single flip of an active nonconvex kink at
-    ``v`` admits strict descent below the model at ``v``.
-
-    The reference for ``aasm_minimize``'s LOCAL_MIN: every LP is solved
-    cold, with no pricing.
-    """
-    v = np.asarray(v, dtype=float)
-    ws = _Lifted(form, C)
+    """True iff the model is first-order minimal at ``v`` in C (at most 16
+    kinks at ``v``).  The closed domains that keep v's nonzero signs and give
+    each kink at v both signs hold v, the model is linear on each, and they
+    cover a neighbourhood of v in C: their minimum is below the model at v
+    exactly when some direction from v descends."""
     psi_v, z = eval_pl(form, v)
-    sigma = signature(form, v)
-    sigmas = [sigma]
-    for i, f in _candidate_flips(form, sigma, z, np.zeros(form.s), ws.convex):
-        sigmas.append(sigma.copy())
-        sigmas[-1][i] = f
-    return not any(_descends(ws.solve(sig)[1], psi_v) for sig in sigmas)
+    return not _descends(_enumerated_min(form, C, switch_signs(form, z))[1], psi_v)
 
 
 def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):
-    """Global minimum by enumerating all 2^s closed signature domains.
+    """Global minimum over all 2^s closed signature domains (s <= 16)."""
+    return _enumerated_min(form, C, np.zeros(form.s, dtype=int))
 
-    Test oracle: goes through the affine-restriction route and plain
-    constraint intersection, independent of the lifted solver.
-    """
-    if form.s > 16:
-        raise ValueError("brute force limited to s <= 16")
+
+def _enumerated_min(form: AbsLinearForm, C: Polyhedron, fixed: np.ndarray):
+    """(v, psi) of the least LP over the closed signature domains that keep
+    the nonzero signs of ``fixed`` and give each 0 entry both signs; each LP
+    is cold and built by the affine-restriction route, not the lifted one."""
+    free = np.flatnonzero(fixed == 0)
+    if free.size > 16:
+        raise ValueError("enumeration limited to 16 kinks")
     if not C.is_boxed():
         raise ValueError("feasible set must be bounded (boxed)")
     best_v, best_psi = None, np.inf
-    for signs in itertools.product((-1, 1), repeat=form.s):
-        sigma = np.array(signs, dtype=int)
+    for signs in itertools.product((-1, 1), repeat=free.size):
+        sigma = fixed.copy()
+        sigma[free] = signs
         res = restrict(form, sigma)
         sol = lpmod.solve(LpProblem(c=res.g, P=intersect(C, *signature_constraints(res, sigma))))
         if sol.status != LpStatus.OPTIMAL:

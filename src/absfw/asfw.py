@@ -39,8 +39,8 @@ class StepRule:
     def __post_init__(self):
         if self.kind == FIXED_HORIZON and (self.T is None or self.T < 1):
             raise ValueError("fixed-horizon rule needs T >= 1")
-        if self.kind == SHORT_STEP and (self.gamma is None or self.gamma <= 0):
-            raise ValueError("short-step rule needs gamma > 0")
+        if self.kind == SHORT_STEP and not (self.gamma is not None and 0 < self.gamma < math.inf):
+            raise ValueError("short-step rule needs a finite gamma > 0")
         if self.kind not in (OPEN_LOOP_SQRT, OPEN_LOOP_HARMONIC, FIXED_HORIZON, SHORT_STEP):
             raise ValueError(f"unknown step rule {self.kind!r}")
         if self.T is not None and self.kind != FIXED_HORIZON:
@@ -201,9 +201,6 @@ def asfw_run(
             status = RunStatus.EXACT_GAP_ZERO if gap <= 0.0 else RunStatus.GAP_TOL_REACHED
             break
 
-        if alpha <= 0.0:
-            status = RunStatus.EXACT_GAP_ZERO
-            break
         x_next = (1.0 - alpha) * x + alpha * v
         rec_next = evaluate(tape, x_next)
         if rule.monotone and rec_next.y >= fbar:

@@ -122,6 +122,8 @@ class Tape:
         return table
 
     def __post_init__(self):
+        if self.num_inputs < 0:
+            raise TapeError("num_inputs must be nonnegative")
         for idx, node in enumerate(self.nodes):
             op, args = node.op, node.args
             if op not in _ARITY:
@@ -334,8 +336,6 @@ class TapeBuilder:
     """Expression-style recorder; one switching index per abs, in call order."""
 
     def __init__(self, num_inputs: int):
-        if num_inputs < 0:
-            raise TapeError("num_inputs must be nonnegative")
         self.num_inputs = num_inputs
         self._nodes: list[TapeNode] = []
         self._consts: dict[float, int] = {}
@@ -454,6 +454,8 @@ def tape_from_text(text: str) -> Tape:
     try:
         head = dict(part.split("=") for part in lines[0].split())
         n, s = int(head["n"]), int(head["s"])
+        if n < 0:
+            raise ValueError("negative input count")
     except (IndexError, KeyError, ValueError):
         raise TapeError(f"bad header line {lines[0] if lines else ''!r}") from None
     nodes: list[TapeNode] = []

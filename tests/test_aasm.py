@@ -343,6 +343,27 @@ class TestLocalOptimality:
         P = box([1.0], [5.0])
         assert local_optimality_test(abs_v_form, P, [1.0])
 
+    def test_tied_kinks_are_not_minimal(self):
+        # -|x| - |x| records two abs nodes on x, so z_2 = z_1 through M:
+        # every single flip at 0 keeps the other kink pinned, and LOCAL_MIN
+        # stops there, but both kinks flipped together descend to -10
+        form = form_of(lambda tb, xs: tb.scale(-1.0, tb.abs(xs[0])) - tb.abs(xs[0]), 1, [0.0])
+        assert form.M[1, 0] == 1.0
+        C = cube(1, 5.0)
+        res = aasm_minimize(form, C, [0.0])
+        assert res.status == AasmStatus.LOCAL_MIN and res.psi_star == 0.0
+        assert not local_optimality_test(form, C, res.v_star)
+        assert brute_force_pl_min(form, C)[1] == -10.0
+
+    def test_more_than_16_kinks_rejected(self):
+        # maxq C2 n=20 stops at a point on 19 kinks
+        inst = bench.maxq(20, "C2")
+        x = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt()).x_final
+        form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
+        assert np.count_nonzero(signature(form, x) == 0) == 19
+        with pytest.raises(ValueError, match="16 kinks"):
+            local_optimality_test(form, inst.C, x)
+
 
 class TestCandidateFlips:
     def test_largest_multiplier_first(self):
@@ -385,6 +406,26 @@ class TestOracleSoundness:
             assert res.psi_star >= psi_o - 1e-8 * (1 + abs(psi_o))
             if res.status == AasmStatus.LOCAL_MIN:
                 assert local_optimality_test(form, C, res.v_star)
+
+    def test_dropped_flip_is_caught(self, rng, monkeypatch):
+        """The oracle does not call ``_candidate_flips``: with its first
+        candidate dropped, the solver stops early at points the oracle
+        rejects, where the same forms' true LOCAL_MIN results all pass."""
+        real_flips = aasm_mod._candidate_flips
+        cases = []
+        for _ in range(10):
+            form, C = random_pl_form(rng, n=3, s=5, convex=False), cube(3, 3.0)
+            start = rng.uniform(-1.5, 1.5, size=3)
+            res = aasm_minimize(form, C, start)
+            assert res.status != AasmStatus.LOCAL_MIN or local_optimality_test(form, C, res.v_star)
+            cases.append((form, C, start))
+        monkeypatch.setattr(aasm_mod, "_candidate_flips", lambda *args: real_flips(*args)[1:])
+        rejected = 0
+        for form, C, start in cases:
+            res = aasm_minimize(form, C, start)
+            if res.status == AasmStatus.LOCAL_MIN:
+                rejected += not local_optimality_test(form, C, res.v_star)
+        assert rejected > 0
 
     def test_brute_force_rejects_large_s(self, rng):
         form = random_pl_form(rng, n=2, s=17, convex=True)
@@ -484,8 +525,9 @@ class TestLiftedLp:
 class TestProbePricing:
     def test_priced_out_flips_never_descend(self, rng, monkeypatch):
         """Every flip the parent's duals price out is re-solved by a cold LP,
-        which must find no descent; LOCAL_MIN still agrees with the cold-LP
-        reference ``local_optimality_test``.  On maxq C2 n=20 at iteration 3
+        which must find no descent; each LOCAL_MIN is still first-order
+        minimal by ``local_optimality_test``, which enumerates the kinks at
+        the point on the restriction route.  On maxq C2 n=20 at iteration 3
         some priced flips pin a column that is basic at 0."""
         real_priced, real_flips = _Lifted.priced_out, aasm_mod._candidate_flips
         margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from absfw import bench
+from absfw.aasm import local_optimality_test
 from absfw.asfw import (
     StepRule,
     RunStatus,
@@ -10,6 +11,7 @@ from absfw.asfw import (
     running_min,
     loglog_slope,
 )
+from absfw.plmodel import affine_substitute
 from absfw.polyhedron import cube, contains
 from absfw.tape import TapeBuilder, abs_linearize, evaluate
 
@@ -59,6 +61,11 @@ class TestStepRule:
     def test_short_step_needs_gamma(self):
         with pytest.raises(ValueError):
             StepRule(kind="short")
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_short_step_needs_finite_positive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="finite gamma > 0"):
+            StepRule.short_step(gamma)
 
     def test_fixed_needs_horizon(self):
         with pytest.raises(ValueError):
@@ -115,6 +122,8 @@ class TestAsfwRun:
         res = asfw_run(tape, cube(1, 5.0), [0.0], StepRule.open_loop_sqrt())
         assert res.status == RunStatus.EXACT_GAP_ZERO
         assert len(res.trace.rows) == 1
+        x = res.x_final
+        assert local_optimality_test(affine_substitute(abs_linearize(tape, x), 1.0, -x), cube(1, 5.0), x)
         # a subproblem convex in its kinks is solved whole despite the limit
         res = asfw_run(tape, cube(1, 5.0), [0.0], StepRule.open_loop_sqrt(), partial_inner_limit=1)
         assert res.status == RunStatus.EXACT_GAP_ZERO
@@ -130,6 +139,27 @@ class TestAsfwRun:
         assert res.status == RunStatus.EXACT_GAP_ZERO
         (row,) = res.trace.rows
         assert row.alpha == 1.0 and row.gap == 0.0
+
+    def test_zero_step_is_no_certificate(self):
+        # gamma = 1e308 overflows 2 gamma ||v - x||^2, so every step is 0
+        # while the gap stays 33: the run must not stop as if at a minimizer
+        inst = bench.chained_lq(4)
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.short_step(1e308), max_iters=5)
+        assert res.status == RunStatus.MAX_ITERS
+        assert {(r.alpha, r.gap) for r in res.trace.rows} == {(0.0, 33.0)}
+
+    @pytest.mark.parametrize("inst", [
+        bench.maxq(6, "C1"), bench.maxq(8, "C1"), bench.maxq(6, "C2"), bench.maxq(8, "C2"),
+        bench.maxq(6, "C3"), bench.maxq(8, "C3"), bench.rosenbrock_nesterov2(6),
+        bench.constrained_lasso(6, 9, variant="ordered"),
+    ], ids=lambda inst: f"{inst.name}-n{inst.C.dim}")
+    def test_gap_stops_are_first_order_minimal(self, inst):
+        """A gap stop certifies that the model at x_final has no descent
+        direction in C, which the kink enumeration confirms."""
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt())
+        assert res.status in (RunStatus.EXACT_GAP_ZERO, RunStatus.GAP_TOL_REACHED)
+        x = res.x_final
+        assert local_optimality_test(affine_substitute(abs_linearize(inst.tape, x), 1.0, -x), inst.C, x)
 
     def test_cut_short_subproblem_gap_does_not_stop(self):
         # RN2 n=6 walking one polyhedron per subproblem: from the second row

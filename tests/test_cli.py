@@ -179,6 +179,14 @@ class TestRun:
         assert "rule takes no" in capsys.readouterr().err
         assert not (tmp_path / "no.csv").exists()
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_short_step_gamma_not_finite_is_exit_2(self, tmp_path, capsys, gamma):
+        rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "short",
+                   "--gamma", gamma, "--out", str(tmp_path / "no.csv")])
+        assert rc == 2
+        assert "short-step rule needs a finite gamma > 0" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
+
     def test_short_step_with_gamma(self, tmp_path):
         out = tmp_path / "ss.csv"
         rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "short",

@@ -232,6 +232,7 @@ class TestSerialization:
     @pytest.mark.parametrize("text, line", [
         ("", ""),
         ("n=1\n0 input 0\n", "n=1"),
+        ("n=-1 s=0\n0 const 1.0\n", "n=-1 s=0"),
         ("n=1 s=x\n0 input 0\n", "n=1 s=x"),
         ("n=1 s=0\n0 input\n", "0 input"),
         ("n=1 s=0\n0 input 0.5\n", "0 input 0.5"),
@@ -433,6 +434,13 @@ class TestAffine:
     def test_validation_errors(self, nodes, match):
         with pytest.raises(TapeError, match=match):
             Tape(nodes=nodes, num_inputs=1, output=len(nodes) - 1)
+
+    def test_negative_input_count(self):
+        with pytest.raises(TapeError, match="num_inputs must be nonnegative"):
+            Tape(nodes=(TapeNode("const", value=1.0),), num_inputs=-1, output=0)
+        tb = TapeBuilder(-1)
+        with pytest.raises(TapeError, match="num_inputs must be nonnegative"):
+            tb.build(tb.const(1.0))
 
     def test_builder_and_text_errors(self):
         tb, other = TapeBuilder(2), TapeBuilder(2)
