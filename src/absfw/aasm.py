@@ -9,9 +9,15 @@ and no LP pins it.  Its (z+_i, z-_i) pair goes to the simplex as twins, so
 Fourer's piecewise-linear ratio test (Math. Prog. 1985) crosses the kink in
 one step where a plain simplex pivots z+_i out and z-_i in.  A signature
 pins z+_i or z-_i of the other, nonconvex kinks at 0, so a form with L = 0
-and babs >= 0 is solved by one LP.  The first LP of a call starts at the
-start point, from a crash basis of z columns and C's slacks
-(``_Lifted.crash``), so it runs no phase 1.
+and babs >= 0 is solved by one LP.  The first LP of a call is over the
+start point's signature and starts from a crash basis of z columns and C's
+slacks (``_Lifted.crash``), so it runs no phase 1.  The crash is made at a
+warm point, such as the previous subproblem's vertex, when that point lies
+in C and keeps the signs the start pins (``_Lifted.fits``), and at the
+start point otherwise.  As iterates converge, consecutive subproblems keep
+their vertex, and a first LP started there makes few or no pivots
+(Braun, Pokutta & Zink, "Lazifying conditional gradient algorithms",
+ICML 2017, reuse the previous oracle answer the same way).
 
 At the per-polyhedron optimum every single flip of an active nonconvex kink
 is probed (both signs for pinned kinks); if no probe LP strictly decreases
@@ -71,6 +77,7 @@ class AasmResult:
     polyhedra_visited: int
     lp_calls: int
     visited_signatures: list = field(default_factory=list)
+    warm_started: bool = False  # the first LP started at ``warm_point``
 
 
 class _Lifted:
@@ -102,6 +109,14 @@ class _Lifted:
         z-_i unless sigma_i < 0; a convex kink's columns are never pinned."""
         free = np.concatenate([(sigma > 0) | self.convex, (sigma < 0) | self.convex])
         return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
+
+    def fits(self, sigma: np.ndarray, v: np.ndarray, z: np.ndarray) -> bool:
+        """True when v, with switching values z, lies in C to ``lp.WARM_TOL``
+        and each nonconvex kink's sign at v is 0 or sigma_i: the crash at v
+        is then a start of sigma's LP."""
+        signs = switch_signs(self.form, z)
+        return contains(self.C, v, lpmod.WARM_TOL) and bool(
+            np.all(self.convex | (signs == 0) | (signs == sigma)))
 
     def crash(self, z: np.ndarray, v: np.ndarray):
         """The crash basis at v, a point of C with switching values z, and
@@ -193,12 +208,20 @@ def aasm_minimize(
     C: Polyhedron,
     start,
     partial_inner_limit: int | None = None,
+    *,
+    warm_point=None,
 ) -> AasmResult:
     """Minimize ``form`` over C from ``start`` by adapted active signature
     descent over the nonconvex kinks.
 
-    The first LP starts at ``start`` from a crash basis and runs phase 2
-    only (cold, with phase 1, if C has equality rows).  Requires start
+    The first LP is over the closure of start's signature domain.  It starts
+    from a crash basis and runs phase 2 only (cold, with phase 1, if C has
+    equality rows; ``warm_point`` is then unused).  The crash is made at
+    ``warm_point`` when that point lies in C to ``lp.WARM_TOL`` and each
+    nonconvex kink's sign there is 0 or the start's, and at ``start``
+    otherwise; ``warm_started`` in the result tells which.  The signature, and so the first polyhedron, does
+    not depend on the choice; where that LP's optimum is tied, the vertex it
+    returns, and the walk from it, may.  Requires start
     feasible to ``lp.WARM_TOL``, C bounded and ``partial_inner_limit``, if
     set, at least 1.  The accepted chain of per-polyhedron optima strictly
     decreases.  LOCAL_MIN means no single flip of an active nonconvex kink
@@ -220,8 +243,15 @@ def aasm_minimize(
 
     ws = _Lifted(form, C)
     z0 = eval_pl(form, start)[1]
-    hint, x0 = ws.crash(z0, start) if not C.Aeq.shape[0] else (None, None)  # no slack for Aeq rows
     sigma = switch_signs(form, z0)
+    crashed = not C.Aeq.shape[0]  # no slack to crash an Aeq row with
+    warm = crashed and warm_point is not None
+    if warm:
+        z_w = eval_pl(form, warm_point)[1]
+        warm = ws.fits(sigma, warm_point, z_w)
+    hint = x0 = None
+    if crashed:
+        hint, x0 = ws.crash(z_w, warm_point) if warm else ws.crash(z0, start)
     sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
     max_poly = 2 ** min(int(np.count_nonzero(~ws.convex)), 20)
@@ -265,6 +295,7 @@ def aasm_minimize(
         polyhedra_visited=len(visited),
         lp_calls=ws.calls,
         visited_signatures=list(visited.values()),
+        warm_started=warm,
     )
 
 

@@ -90,6 +90,7 @@ class TraceRow:
     lp_calls: int
     elapsed_ms: int
     inner_status: str  # the subproblem's AasmStatus value
+    warm_started: bool  # its first LP started at the previous subproblem's vertex
 
 
 @dataclass
@@ -141,12 +142,18 @@ def asfw_run(
 
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
+    Each subproblem after the first gets the previous one's vertex as its
+    warm point (see ``aasm_minimize``); ``TraceRow.warm_started`` tells
+    whether its first LP started there.
     ``partial_inner_limit`` (at least 1) caps the polyhedra each subproblem
     walk visits; the walk stops there only while a flip still needs an LP
     (see ``aasm_minimize``).  Neither gap test applies to a
     subproblem the cap cut short (INNER_LIMIT): its gap is at most the full
-    walk's, so a small one certifies nothing.  ``trace_sink`` receives each
-    TraceRow as it is produced.
+    walk's, so a small one certifies nothing.  A limit of 1 returns the
+    optimum of the closure of x's own signature domain, so the run stalls
+    once x is that optimum: each later step is null and each gap 0 (RN2
+    n=6 stays at f = 0.484375, where a limit of 2 reaches 0).
+    ``trace_sink`` receives each TraceRow as it is produced.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not contains(C, x):
@@ -161,6 +168,7 @@ def asfw_run(
     status = RunStatus.MAX_ITERS
     t_start = time.perf_counter()
     rec = evaluate(tape, x)
+    v = None  # the previous subproblem's vertex
 
     for t in range(max_iters):
         fbar = rec.y
@@ -168,7 +176,7 @@ def asfw_run(
 
         scale = 1.0 if rule.kind == SHORT_STEP else rule.alpha(t)
         sub = affine_substitute(form, scale, -scale * x)
-        inner = aasm_minimize(sub, C, x, partial_inner_limit)
+        inner = aasm_minimize(sub, C, x, partial_inner_limit, warm_point=v)
         v = inner.v_star
         if rule.kind == SHORT_STEP:
             dec = inner.psi_star - fbar  # = model increment at v - x
@@ -191,6 +199,7 @@ def asfw_run(
             lp_calls=inner.lp_calls,
             elapsed_ms=int(1000 * (time.perf_counter() - t_start)),
             inner_status=inner.status.value,
+            warm_started=inner.warm_started,
         )
         trace.append(row)
         if trace_sink is not None:

@@ -678,8 +678,8 @@ class TestBatchedPricing:
         for _ in range(10):
             form, start = pinned_form(rng, n=3, s=5, pins=2)
             aasm_minimize(form, cube(3, 3.0), start)
-        for n, iters in ((6, 500), (20, 200)):
-            inst = bench.maxq(n, "C2")
+        for inst, iters in ((bench.maxq(6, "C2"), 500), (bench.maxq(20, "C2"), 200),
+                            (bench.maxq(8, "C3"), 500)):
             asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         assert len(compared) > 1000
         assert True in compared and False in compared
@@ -709,9 +709,9 @@ class TestBatchedPricing:
 
 
 class TestCrashStart:
-    """The first LP of every call starts at the start point from the crash
-    basis and runs phase 2 only; C with equality rows falls back to a cold
-    first LP."""
+    """The first LP of every call starts from the crash basis, at the start
+    point or at a warm point (``TestWarmPoint``), and runs phase 2 only; C
+    with equality rows falls back to a cold first LP."""
 
     @pytest.fixture
     def crashed(self, monkeypatch):
@@ -798,8 +798,116 @@ class TestCrashStart:
             _, psi_o = brute_force_pl_min(form, C)
             assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
             assert contains(C, res.v_star)
+            # no crash, so a warm point goes unused
+            again = aasm_minimize(form, C, start, warm_point=res.v_star)
+            assert same_result(again, res) and not again.warm_started
             del phase1_calls[:]
         assert crashed == []
+
+
+def same_result(a, b) -> bool:
+    """Bit-identical AASM results."""
+    return (a.v_star.tobytes() == b.v_star.tobytes() and a.psi_star == b.psi_star
+            and a.status == b.status and a.warm_started == b.warm_started
+            and (a.polyhedra_visited, a.lp_calls) == (b.polyhedra_visited, b.lp_calls)
+            and [sig.tolist() for sig in a.visited_signatures]
+            == [sig.tolist() for sig in b.visited_signatures])
+
+
+class TestWarmPoint:
+    """``warm_point`` moves the first LP's crash basis and start there when
+    it lies in C and keeps the signs the start's signature pins; otherwise
+    the call is the one without it.  The signature still comes from the
+    start, so only where the first LP pivots from changes."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Simplex pivots of every LP solved."""
+        counts = []
+        real = lpmod.solve
+
+        def counting(problem, **kwargs):
+            sol = real(problem, **kwargs)
+            counts.append(sol.simplex_iters)
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", counting)
+        return counts
+
+    @pytest.mark.parametrize("t", [10, 30])
+    def test_second_call_at_the_first_vertex_makes_no_pivot(self, t, pivots):
+        """The subproblem of maxq C2 n=20 at iteration t, solved again from
+        its own vertex.  At other iterations that vertex may still cost one
+        pivot of step 0: the crash basis holds no v column, and a v column
+        strictly inside its box is priced both ways."""
+        inst, rule = bench.maxq(20, "C2"), StepRule.open_loop_sqrt()
+        x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=t).x_final
+        form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(t), -rule.alpha(t) * x)
+        first = aasm_minimize(form, inst.C, x)
+        assert sum(pivots) > 0
+        del pivots[:]
+        second = aasm_minimize(form, inst.C, x, warm_point=first.v_star)
+        assert second.warm_started and not first.warm_started
+        assert sum(pivots) == 0
+        assert (second.psi_star, second.status) == (first.psi_star, first.status)
+
+    def test_point_outside_C_is_ignored(self, rng):
+        # every kink of these forms is convex, so only C decides
+        C = cube(3, 2.0)
+        for k in range(10):
+            form = convex_form(rng, n=3, s=6)
+            start = rng.uniform(-1.5, 1.5, size=3)
+            point = rng.uniform(-2.0, 2.0, size=3)
+            point[k % 3] = 2.0 + 2 * lpmod.WARM_TOL
+            res = aasm_minimize(form, C, start, warm_point=point)
+            assert same_result(res, aasm_minimize(form, C, start))
+            assert not res.warm_started
+            point[k % 3] = 2.0 + lpmod.WARM_TOL / 2
+            assert aasm_minimize(form, C, start, warm_point=point).warm_started
+
+    def test_point_off_a_pinned_kink_is_ignored(self, rng):
+        checked = 0
+        for _ in range(20):
+            form, start = pinned_form(rng, n=3, s=5, pins=2)
+            C = cube(3, 3.0)
+            pinned = ~_Lifted(form, C).convex & (signature(form, start) == 0)
+            if not pinned.any():
+                continue  # both kinks at the start are convex: none is pinned
+            point = rng.uniform(-3.0, 3.0, size=3)
+            assert np.all(signature(form, point)[pinned] != 0)
+            res = aasm_minimize(form, C, start, warm_point=point)
+            assert same_result(res, aasm_minimize(form, C, start))
+            assert not res.warm_started
+            checked += 1
+        assert checked >= 10
+
+    def test_first_lp_value_is_kept(self, rng, monkeypatch):
+        """From a vertex of the start's closed domain, found by an LP with
+        another cost, the first LP reaches the value it reaches from the
+        start."""
+        real = _Lifted.solve
+        first_psi = []
+
+        def solve(self, sigma, *args, **kwargs):
+            sol, psi = real(self, sigma, *args, **kwargs)
+            if self.calls == 1:
+                first_psi.append(psi)
+            return sol, psi
+
+        monkeypatch.setattr(_Lifted, "solve", solve)
+        C = cube(3, 3.0)
+        for k in range(30):
+            form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
+            other = dataclasses.replace(form, a=rng.normal(size=3), b=rng.normal(size=5))
+            vertex = real(_Lifted(other, C), signature(form, start))[0].x[:3]
+            res = aasm_minimize(form, C, start, warm_point=vertex)
+            assert res.warm_started
+            cold = aasm_minimize(form, C, start)
+            psi_warm, psi_cold = first_psi[-2:]
+            assert psi_warm == pytest.approx(psi_cold, rel=1e-9, abs=0.0)
+            assert eval_pl(form, res.v_star)[0] == pytest.approx(res.psi_star, rel=1e-9, abs=1e-12)
+            assert contains(C, res.v_star)
+            assert not cold.warm_started
 
 
 class TestMixedForms:

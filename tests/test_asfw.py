@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from absfw import asfw as asfw_mod
 from absfw import bench
 from absfw.aasm import local_optimality_test
 from absfw.asfw import (
@@ -171,6 +172,42 @@ class TestAsfwRun:
         assert len(res.trace.rows) == 20
         assert {r.inner_status for r in res.trace.rows} == {"inner_limit"}
         assert res.trace.rows[1].gap <= 0.0
+
+    def test_limit_one_stalls_at_the_start_polyhedron_optimum(self):
+        # RN2 n=6: a one-polyhedron walk returns the optimum of the closure
+        # of x's own domain, so once x is that optimum every step is null;
+        # two polyhedra per walk reach the minimum 0
+        inst = bench.rosenbrock_nesterov2(6)
+        rule = StepRule.open_loop_sqrt()
+        res = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=30, partial_inner_limit=1)
+        assert res.status == RunStatus.MAX_ITERS
+        np.testing.assert_allclose(res.trace.fvals()[1:], 0.484375, rtol=0.0, atol=1e-14)
+        assert np.all(np.abs(res.trace.gaps()[1:]) <= 1e-14)
+        res = asfw_run(inst.tape, inst.C, inst.x0, rule, partial_inner_limit=2)
+        assert res.status == RunStatus.GAP_TOL_REACHED
+        assert res.f_final <= 1e-12
+
+    def test_subproblems_get_the_previous_vertex(self, monkeypatch):
+        """Each subproblem after the first gets the previous one's vertex as
+        its warm point, and its trace row records whether the first LP
+        started there."""
+        real = asfw_mod.aasm_minimize
+        calls = []
+
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((kwargs.get("warm_point"), res))
+            return res
+
+        monkeypatch.setattr(asfw_mod, "aasm_minimize", recording)
+        inst = bench.maxq(8, "C3")
+        rows = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt()).trace.rows
+        assert len(calls) == len(rows) and calls[0][0] is None
+        for (warm, _), (_, prev) in zip(calls[1:], calls):
+            assert warm is prev.v_star
+        flags = [row.warm_started for row in rows]
+        assert flags == [res.warm_started for _, res in calls]
+        assert not flags[0] and True in flags[1:] and False in flags[1:]
 
     def test_trace_sink_called(self, abs_tape):
         # alpha_0 = 1 jumps |x| straight to its minimizer, so the run stops

@@ -210,15 +210,16 @@ class TestLasso:
 class TestBenchWork:
     """The work of the perfbench workloads, pinned: a change that claims to
     leave the solver's path alone must leave the LP solves, the simplex
-    pivots and f_final as they are."""
+    pivots and f_final as they are.  No LP runs phase 1: every first LP
+    starts at a point, and every probe at its parent's."""
 
     @pytest.mark.parametrize("build, iters, solves, pivots, f_final", [
-        (lambda: bench.chained_lq(100), 5, 5, 641, 388.9187393553687),
-        (lambda: bench.maxq(20, "C2"), 200, 56, 521, 3.9165483545573606e-11),
-        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 998,
+        (lambda: bench.chained_lq(100), 5, 5, 640, 388.9187393553687),
+        (lambda: bench.maxq(20, "C2"), 200, 56, 77, 3.9165483595072184e-11),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 996,
          1982.9956613474728),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
-    def test_lp_work(self, monkeypatch, build, iters, solves, pivots, f_final):
+    def test_lp_work(self, monkeypatch, phase1_calls, build, iters, solves, pivots, f_final):
         iters_per_lp = []
         real = lpmod.solve
 
@@ -232,6 +233,20 @@ class TestBenchWork:
         res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         assert (len(iters_per_lp), sum(iters_per_lp)) == (solves, pivots)
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
+        assert phase1_calls == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: bench.maxq(6, "C2"), lambda: bench.maxq(8, "C3"),
+        lambda: bench.rosenbrock_nesterov1(20), lambda: bench.rosenbrock_nesterov2(10),
+        lambda: bench.chained_crescent2(6),
+    ], ids=["maxq_C2-n6", "maxq_C3-n8", "rn1-n20", "rn2-n10", "chained_crescent2-n6"])
+    def test_no_cold_fallback(self, phase1_calls, build):
+        """A start that AASM accepts but ``lp.solve`` rejects would cost a
+        cold two-phase solve in silence; none happens on these runs."""
+        inst = build()
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=500)
+        assert any(row.warm_started for row in res.trace.rows)
+        assert phase1_calls == []
 
 
 class TestPricingWork:
@@ -239,8 +254,8 @@ class TestPricingWork:
     one is settled without a probe LP."""
 
     @pytest.mark.parametrize("n, iters, priced, settled", [
-        (20, 200, 1599, 1599),
-        (6, 500, 249, 249),
+        (20, 200, 527, 527),
+        (6, 500, 84, 84),
     ], ids=["maxq_C2-n20", "maxq_C2-n6"])
     def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
         verdicts = []

@@ -87,13 +87,23 @@ class TestRun:
         main(["run", "--problem", "maxq", "--n", "6", "--set", "C2", "--out", str(out)])
         _, rows, status = read_trace(out)
         assert status.startswith("status=gap_tol_reached")
-        assert status.endswith(f" inner=local_min:{len(rows)}")
+        assert f" inner=local_min:{len(rows)} " in status
         main(["run", "--problem", "rosenbrock_nesterov2", "--n", "6", "--max-iters", "20",
               "--partial-inner-limit", "1", "--out", str(out)])
         _, rows, status = read_trace(out)
-        counts = dict(kv.split(":") for kv in status.split(" inner=")[1].split(","))
+        counts = dict(kv.split(":") for kv in status.split(" inner=")[1].split(" ")[0].split(","))
         assert int(counts["inner_limit"]) > 0
         assert sum(map(int, counts.values())) == len(rows)
+
+    def test_status_line_counts_warm_starts(self, tmp_path):
+        # the first subproblem has no previous vertex; on maxq C3 some
+        # previous vertices break a pinned kink's sign and start nothing
+        out = tmp_path / "warm.csv"
+        main(["run", "--problem", "maxq", "--n", "8", "--set", "C3", "--out", str(out)])
+        _, rows, status = read_trace(out)
+        assert all(len(r) == 7 for r in rows)
+        hits, calls = map(int, status.rsplit(" warm=", 1)[1].split("/"))
+        assert calls == len(rows) and 0 < hits < calls - 1
 
     def test_partial_inner_limit_below_one_is_exit_2(self, tmp_path, capsys):
         for limit in ("0", "-3"):

@@ -8,6 +8,10 @@ pins none of them and its first LP leaves no flip, so those two cases hold 1
 polyhedron and 1 LP per row; their floats are those of the older walk that
 pinned every kink, which the one LP reproduces to a relative 1e-14.  On
 maxq only the root kink is convex, and leaving it free keeps every integer.
+The maxq rows were re-recorded when each subproblem's first LP began to
+start at the previous subproblem's vertex: the integers stayed, and from
+row 25 on the gaps and values, below 1e-6, moved by up to 3.5e-16 absolute
+(1.4e-9 relative), as the LPs pick other vertices of tied optima.
 Integers must match exactly and floats to a relative 1e-12.  After a change
 that is meant to alter trajectories, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
