@@ -13,11 +13,11 @@ and babs >= 0 is solved by one LP.  The first LP of a call is over the
 start point's signature and starts from a crash basis of z columns and C's
 slacks (``_Lifted.crash``), so it runs no phase 1.  The crash is made at a
 warm point, such as the previous subproblem's vertex, when that point lies
-in C and keeps the signs the start pins (``_Lifted.fits``), and at the
-start point otherwise.  As iterates converge, consecutive subproblems keep
-their vertex, and a first LP started there makes few or no pivots
-(Braun, Pokutta & Zink, "Lazifying conditional gradient algorithms",
-ICML 2017, reuse the previous oracle answer the same way).
+in C and keeps the signs the start pins, and at the start point otherwise.
+As iterates converge, consecutive subproblems keep their vertex, and a
+first LP started there makes few or no pivots (Braun, Pokutta & Zink,
+"Lazifying conditional gradient algorithms", ICML 2017, reuse the previous
+oracle answer the same way).
 
 At the per-polyhedron optimum every single flip of an active nonconvex kink
 is probed (both signs for pinned kinks); if no probe LP strictly decreases
@@ -110,14 +110,6 @@ class _Lifted:
         free = np.concatenate([(sigma > 0) | self.convex, (sigma < 0) | self.convex])
         return np.concatenate([self.C.hi, np.where(free, np.inf, 0.0)])
 
-    def fits(self, sigma: np.ndarray, v: np.ndarray, z: np.ndarray) -> bool:
-        """True when v, with switching values z, lies in C to ``lp.WARM_TOL``
-        and each nonconvex kink's sign at v is 0 or sigma_i: the crash at v
-        is then a start of sigma's LP."""
-        signs = switch_signs(self.form, z)
-        return contains(self.C, v, lpmod.WARM_TOL) and bool(
-            np.all(self.convex | (signs == 0) | (signs == sigma)))
-
     def crash(self, z: np.ndarray, v: np.ndarray):
         """The crash basis at v, a point of C with switching values z, and
         the start (v, 0, 0): z+_i if z_i >= 0, else z-_i, and C's slacks.
@@ -164,11 +156,12 @@ def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
 
 
-def _candidate_flips(form, sigma, z, kink_duals, convex) -> list[tuple[int, int]]:
-    """Single flips (i, new sign) of the active nonconvex kinks: pinned kinks
-    (sigma_i = 0) both ways, kinks with z_i at zero to the other sign.  Largest
-    |kink multiplier| first, then lower index, then + before -."""
-    active = ~convex & ((sigma == 0) | (switch_signs(form, z) == 0))
+def _candidate_flips(sigma, signs, kink_duals, convex) -> list[tuple[int, int]]:
+    """Single flips (i, new sign) of the active nonconvex kinks at a point
+    of sigma's domain whose switching values have ``signs``: pinned kinks
+    (sigma_i = 0) both ways, kinks with signs_i = 0 to the other sign.
+    Largest |kink multiplier| first, then lower index, then + before -."""
+    active = ~convex & ((sigma == 0) | (signs == 0))
     cands = [
         (i, f)
         for i in np.flatnonzero(active).tolist()
@@ -219,19 +212,20 @@ def aasm_minimize(
     equality rows; ``warm_point`` is then unused).  The crash is made at
     ``warm_point`` when that point lies in C to ``lp.WARM_TOL`` and each
     nonconvex kink's sign there is 0 or the start's, and at ``start``
-    otherwise; ``warm_started`` in the result tells which.  The signature, and so the first polyhedron, does
-    not depend on the choice; where that LP's optimum is tied, the vertex it
-    returns, and the walk from it, may.  Requires start
-    feasible to ``lp.WARM_TOL``, C bounded and ``partial_inner_limit``, if
-    set, at least 1.  The accepted chain of per-polyhedron optima strictly
-    decreases.  LOCAL_MIN means no single flip of an active nonconvex kink
-    descends and the convex kinks are LP-optimal, which is weaker than
-    first-order minimality where C's rows or M tie kinks.  The descent stops
-    with INNER_LIMIT when, after ``partial_inner_limit`` polyhedra, a flip
-    still needs an LP (the paper's partial solution), and with
-    POLYHEDRA_EXHAUSTED when only visited polyhedra descend or 2^min(k, 20)
-    have been visited, for k nonconvex kinks.  ``visited_signatures`` gives
-    each convex kink its sign at that polyhedron's optimum.
+    otherwise; ``warm_started`` in the result tells which.  The signature,
+    and so the first polyhedron, does not depend on the choice; where that
+    LP's optimum is tied, the vertex it returns, and the walk from it, may.
+    Requires start feasible to ``lp.WARM_TOL``, C bounded and
+    ``partial_inner_limit``, if set, at least 1.  The accepted chain of
+    per-polyhedron optima strictly decreases.  LOCAL_MIN means no single
+    flip of an active nonconvex kink descends and the convex kinks are
+    LP-optimal, which is weaker than first-order minimality where C's rows
+    or M tie kinks.  The descent stops with INNER_LIMIT when, after
+    ``partial_inner_limit`` polyhedra, a flip still needs an LP (the paper's
+    partial solution), and with POLYHEDRA_EXHAUSTED when only visited
+    polyhedra descend or 2^min(k, 20) have been visited, for k nonconvex
+    kinks.  ``visited_signatures`` gives each convex kink its sign at that
+    polyhedron's optimum.
     """
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
@@ -243,22 +237,28 @@ def aasm_minimize(
 
     ws = _Lifted(form, C)
     z0 = eval_pl(form, start)[1]
-    sigma = switch_signs(form, z0)
-    crashed = not C.Aeq.shape[0]  # no slack to crash an Aeq row with
-    warm = crashed and warm_point is not None
-    if warm:
-        z_w = eval_pl(form, warm_point)[1]
-        warm = ws.fits(sigma, warm_point, z_w)
+    sigma = switch_signs(form, start, z0)
     hint = x0 = None
-    if crashed:
-        hint, x0 = ws.crash(z_w, warm_point) if warm else ws.crash(z0, start)
+    warm = False
+    if not C.Aeq.shape[0]:  # no slack to crash an Aeq row with
+        point, z = start, z0
+        if warm_point is not None:
+            z_w = eval_pl(form, warm_point)[1]
+            signs = switch_signs(form, warm_point, z_w)
+            # the crash at the warm point must be a start of sigma's LP
+            warm = contains(C, warm_point, lpmod.WARM_TOL) and bool(
+                np.all(ws.convex | (signs == 0) | (signs == sigma)))
+            if warm:
+                point, z = warm_point, z_w
+        hint, x0 = ws.crash(z, point)
     sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
     max_poly = 2 ** min(int(np.count_nonzero(~ws.convex)), 20)
     visited = {}  # _sig_key -> signature, in visiting order; no flip moves sigma's convex entries
     while True:
-        visited[_sig_key(sigma)] = np.where(ws.convex, switch_signs(form, ws.z(sol)), sigma)
-        flips = _candidate_flips(form, sigma, ws.z(sol), _kink_duals(form, sigma, sol), ws.convex)
+        signs = switch_signs(form, sol.x[:form.n], ws.z(sol))
+        visited[_sig_key(sigma)] = np.where(ws.convex, signs, sigma)
+        flips = _candidate_flips(sigma, signs, _kink_duals(form, sigma, sol), ws.convex)
         # a priced-out flip keeps the parent's value, certified without an LP
         flips = [flip for flip, kept in zip(flips, ws.priced_out(sol, flips)) if not kept]
         if not flips:
@@ -306,7 +306,7 @@ def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
     cover a neighbourhood of v in C: their minimum is below the model at v
     exactly when some direction from v descends."""
     psi_v, z = eval_pl(form, v)
-    return not _descends(_enumerated_min(form, C, switch_signs(form, z))[1], psi_v)
+    return not _descends(_enumerated_min(form, C, switch_signs(form, v, z))[1], psi_v)
 
 
 def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):

@@ -91,17 +91,24 @@ def delta_eval(form: AbsLinearForm, fbar: float, dx) -> float:
     return eval_pl(form, dx)[0] - fbar
 
 
-def switch_signs(form: AbsLinearForm, z) -> np.ndarray:
-    """Signs of the switching values z; z_i within
-    DEFAULT_SIGNATURE_TOL*(1+|c_i|) of zero is at its kink and gets 0."""
+def switch_signs(form: AbsLinearForm, dx, z) -> np.ndarray:
+    """Signs of the switching values z at dx.  z_i is at its kink, and gets
+    0, when it is within DEFAULT_SIGNATURE_TOL of zero relative to the terms
+    that form it, |c_i| + |Z_i| (1 + |dx|) + (|M_i| + |L_i|) |z|: changing
+    c_i, dx (at unit scale) and z_{<i} by that fraction could zero it.  A
+    value that is small only because all its terms are, as near a smooth
+    minimum, keeps its sign."""
+    az = np.abs(z)
+    terms = (np.abs(form.c) + np.abs(form.Z) @ (1.0 + np.abs(dx))
+             + (np.abs(form.M) + np.abs(form.L)) @ az)
     sig = np.sign(z).astype(int)
-    sig[np.abs(z) <= DEFAULT_SIGNATURE_TOL * (1.0 + np.abs(form.c))] = 0
+    sig[az <= DEFAULT_SIGNATURE_TOL * terms] = 0
     return sig
 
 
 def signature(form: AbsLinearForm, dx) -> np.ndarray:
     """Sign vector of z(dx), kinks (see ``switch_signs``) as 0."""
-    return switch_signs(form, eval_pl(form, dx)[1])
+    return switch_signs(form, dx, eval_pl(form, dx)[1])
 
 
 def restrict(form: AbsLinearForm, sigma) -> AffineRestriction:

@@ -356,9 +356,9 @@ class TestLocalOptimality:
         assert brute_force_pl_min(form, C)[1] == -10.0
 
     def test_more_than_16_kinks_rejected(self):
-        # maxq C2 n=20 stops at a point on 19 kinks
+        # maxq C2 n=20's optimum 0 lies on all 19 kinks
         inst = bench.maxq(20, "C2")
-        x = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt()).x_final
+        x = np.zeros(20)
         form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
         assert np.count_nonzero(signature(form, x) == 0) == 19
         with pytest.raises(ValueError, match="16 kinks"):
@@ -376,10 +376,10 @@ class TestCandidateFlips:
         sigma = signature(form, [0.0, 0.0])
         np.testing.assert_array_equal(sigma, [0, 0])
         duals = np.array([-0.1, -5.0])
-        flips = _candidate_flips(form, sigma, np.zeros(2), duals, np.zeros(2, bool))
+        flips = _candidate_flips(sigma, sigma, duals, np.zeros(2, bool))
         assert flips == [(1, 1), (1, -1), (0, 1), (0, -1)]
         # a kink marked convex is never a candidate
-        assert _candidate_flips(form, sigma, np.zeros(2), duals, np.array([False, True])) == [(0, 1), (0, -1)]
+        assert _candidate_flips(sigma, sigma, duals, np.array([False, True])) == [(0, 1), (0, -1)]
 
 
 class TestOracleSoundness:
@@ -534,9 +534,9 @@ class TestProbePricing:
         priced = []        # priced_out's answers
         parent = []        # the signature whose flips are priced next
 
-        def candidate_flips(form, sigma, *args):
+        def candidate_flips(sigma, *args):
             parent[:] = [sigma]
-            return real_flips(form, sigma, *args)
+            return real_flips(sigma, *args)
 
         def priced_out(self, sol, flips):
             verdicts = real_priced(self, sol, flips)
@@ -951,7 +951,7 @@ class TestMixedForms:
             assert status == LpStatus.OPTIMAL
             assert value == pytest.approx(psi, rel=1e-8, abs=1e-8)
             assert best_over_convex_signs(form, C, sigma, convex) >= psi - tol
-            at_zero = switch_signs(form, eval_pl(form, res.v_star)[1]) == 0
+            at_zero = switch_signs(form, res.v_star, eval_pl(form, res.v_star)[1]) == 0
             for i in np.flatnonzero(~convex & ((sigma == 0) | at_zero)):
                 for f in {-1, 1} - {sigma[i]}:
                     sig2 = sigma.copy()

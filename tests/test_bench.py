@@ -235,6 +235,33 @@ class TestBenchWork:
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
         assert phase1_calls == []
 
+    @pytest.mark.parametrize("n, iters", [(20, 200), (6, 500)], ids=["maxq_C2-n20", "maxq_C2-n6"])
+    def test_lps_agree_with_highs(self, monkeypatch, n, iters):
+        """Near maxq C2's optimum every switching value is below 1e-10.  A
+        kink pinned there although its value is not 0 relative to its terms
+        leaves the LP feasible only to that value, and HiGHS calls it
+        infeasible; every LP of the run must be optimal to both solvers."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        lps = []
+        real = lpmod.solve
+
+        def solve(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            lps.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", solve)
+        inst = bench.maxq(n, "C2")
+        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert len(lps) > 40
+        for lp, sol in lps:
+            P = lp.P
+            assert P.Ain.shape[0] == 0  # C is a box
+            ref = linprog(lp.c, A_eq=P.Aeq, b_eq=P.beq, bounds=list(zip(P.lo, P.hi)),
+                          method="highs")
+            assert (sol.status, ref.status) == (lpmod.LpStatus.OPTIMAL, 0)
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+
     @pytest.mark.parametrize("build", [
         lambda: bench.maxq(6, "C2"), lambda: bench.maxq(8, "C3"),
         lambda: bench.rosenbrock_nesterov1(20), lambda: bench.rosenbrock_nesterov2(10),
@@ -254,8 +281,8 @@ class TestPricingWork:
     one is settled without a probe LP."""
 
     @pytest.mark.parametrize("n, iters, priced, settled", [
-        (20, 200, 527, 527),
-        (6, 500, 84, 84),
+        (20, 200, 72, 72),
+        (6, 500, 16, 16),
     ], ids=["maxq_C2-n20", "maxq_C2-n6"])
     def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
         verdicts = []

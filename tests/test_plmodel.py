@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from absfw import bench
 from absfw.tape import abs_linearize, evaluate
 from absfw.plmodel import (
     AbsLinearForm,
@@ -74,6 +75,14 @@ class TestSignature:
     def test_tolerance_scales_with_c(self, abs_form):
         assert signature(abs_form, [-1.0 + 1e-12])[0] == 0
         assert signature(abs_form, [-1.0 + 1e-6])[0] == 1
+
+    def test_small_terms_keep_their_sign(self):
+        # maxq C2 n=20 at 1e-7 times its start: every switching value is
+        # below 1e-10, but so are the terms that form it, so none is a kink
+        inst = bench.maxq(20, "C2")
+        form = abs_linearize(inst.tape, 1e-7 * inst.x0)
+        assert np.all(np.abs(form.c) < 1e-10)
+        assert np.all(signature(form, np.zeros(20)) != 0)
 
 
 class TestRestrict:
