@@ -98,9 +98,12 @@ class _Lifted:
         self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
         self.lo = np.concatenate([C.lo, np.zeros(k)])
         self.convex = ~form.L.any(axis=0) & (form.babs >= 0)
+        # column indices of z+, z- and the slacks lp.solve appends for C's Ain rows
+        self.plus = form.n + np.arange(form.s)
+        self.minus = self.plus + form.s
+        self.slacks = form.n + k + np.arange(C.Ain.shape[0])
         # a convex kink's z+_i and z-_i have negated columns and are both free
-        n, s = form.n, form.s
-        self.twins = tuple((n + i, n + s + i) for i in np.flatnonzero(self.convex).tolist())
+        self.twins = tuple(zip(self.plus[self.convex].tolist(), self.minus[self.convex].tolist()))
         self.enter_tol = lpmod.entering_tol(self.cost)  # slacks cost 0: every LP of the call
         self.calls = 0
 
@@ -115,10 +118,8 @@ class _Lifted:
         the start (v, 0, 0): z+_i if z_i >= 0, else z-_i, and C's slacks.
         The z block, I - M - L with signed columns, is lower triangular with
         diagonal +-1, so the basis is nonsingular, and its point splits z."""
-        n, s = self.form.n, self.form.s
-        cols = np.concatenate([n + np.arange(s) + np.where(z >= 0, 0, s),
-                               n + 2 * s + np.arange(self.C.Ain.shape[0])])
-        return tuple(cols.tolist()), np.concatenate([v, np.zeros(2 * s)])
+        cols = np.concatenate([np.where(z >= 0, self.plus, self.minus), self.slacks])
+        return tuple(cols.tolist()), np.concatenate([v, np.zeros(2 * self.form.s)])
 
     def solve(self, sigma: np.ndarray, hint: tuple[int, ...] | None = None, x0=None):
         """The LP over the closure of sigma's domain, with the convex kinks
@@ -133,8 +134,7 @@ class _Lifted:
         return sol, psi
 
     def z(self, sol) -> np.ndarray:
-        n, s = self.form.n, self.form.s
-        return sol.x[n:n + s] - sol.x[n + s:]
+        return sol.x[self.plus] - sol.x[self.minus]
 
     def priced_out(self, sol, flips) -> np.ndarray:
         """For each flip (i, f) of sol's signature, True when the optimal
@@ -145,9 +145,8 @@ class _Lifted:
         sol, passes the probe LP's own entering test against ``enter_tol``."""
         if not flips:
             return np.zeros(0, bool)
-        n, s = self.form.n, self.form.s
         i, f = np.array(flips).T
-        j = n + i + np.where(f > 0, 0, s)
+        j = np.where(f > 0, self.plus[i], self.minus[i])
         # both bounds of a fixed column are active
         return sol.dual_lo[j] - sol.dual_hi[j] >= -self.enter_tol
 
@@ -175,14 +174,13 @@ def _descends(psi_child: float, psi: float) -> bool:
     return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
 
 
-def _kink_duals(form: AbsLinearForm, sigma, sol) -> np.ndarray:
+def _kink_duals(ws: _Lifted, sigma, sol) -> np.ndarray:
     """The z-bound multipliers of the LP in (v, z) with |z_i| = sigma_i z_i
     substituted: rc(z+_i) where sigma_i > 0, -rc(z-_i) where sigma_i < 0 and
     their half-difference where both are pinned.  Magnitude signals binding
     kinks."""
-    n, s = form.n, form.s
     rc = sol.dual_lo - sol.dual_hi
-    up, down = rc[n:n + s], rc[n + s:]
+    up, down = rc[ws.plus], rc[ws.minus]
     return np.where(sigma > 0, up, np.where(sigma < 0, -down, (up - down) / 2))
 
 
@@ -258,7 +256,7 @@ def aasm_minimize(
     while True:
         signs = switch_signs(form, sol.x[:form.n], ws.z(sol))
         visited[_sig_key(sigma)] = np.where(ws.convex, signs, sigma)
-        flips = _candidate_flips(sigma, signs, _kink_duals(form, sigma, sol), ws.convex)
+        flips = _candidate_flips(sigma, signs, _kink_duals(ws, sigma, sol), ws.convex)
         # a priced-out flip keeps the parent's value, certified without an LP
         flips = [flip for flip, kept in zip(flips, ws.priced_out(sol, flips)) if not kept]
         if not flips:

@@ -263,7 +263,7 @@ class _Simplex:
                     t_rows[r] = max((self.hi[tw] + self.xB[r]) / dB[r], 0.0)
                     continue
             self._cross(crossed)
-            self._execute_pivot(j, r, direction, float(t_rows[r]), w, dB)
+            self._execute_pivot(j, r, direction, float(t_rows[r]), w)
             return float(t_rows[r])
 
     def _cross(self, rows):
@@ -274,11 +274,11 @@ class _Simplex:
             self.Binv[r] = -self.Binv[r]
             self.xB[r] = -self.xB[r]
 
-    def _execute_pivot(self, j, r, direction, t, w, dB):
-        """Column j enters at row r after a step t; the leaving column takes
-        its nearer bound."""
+    def _execute_pivot(self, j, r, direction, t, w):
+        """Column j enters at row r after a step t, which moves xB by
+        -direction t w; the leaving column takes its nearer bound."""
         leaving = self.basis[r]
-        self.xB += t * dB
+        self.xB -= (direction * t) * w
         lo, hi = self.lo[leaving], self.hi[leaving]
         self.xN[leaving] = hi if abs(self.xB[r] - hi) <= abs(self.xB[r] - lo) else lo
         self.basis[r] = j
@@ -313,7 +313,7 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
         if min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
             continue
         w = sx.Binv @ sx.A[:, j]
-        sx._execute_pivot(j, r, 1.0, 0.0, w, np.zeros(sx.m))
+        sx._execute_pivot(j, r, 1.0, 0.0, w)
         free[j] = False
 
 

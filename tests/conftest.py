@@ -1,4 +1,5 @@
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +68,33 @@ def rng():
     return np.random.default_rng(20240501)
 
 
+Call = namedtuple("Call", "args kwargs result")
+
+
+def spy(mp, owner, name):
+    """Patch ``owner.name`` through ``mp`` (``monkeypatch`` or a
+    ``pytest.MonkeyPatch.context()``) with a call-through that appends one
+    ``Call(args, kwargs, result)`` per call to the returned list.  A method
+    patched on its class gets ``self`` as ``args[0]``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spying(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(Call(args, kwargs, result))
+        return result
+
+    mp.setattr(owner, name, spying)
+    return calls
+
+
 @pytest.fixture
 def phase1_calls(monkeypatch):
-    """Records one entry per call of the simplex's phase 1."""
-    calls = []
-    real = lpmod._phase1
+    """One ``Call`` per run of the simplex's phase 1."""
+    return spy(monkeypatch, lpmod, "_phase1")
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
 
-    monkeypatch.setattr(lpmod, "_phase1", counting)
-    return calls
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """One ``Call`` per ``lp.solve``: ``args[0]`` is the problem, ``result`` the solution."""
+    return spy(monkeypatch, lpmod, "solve")

@@ -26,6 +26,7 @@ from absfw.polyhedron import Polyhedron, contains, cube, box, intersect
 from absfw.randgen import random_pl_form, midpoint_convex
 from absfw.rng import CounterRng
 from absfw.tape import TapeBuilder, abs_linearize
+from conftest import spy
 
 
 def form_of(build, n, xbar):
@@ -186,16 +187,24 @@ def convex_pairs(form, convex):
 
 @pytest.fixture
 def lifted_lps(monkeypatch):
-    """(twins, number of pinned z columns) of every LP ``_Lifted.solve`` poses."""
-    lps = []
-    real = _Lifted.solve
+    """Every ``_Lifted.solve`` call, as a ``Call``."""
+    return spy(monkeypatch, _Lifted, "solve")
 
-    def solve(self, sigma, *args, **kwargs):
-        lps.append((self.twins, int(np.count_nonzero(self.upper(sigma)[self.form.n:] == 0))))
-        return real(self, sigma, *args, **kwargs)
 
-    monkeypatch.setattr(_Lifted, "solve", solve)
-    return lps
+def posed(lifted_lps):
+    """(twins, number of pinned z columns) of each LP in ``lifted_lps``."""
+    return [(ws.twins, int(np.count_nonzero(ws.upper(sigma)[ws.form.n:] == 0)))
+            for (ws, sigma, *_), _, _ in lifted_lps]
+
+
+def crashed(lp_solves):
+    """(problem, solution) of each LP in ``lp_solves`` solved from a start point."""
+    return [(c.args[0], c.result) for c in lp_solves if c.kwargs.get("start") is not None]
+
+
+def pivots(lp_solves) -> int:
+    """Simplex pivots of the LPs in ``lp_solves``."""
+    return sum(c.result.simplex_iters for c in lp_solves)
 
 
 class TestConvexRoute:
@@ -216,7 +225,7 @@ class TestConvexRoute:
             assert res.psi_star == pytest.approx(eval_pl(form, res.v_star)[0], rel=1e-9, abs=1e-9)
             assert res.status == AasmStatus.LOCAL_MIN
             assert (res.polyhedra_visited, res.lp_calls) == (1, 1)
-            assert lifted_lps[-1] == (convex_pairs(form, np.ones(form.s, bool)), 0)
+            assert posed(lifted_lps)[-1] == (convex_pairs(form, np.ones(form.s, bool)), 0)
         assert len(lifted_lps) == 8
 
     @pytest.mark.parametrize("seed", range(10))
@@ -229,18 +238,18 @@ class TestConvexRoute:
         _, psi_o = brute_force_pl_min(form, inst.C)
         assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
         assert contains(inst.C, res.v_star)
-        assert lifted_lps == [(convex_pairs(form, np.ones(form.s, bool)), 0)]
+        assert posed(lifted_lps) == [(convex_pairs(form, np.ones(form.s, bool)), 0)]
 
     def test_partial_inner_limit_does_not_apply(self, abs_v_form, lifted_lps):
         res = aasm_minimize(abs_v_form, cube(1, 5.0), [3.0], partial_inner_limit=1)
         assert res.status == AasmStatus.LOCAL_MIN
         assert res.psi_star == pytest.approx(0.0, abs=1e-9)
-        assert lifted_lps == [(((1, 2),), 0)]
+        assert posed(lifted_lps) == [(((1, 2),), 0)]
 
     def test_negative_babs_walks(self, neg_abs_v_form, lifted_lps):
         res = aasm_minimize(neg_abs_v_form, cube(1, 5.0), [0.0])
         assert res.polyhedra_visited == 2
-        assert lifted_lps and all(twins == () and pinned >= 1 for twins, pinned in lifted_lps)
+        assert lifted_lps and all(twins == () and pinned >= 1 for twins, pinned in posed(lifted_lps))
 
     def test_one_negative_babs_walks(self, rng, lifted_lps):
         # only kink 3 is pinned; the other five stay free in every LP
@@ -250,7 +259,7 @@ class TestConvexRoute:
         res = aasm_minimize(dataclasses.replace(form, babs=babs), cube(3, 2.0), np.zeros(3))
         assert res.lp_calls >= 1
         pairs = convex_pairs(form, np.arange(6) != 3)
-        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in lifted_lps)
+        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in posed(lifted_lps))
 
     def test_nested_kinks_walk(self, lifted_lps):
         # |x_0| feeds the last kink (L != 0); |x_0 - 1| and the last are convex
@@ -262,7 +271,7 @@ class TestConvexRoute:
         convex = ~form.L.any(axis=0)
         assert np.count_nonzero(convex) == 2
         pairs = convex_pairs(form, convex)
-        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in lifted_lps)
+        assert lifted_lps and all(twins == pairs and pinned >= 1 for twins, pinned in posed(lifted_lps))
 
     def test_infeasible_start_rejected(self, rng, lifted_lps):
         form = convex_form(rng, n=3, s=4)
@@ -293,41 +302,24 @@ class TestConvexRoute:
             assert psi == pytest.approx(psi_plain, rel=1e-9, abs=1e-9)
             assert psi == pytest.approx(brute_force_pl_min(form, C)[1], rel=1e-9, abs=1e-9)
 
-    def test_walk_lps_twin_only_the_convex_kinks(self, rng, monkeypatch):
+    def test_walk_lps_twin_only_the_convex_kinks(self, rng, lp_solves):
         form = convex_form(rng, n=3, s=6)
         babs = form.babs.copy()
         babs[3] = -0.5
         form = dataclasses.replace(form, babs=babs)
         convex = np.arange(6) != 3
         np.testing.assert_array_equal(_Lifted(form, cube(3, 2.0)).convex, convex)
-        twins = []
-        real = lpmod.solve
-
-        def solve(lp, *args, **kwargs):
-            twins.append(lp.twins)
-            return real(lp, *args, **kwargs)
-
-        monkeypatch.setattr(lpmod, "solve", solve)
         res = aasm_minimize(form, cube(3, 2.0), np.zeros(3))
-        assert len(twins) == res.lp_calls
-        assert twins and all(t == convex_pairs(form, convex) for t in twins)
+        assert len(lp_solves) == res.lp_calls
+        assert lp_solves and all(c.args[0].twins == convex_pairs(form, convex) for c in lp_solves)
 
-    def test_lasso_bench_pivots(self, monkeypatch):
+    def test_lasso_bench_pivots(self, lp_solves):
         """Twins cross the LASSO kinks in one step each: 1,987 pivots over
-        20 iterations without them, 998 with them."""
-        pivots = []
-        real = lpmod.solve
-
-        def solve(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            pivots.append(sol.simplex_iters)
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", solve)
+        20 iterations without them, 996 with them."""
         inst = bench.constrained_lasso(50, 100, seed=0)
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=20)
-        assert len(pivots) == 20
-        assert sum(pivots) <= 1192  # 0.6 x 1,987
+        assert len(lp_solves) == 20
+        assert pivots(lp_solves) <= 1192  # 0.6 x 1,987
 
 
 class TestLocalOptimality:
@@ -529,31 +521,25 @@ class TestProbePricing:
         minimal by ``local_optimality_test``, which enumerates the kinks at
         the point on the restriction route.  On maxq C2 n=20 at iteration 3
         some priced flips pin a column that is basic at 0."""
-        real_priced, real_flips = _Lifted.priced_out, aasm_mod._candidate_flips
-        margins = []       # (sigma_i of the parent, z_i's column basic, psi_child - psi + tol_dec)
-        priced = []        # priced_out's answers
-        parent = []        # the signature whose flips are priced next
+        parents = spy(monkeypatch, aasm_mod, "_candidate_flips")  # each walk's sigma, then its flips
+        pricings = spy(monkeypatch, _Lifted, "priced_out")
 
-        def candidate_flips(sigma, *args):
-            parent[:] = [sigma]
-            return real_flips(sigma, *args)
+        def margins(start):
+            """(sigma_i of the parent, z_i's column basic, psi_child - psi +
+            tol_dec) of each flip priced out from pricing ``start`` on."""
+            out = []
+            for parent, ((ws, sol, flips), _, verdicts) in list(zip(parents, pricings))[start:]:
+                sigma = parent.args[0]
+                for (i, f), kept in zip(flips, verdicts):
+                    if kept:
+                        sig2 = sigma.copy()
+                        sig2[i] = f
+                        basic = sigma[i] != 0 and (ws.plus if sigma[i] > 0 else ws.minus)[i] in sol.basis
+                        psi = sol.objective + ws.form.d
+                        _, psi2 = ws.solve(sig2)
+                        out.append((sigma[i], basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
+            return out
 
-        def priced_out(self, sol, flips):
-            verdicts = real_priced(self, sol, flips)
-            sigma = parent[0]
-            for (i, f), kept in zip(flips, verdicts):
-                priced.append(kept)
-                if kept:
-                    sig2 = sigma.copy()
-                    sig2[i] = f
-                    basic = sigma[i] != 0 and self.form.n + i + (sigma[i] < 0) * self.form.s in sol.basis
-                    psi = sol.objective + self.form.d
-                    _, psi2 = self.solve(sig2)
-                    margins.append((sigma[i], basic, psi2 - psi + DEFAULT_TOL * (1.0 + abs(psi))))
-            return verdicts
-
-        monkeypatch.setattr(aasm_mod, "_candidate_flips", candidate_flips)
-        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
         C = cube(3, 3.0)
         local_mins = 0
         for _ in range(10):
@@ -564,26 +550,22 @@ class TestProbePricing:
                 local_mins += 1
                 assert local_optimality_test(form, C, res.v_star)
         assert local_mins > 0
-        assert any(sig_i == 0 for sig_i, _, _ in margins)  # pinned kinks get priced
-        assert any(sig_i != 0 for sig_i, _, _ in margins)
-        del priced[:]
+        random = margins(0)
+        assert any(sig_i == 0 for sig_i, _, _ in random)  # pinned kinks get priced
+        assert any(sig_i != 0 for sig_i, _, _ in random)
+        start = len(pricings)
         inst, rule = bench.maxq(20, "C2"), StepRule.open_loop_sqrt()
         x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=3).x_final
         form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(3), -rule.alpha(3) * x)
         aasm_minimize(form, inst.C, x)  # the subproblem of outer iteration 3
+        priced = [kept for c in pricings[start:] for kept in c.result]
         assert priced and all(priced)
-        assert any(basic for _, basic, _ in margins)
-        assert min(m for _, _, m in margins) >= 0.0
+        maxq = margins(start)
+        assert any(basic for _, basic, _ in random + maxq)
+        assert min(m for _, _, m in random + maxq) >= 0.0
 
     def test_pricing_saves_lps_on_maxq(self, monkeypatch):
-        real_priced = _Lifted.priced_out
-        probed = []
-
-        def priced_out(self, sol, flips):
-            probed.extend(flips)
-            return real_priced(self, sol, flips)
-
-        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
+        pricings = spy(monkeypatch, _Lifted, "priced_out")
         inst = bench.maxq(6, "C2")
         x = np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # four of five kinks at 0
         form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
@@ -593,6 +575,7 @@ class TestProbePricing:
         assert local_optimality_test(form, inst.C, res.v_star)
         # both signs of the three pinned nonconvex kinks and one flip of
         # kink 0; the fourth kink at 0, the root, is convex and never pinned
+        probed = [flip for c in pricings for flip in c.args[2]]
         assert len(probed) == 7
         assert res.lp_calls < len(probed)
 
@@ -665,36 +648,24 @@ class TestBatchedPricing:
             assert got == want
 
     def test_walks_match_per_flip(self, rng, monkeypatch):
-        real = _Lifted.priced_out
-        compared = []
-
-        def priced_out(self, sol, flips):
-            verdicts = real(self, sol, flips)
-            assert verdicts.tolist() == [per_flip_verdict(self, sol, i, f) for i, f in flips]
-            compared.extend(verdicts.tolist())
-            return verdicts
-
-        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
+        pricings = spy(monkeypatch, _Lifted, "priced_out")
         for _ in range(10):
             form, start = pinned_form(rng, n=3, s=5, pins=2)
             aasm_minimize(form, cube(3, 3.0), start)
         for inst, iters in ((bench.maxq(6, "C2"), 500), (bench.maxq(20, "C2"), 200),
                             (bench.maxq(8, "C3"), 500)):
             asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        compared = []
+        for (ws, sol, flips), _, verdicts in pricings:
+            assert verdicts.tolist() == [per_flip_verdict(ws, sol, i, f) for i, f in flips]
+            compared.extend(verdicts.tolist())
         assert len(compared) > 1000
         assert True in compared and False in compared
 
     def test_every_lp_of_a_call_enters_with_enter_tol(self, rng, monkeypatch, phase1_calls):
         """The simplex of each LP a walk solves, probes included, enters
         columns against the threshold ``priced_out`` uses."""
-        real = lpmod.entering_tol
-        used = []
-
-        def entering_tol(c):
-            used.append(real(c))
-            return used[-1]
-
-        monkeypatch.setattr(lpmod, "entering_tol", entering_tol)
+        used = spy(monkeypatch, lpmod, "entering_tol")
         probes = 0
         for _ in range(10):
             form, start = pinned_form(rng, n=3, s=5, pins=2)
@@ -702,7 +673,7 @@ class TestBatchedPricing:
             del used[:]
             res = aasm_minimize(form, cube(3, 3.0), start)
             assert len(used) == 1 + res.lp_calls  # the call's _Lifted, then one phase 2 per LP
-            assert set(used) == {ws.enter_tol}
+            assert {c.result for c in used} == {ws.enter_tol}
             probes += res.lp_calls - 1
         assert probes > 0
         assert phase1_calls == []
@@ -713,22 +684,7 @@ class TestCrashStart:
     point or at a warm point (``TestWarmPoint``), and runs phase 2 only; C
     with equality rows falls back to a cold first LP."""
 
-    @pytest.fixture
-    def crashed(self, monkeypatch):
-        """(problem, solution) of every LP solved from a start point."""
-        solved = []
-        real = lpmod.solve
-
-        def recording(problem, *, basis_hint=None, start=None):
-            sol = real(problem, basis_hint=basis_hint, start=start)
-            if start is not None:
-                solved.append((problem, sol))
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", recording)
-        return solved
-
-    def test_random_forms_skip_phase1(self, rng, phase1_calls, crashed):
+    def test_random_forms_skip_phase1(self, rng, phase1_calls, lp_solves):
         firsts = []  # the first LP of each call; probes start at their parent's point
         for k in range(30):
             if k % 3 == 0:
@@ -737,9 +693,9 @@ class TestCrashStart:
             else:
                 form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
                 C = cube(3, 3.0)
-            before = len(crashed)
+            before = len(lp_solves)
             aasm_minimize(form, C, start)
-            firsts.append(crashed[before])
+            firsts.append(crashed(lp_solves[before:])[0])
         assert phase1_calls == []
         assert len(firsts) == 30
         for problem, sol in firsts:  # the same LP solved cold
@@ -753,13 +709,13 @@ class TestCrashStart:
         lambda: bench.maxq(20, "C2"),
         lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
-    def test_bench_subproblems_skip_phase1(self, build, phase1_calls, crashed):
+    def test_bench_subproblems_skip_phase1(self, build, phase1_calls, lp_solves):
         inst = build()
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=10)
         assert phase1_calls == []
-        assert len(crashed) >= 10
+        assert len(crashed(lp_solves)) >= 10
 
-    def test_probes_start_at_the_parent_point(self, phase1_calls, crashed):
+    def test_probes_start_at_the_parent_point(self, phase1_calls, lp_solves):
         # a bias-free ReLU regression: kinks sit at 0 with their z column
         # basic, and a probe pins that column; hinted with the parent's basis
         # alone, most probes fell back to a cold phase 1
@@ -780,11 +736,11 @@ class TestCrashStart:
         res = asfw_run(tape, cube(h * d, 2.0), x0, StepRule.open_loop_sqrt(), max_iters=10)
         assert len(res.trace.rows) == 4
         assert phase1_calls == []
-        assert len(crashed) == 29  # 4 first LPs and 25 probes, all started at a point
-        assert sum(sol.simplex_iters for _, sol in crashed) == 30
+        assert len(crashed(lp_solves)) == 29  # 4 first LPs and 25 probes, all started at a point
+        assert sum(sol.simplex_iters for _, sol in crashed(lp_solves)) == 30
         assert res.f_final == pytest.approx(0.04475761357385325, rel=1e-12)
 
-    def test_equality_row_solves_cold(self, rng, phase1_calls, crashed):
+    def test_equality_row_solves_cold(self, rng, phase1_calls, lp_solves):
         # v_1 + v_2 + v_3 = 0 on the cube: no slack to crash that row with
         cube3 = cube(3, 2.0)
         C = Polyhedron(Aeq=np.ones((1, 3)), beq=np.zeros(1), Ain=np.zeros((0, 3)), bin=np.zeros(0),
@@ -794,7 +750,7 @@ class TestCrashStart:
             start = rng.uniform(-0.5, 0.5, size=3)
             start -= start.mean()
             res = aasm_minimize(form, C, start)
-            assert phase1_calls == [1]
+            assert len(phase1_calls) == 1
             _, psi_o = brute_force_pl_min(form, C)
             assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
             assert contains(C, res.v_star)
@@ -802,7 +758,7 @@ class TestCrashStart:
             again = aasm_minimize(form, C, start, warm_point=res.v_star)
             assert same_result(again, res) and not again.warm_started
             del phase1_calls[:]
-        assert crashed == []
+        assert crashed(lp_solves) == []
 
 
 def same_result(a, b) -> bool:
@@ -820,22 +776,8 @@ class TestWarmPoint:
     the call is the one without it.  The signature still comes from the
     start, so only where the first LP pivots from changes."""
 
-    @pytest.fixture
-    def pivots(self, monkeypatch):
-        """Simplex pivots of every LP solved."""
-        counts = []
-        real = lpmod.solve
-
-        def counting(problem, **kwargs):
-            sol = real(problem, **kwargs)
-            counts.append(sol.simplex_iters)
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", counting)
-        return counts
-
     @pytest.mark.parametrize("t", [10, 30])
-    def test_second_call_at_the_first_vertex_makes_no_pivot(self, t, pivots):
+    def test_second_call_at_the_first_vertex_makes_no_pivot(self, t, lp_solves):
         """The subproblem of maxq C2 n=20 at iteration t, solved again from
         its own vertex.  At other iterations that vertex may still cost one
         pivot of step 0: the crash basis holds no v column, and a v column
@@ -844,11 +786,11 @@ class TestWarmPoint:
         x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=t).x_final
         form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(t), -rule.alpha(t) * x)
         first = aasm_minimize(form, inst.C, x)
-        assert sum(pivots) > 0
-        del pivots[:]
+        assert pivots(lp_solves) > 0
+        del lp_solves[:]
         second = aasm_minimize(form, inst.C, x, warm_point=first.v_star)
         assert second.warm_started and not first.warm_started
-        assert sum(pivots) == 0
+        assert pivots(lp_solves) == 0
         assert (second.psi_star, second.status) == (first.psi_star, first.status)
 
     def test_point_outside_C_is_ignored(self, rng):
@@ -881,29 +823,21 @@ class TestWarmPoint:
             checked += 1
         assert checked >= 10
 
-    def test_first_lp_value_is_kept(self, rng, monkeypatch):
+    def test_first_lp_value_is_kept(self, rng, lifted_lps):
         """From a vertex of the start's closed domain, found by an LP with
         another cost, the first LP reaches the value it reaches from the
         start."""
-        real = _Lifted.solve
-        first_psi = []
-
-        def solve(self, sigma, *args, **kwargs):
-            sol, psi = real(self, sigma, *args, **kwargs)
-            if self.calls == 1:
-                first_psi.append(psi)
-            return sol, psi
-
-        monkeypatch.setattr(_Lifted, "solve", solve)
         C = cube(3, 3.0)
         for k in range(30):
             form, start = pinned_form(rng, n=3, s=5, pins=k % 3)
             other = dataclasses.replace(form, a=rng.normal(size=3), b=rng.normal(size=5))
-            vertex = real(_Lifted(other, C), signature(form, start))[0].x[:3]
+            vertex = _Lifted(other, C).solve(signature(form, start))[0].x[:3]
+            before = len(lifted_lps)
             res = aasm_minimize(form, C, start, warm_point=vertex)
             assert res.warm_started
             cold = aasm_minimize(form, C, start)
-            psi_warm, psi_cold = first_psi[-2:]
+            psi_warm = lifted_lps[before].result[1]
+            psi_cold = lifted_lps[before + res.lp_calls].result[1]
             assert psi_warm == pytest.approx(psi_cold, rel=1e-9, abs=0.0)
             assert eval_pl(form, res.v_star)[0] == pytest.approx(res.psi_star, rel=1e-9, abs=1e-12)
             assert contains(C, res.v_star)

@@ -15,6 +15,7 @@ from absfw.asfw import (
 from absfw.plmodel import affine_substitute
 from absfw.polyhedron import cube, contains
 from absfw.tape import TapeBuilder, abs_linearize, evaluate
+from conftest import spy
 
 
 
@@ -191,22 +192,14 @@ class TestAsfwRun:
         """Each subproblem after the first gets the previous one's vertex as
         its warm point, and its trace row records whether the first LP
         started there."""
-        real = asfw_mod.aasm_minimize
-        calls = []
-
-        def recording(*args, **kwargs):
-            res = real(*args, **kwargs)
-            calls.append((kwargs.get("warm_point"), res))
-            return res
-
-        monkeypatch.setattr(asfw_mod, "aasm_minimize", recording)
+        calls = spy(monkeypatch, asfw_mod, "aasm_minimize")
         inst = bench.maxq(8, "C3")
         rows = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt()).trace.rows
-        assert len(calls) == len(rows) and calls[0][0] is None
-        for (warm, _), (_, prev) in zip(calls[1:], calls):
-            assert warm is prev.v_star
+        assert len(calls) == len(rows) and calls[0].kwargs["warm_point"] is None
+        for call, prev in zip(calls[1:], calls):
+            assert call.kwargs["warm_point"] is prev.result.v_star
         flags = [row.warm_started for row in rows]
-        assert flags == [res.warm_started for _, res in calls]
+        assert flags == [c.result.warm_started for c in calls]
         assert not flags[0] and True in flags[1:] and False in flags[1:]
 
     def test_trace_sink_called(self, abs_tape):

@@ -10,6 +10,7 @@ from absfw.polyhedron import contains
 from absfw.randgen import midpoint_convex
 from absfw.rng import CounterRng
 from absfw.tape import abs_linearize, evaluate
+from conftest import spy
 
 
 def feval(inst, x):
@@ -219,42 +220,25 @@ class TestBenchWork:
         (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 996,
          1982.9956613474728),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
-    def test_lp_work(self, monkeypatch, phase1_calls, build, iters, solves, pivots, f_final):
-        iters_per_lp = []
-        real = lpmod.solve
-
-        def solve(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            iters_per_lp.append(sol.simplex_iters)
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", solve)
+    def test_lp_work(self, lp_solves, phase1_calls, build, iters, solves, pivots, f_final):
         inst = build()
         res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        iters_per_lp = [c.result.simplex_iters for c in lp_solves]
         assert (len(iters_per_lp), sum(iters_per_lp)) == (solves, pivots)
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
         assert phase1_calls == []
 
     @pytest.mark.parametrize("n, iters", [(20, 200), (6, 500)], ids=["maxq_C2-n20", "maxq_C2-n6"])
-    def test_lps_agree_with_highs(self, monkeypatch, n, iters):
+    def test_lps_agree_with_highs(self, lp_solves, n, iters):
         """Near maxq C2's optimum every switching value is below 1e-10.  A
         kink pinned there although its value is not 0 relative to its terms
         leaves the LP feasible only to that value, and HiGHS calls it
         infeasible; every LP of the run must be optimal to both solvers."""
         linprog = pytest.importorskip("scipy.optimize").linprog
-        lps = []
-        real = lpmod.solve
-
-        def solve(lp, *args, **kwargs):
-            sol = real(lp, *args, **kwargs)
-            lps.append((lp, sol))
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", solve)
         inst = bench.maxq(n, "C2")
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
-        assert len(lps) > 40
-        for lp, sol in lps:
+        assert len(lp_solves) > 40
+        for (lp,), _, sol in lp_solves:
             P = lp.P
             assert P.Ain.shape[0] == 0  # C is a box
             ref = linprog(lp.c, A_eq=P.Aeq, b_eq=P.beq, bounds=list(zip(P.lo, P.hi)),
@@ -266,10 +250,13 @@ class TestBenchWork:
         lambda: bench.maxq(6, "C2"), lambda: bench.maxq(8, "C3"),
         lambda: bench.rosenbrock_nesterov1(20), lambda: bench.rosenbrock_nesterov2(10),
         lambda: bench.chained_crescent2(6),
-    ], ids=["maxq_C2-n6", "maxq_C3-n8", "rn1-n20", "rn2-n10", "chained_crescent2-n6"])
+        lambda: bench.constrained_lasso(8, 12, seed=3, variant="ordered"),
+    ], ids=["maxq_C2-n6", "maxq_C3-n8", "rn1-n20", "rn2-n10", "chained_crescent2-n6",
+            "lasso_ordered-n8-p12"])
     def test_no_cold_fallback(self, phase1_calls, build):
         """A start that AASM accepts but ``lp.solve`` rejects would cost a
-        cold two-phase solve in silence; none happens on these runs."""
+        cold two-phase solve in silence; none happens on these runs.  The
+        ordered LASSO's chain rows put C's slacks in every crash basis."""
         inst = build()
         res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=500)
         assert any(row.warm_started for row in res.trace.rows)
@@ -285,17 +272,10 @@ class TestPricingWork:
         (6, 500, 16, 16),
     ], ids=["maxq_C2-n20", "maxq_C2-n6"])
     def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
-        verdicts = []
-        real = _Lifted.priced_out
-
-        def priced_out(self, sol, flips):
-            kept = real(self, sol, flips)
-            verdicts.extend(kept.tolist())
-            return kept
-
-        monkeypatch.setattr(_Lifted, "priced_out", priced_out)
+        pricings = spy(monkeypatch, _Lifted, "priced_out")
         inst = bench.maxq(n, "C2")
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        verdicts = [kept for c in pricings for kept in c.result.tolist()]
         assert (len(verdicts), sum(verdicts)) == (priced, settled)
 
 

@@ -245,12 +245,23 @@ class TestAasmTable:
 
 
 class TestSelftest:
-    def test_exit_zero(self, capsys):
-        rc = main(["selftest"])
+    def test_exit_zero(self, capsys, monkeypatch):
+        """Exit 0 with a PASS line per suite, and 1 with a FAIL line when a
+        suite fails.  The suites themselves run in the criterion-8 test."""
+        import absfw.cli as cli
+        from absfw.selftest import CheckResult
+
+        results = [CheckResult(f"suite{k}", True, "ok") for k in range(5)]
+        seeds = []
+        monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or results)
+        assert main(["selftest", "--seed", "4"]) == 0
         out = capsys.readouterr().out
-        assert rc == 0
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+        assert out.count("PASS") == 5 and "FAIL" not in out
+        results[2] = CheckResult("suite2", False, "broken")
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 4 and "FAIL suite2 - broken" in out
+        assert seeds == [4, 0]
 
     def test_corrupted_linearization_detected(self):
         # corrupting L must flip the decay suite to a failure; with s = 1,

@@ -6,6 +6,7 @@ import pytest
 from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, _Simplex, solve
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
+from conftest import spy
 
 
 def make_poly(n, Aeq=None, beq=None, Ain=None, bin_=None, lo=None, hi=None):
@@ -189,7 +190,7 @@ class TestStartPoint:
     @pytest.mark.parametrize("start", [[1.0, 3.0 + 2e-7], [-1e-6, 1.0], [np.nan, 1.0]])
     def test_start_outside_bounds_solves_cold(self, start, phase1_calls):
         sol = solve(self.LP, basis_hint=self.HINT, start=np.array(start))
-        assert phase1_calls == [1]
+        assert len(phase1_calls) == 1
         cold = solve(self.LP)
         assert (sol.status, sol.basis, sol.simplex_iters) == (cold.status, cold.basis, cold.simplex_iters)
         for name in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
@@ -390,53 +391,33 @@ class TestFixedColumnOracle:
         self.check(lp, sol)
         assert (sol.basis, sol.simplex_iters) == ((1,), 0)
 
-    def test_lifted_lps_on_maxq(self, monkeypatch):
-        import absfw.aasm
+    def test_lifted_lps_on_maxq(self, lp_solves):
         from absfw import bench
         from absfw.aasm import aasm_minimize
         from absfw.plmodel import affine_substitute
         from absfw.tape import abs_linearize
 
-        lpmod = absfw.aasm.lpmod
-        real_solve = lpmod.solve
-        solved = []
-
-        def recording(problem, *args, **kwargs):
-            sol = real_solve(problem, *args, **kwargs)
-            solved.append((problem, sol))
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", recording)
         inst = bench.maxq(6, "C2")
         # the start, a point on four of the five kinks, and 0 on all of them
         for x in (inst.x0, np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.zeros(6)):
             form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
             aasm_minimize(form, inst.C, x)
-        assert all(np.any(p.P.hi - p.P.lo <= FIXED_TOL) for p, _ in solved)
-        for problem, sol in solved:
+        assert all(np.any(p.P.hi - p.P.lo <= FIXED_TOL) for (p,), _, _ in lp_solves)
+        for (problem,), _, sol in lp_solves:
             self.check(problem, sol)
 
 
 class TestBoundFault:
     @pytest.fixture(scope="class")
     def maxq_lps(self):
-        """(problem, solution, keyword arguments) of every LP that AASM
-        solves on the whole maxq C2 n=20 run, to gap 1e-10."""
-        import absfw.aasm
+        """A ``Call`` of every LP that AASM solves on the whole maxq C2 n=20
+        run, to gap 1e-10."""
+        import absfw.lp
         from absfw import bench
         from absfw.asfw import StepRule, asfw_run
 
-        lpmod = absfw.aasm.lpmod
-        real_solve = lpmod.solve
-        solved = []
-
-        def recording(problem, *args, **kwargs):
-            sol = real_solve(problem, *args, **kwargs)
-            solved.append((problem, sol, kwargs))
-            return sol
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lpmod, "solve", recording)
+            solved = spy(mp, absfw.lp, "solve")
             inst = bench.maxq(20, "C2")
             res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(),
                            max_iters=200, gap_tol=1e-10)
@@ -450,7 +431,7 @@ class TestBoundFault:
         residual dropped, and the final refactor then moved a basic v column
         by about 2e-5.  Crashed from the start point, no LP runs phase 1."""
         assert maxq_lps
-        for problem, sol, _ in maxq_lps:
+        for (problem,), _, sol in maxq_lps:
             if sol.status == LpStatus.OPTIMAL:
                 assert np.all(sol.x >= problem.P.lo - 1e-9)
                 assert np.all(sol.x <= problem.P.hi + 1e-9)
@@ -460,7 +441,7 @@ class TestBoundFault:
         within their column bounds and rows.  With an unguarded swap after
         phase 1, the last four (t = 52-55) came back OPTIMAL up to 2.6e-5
         outside their bounds: the swap dropped an artificial's residual."""
-        firsts = [problem for problem, _, kwargs in maxq_lps if kwargs.get("start") is not None]
+        firsts = [problem for (problem,), kwargs, _ in maxq_lps if kwargs.get("start") is not None]
         assert len(firsts) == 56
         for problem in firsts:
             sol = solve(problem)
