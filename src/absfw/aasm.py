@@ -58,6 +58,8 @@ from .plmodel import (
 )
 from .polyhedron import Polyhedron, contains, intersect
 
+_ORACLE_TIE_TOL = 1e-12  # relative: a later domain must beat the best by more, so equal minima keep the first
+
 
 class AasmError(Exception):
     """Violated precondition or impossible LP outcome inside the solver."""
@@ -78,6 +80,7 @@ class AasmResult:
     lp_calls: int
     visited_signatures: list = field(default_factory=list)
     warm_started: bool = False  # the first LP started at ``warm_point``
+    lp_pivots: int = 0  # simplex_iters summed over the call's LPs
 
 
 class _Lifted:
@@ -105,7 +108,7 @@ class _Lifted:
         # a convex kink's z+_i and z-_i have negated columns and are both free
         self.twins = tuple(zip(self.plus[self.convex].tolist(), self.minus[self.convex].tolist()))
         self.enter_tol = lpmod.entering_tol(self.cost)  # slacks cost 0: every LP of the call
-        self.calls = 0
+        self.calls = self.pivots = 0
 
     def upper(self, sigma: np.ndarray) -> np.ndarray:
         """Column upper bounds: z+_i is pinned at 0 unless sigma_i > 0, and
@@ -130,6 +133,7 @@ class _Lifted:
                        lo=self.lo, hi=self.upper(sigma))
         sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=self.twins), basis_hint=hint, start=x0)
         self.calls += 1
+        self.pivots += sol.simplex_iters
         psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
 
@@ -294,6 +298,7 @@ def aasm_minimize(
         lp_calls=ws.calls,
         visited_signatures=list(visited.values()),
         warm_started=warm,
+        lp_pivots=ws.pivots,
     )
 
 
@@ -330,7 +335,7 @@ def _enumerated_min(form: AbsLinearForm, C: Polyhedron, fixed: np.ndarray):
         if sol.status != LpStatus.OPTIMAL:
             continue
         val = res.h + res.g @ sol.x
-        if val < best_psi - 1e-12 * (1.0 + abs(val)):
+        if val < best_psi - _ORACLE_TIE_TOL * (1.0 + abs(val)):
             best_psi, best_v = float(val), sol.x.copy()
     if best_v is None:
         raise AasmError("no signature domain intersected the feasible set")

@@ -91,6 +91,7 @@ class TraceRow:
     elapsed_ms: int
     inner_status: str  # the subproblem's AasmStatus value
     warm_started: bool  # its first LP started at the previous subproblem's vertex
+    lp_pivots: int  # simplex_iters summed over its LPs
 
 
 @dataclass
@@ -200,6 +201,7 @@ def asfw_run(
             elapsed_ms=int(1000 * (time.perf_counter() - t_start)),
             inner_status=inner.status.value,
             warm_started=inner.warm_started,
+            lp_pivots=inner.lp_pivots,
         )
         trace.append(row)
         if trace_sink is not None:

@@ -66,8 +66,9 @@ def _run_single(args, n: int, out_path: str | None) -> None:
     inner = Counter(row.inner_status for row in res.trace.rows)
     counts = ",".join(f"{k}:{inner[k]}" for k in sorted(inner))
     warm = sum(row.warm_started for row in res.trace.rows)
+    pivots = sum(row.lp_pivots for row in res.trace.rows)
     lines.append(f"# status={res.status.value} f_final={res.f_final!r} inner={counts} "
-                 f"warm={warm}/{len(res.trace.rows)}")
+                 f"pivots={pivots} warm={warm}/{len(res.trace.rows)}")
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:

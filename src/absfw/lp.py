@@ -11,8 +11,11 @@ column indices.  A column may enter when its reduced cost passes zero by
 ``entering_tol(c)``, which reads the cost alone.  Pricing is Dantzig's rule;
 after a stall of 50 degenerate pivots it switches to Bland's rule until a
 nondegenerate pivot is made, which makes crafted cycling instances
-terminate.  The basis inverse is kept explicitly and refactorized
-periodically.
+terminate.  The basis inverse is kept explicitly in a ``_Factor``, updated
+per pivot and refactorized periodically.  On large bases an update rewrites
+only the rows where its eta vector is nonzero, and a basis whose columns
+are +-e_i for distinct i (the crash basis of a form with M = L = 0) is
+inverted by transposing it.
 
 Split variables z = z+ - z-, given as ``LpProblem.twins`` (two columns that
 are exact negatives, both with lower bound 0), get a piecewise-linear ratio
@@ -123,6 +126,60 @@ def _bound_point(lo, hi):
     return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
 
 
+class _Factor:
+    """The explicit inverse of the basis matrix B.  Each method gives the
+    numbers of the dense formula it stands for, and its shortcuts (see the
+    module docstring) start at the basis sizes below, where they were
+    measured to pay.  The dense update also turns some -0.0 of the rows
+    ``replace`` skips into +0.0; a zero's sign changes a sum only when all
+    its terms are zero, and BLAS gives +0.0 there, so no product changes."""
+
+    TRANSPOSE_ROWS = 24  # the permutation test and B^T cost less than inv from here
+    SPARSE_ROWS = 60  # the touched-row update beats the dense one from here
+
+    def __init__(self, m):
+        self.inv = None  # until the first refactor
+        self.sparse = m >= self.SPARSE_ROWS
+        self.changes = 0  # basis changes so far
+
+    def solve(self, a):
+        return self.inv @ a
+
+    def solve_T(self, c_B):
+        return self.inv.T @ c_B
+
+    def row(self, r):
+        return self.inv[r]
+
+    def negate(self, r):
+        """Column r of B changes sign: a twin takes its row."""
+        self.inv[r] = -self.inv[r]
+        self.changes += 1
+
+    def replace(self, r, w):
+        """Column r of B becomes a, where w = B^-1 a."""
+        piv = w[r]
+        eta = w / piv
+        eta[r] = 0.0
+        if self.sparse:
+            rows = np.flatnonzero(eta)
+            self.inv[rows] -= eta[rows, None] * self.inv[r]
+        else:
+            self.inv -= eta[:, None] * self.inv[r]
+        self.inv[r] /= piv
+        self.changes += 1
+
+    def refactor(self, B):
+        """Invert B afresh; a signed permutation's B^-1 is B^T, with row i's
+        zeros signed as column i's entry, as LAPACK's inverse signs them."""
+        m = B.shape[0]
+        if (m >= self.TRANSPOSE_ROWS and np.count_nonzero(B) == m
+                and (np.abs(B).sum(axis=0) == 1.0).all() and (np.abs(B).sum(axis=1) == 1.0).all()):
+            self.inv = np.ascontiguousarray(B.sum(axis=0)[:, None] * np.abs(B.T))
+        else:
+            self.inv = np.linalg.inv(B)
+
+
 class _Simplex:
     """Bounded-variable primal simplex over A x = b with column bounds.
 
@@ -131,7 +188,9 @@ class _Simplex:
     ``xN < hi`` and down while ``xN > lo``, so one strictly inside its
     bounds (superbasic) is priced in both directions.  ``twin[k]`` is the
     column that is the exact negative of column k (see ``LpProblem.twins``),
-    or -1; by default every entry is -1.
+    or -1; by default every entry is -1.  The basis inverse is ``factor``,
+    read and changed only through its methods; after a bound flip that
+    crossed no kink, B is unchanged and the next step reuses y and rc.
     """
 
     def __init__(self, A, b, lo, hi, twin=None):
@@ -144,10 +203,10 @@ class _Simplex:
         self.iters = 0
         self.xN = _bound_point(lo, hi)
         self.basis = np.zeros(self.m, dtype=np.int64)
-        self.Binv = np.zeros((self.m, self.m))
+        self.factor = _Factor(self.m)
         self.xB = np.zeros(self.m)
         self._since_refactor = 0
-        self._fresh = False  # Binv and xB are exactly what refactor() gives
+        self._fresh = False  # the factor and xB are exactly what refactor() gives
 
     # --- state helpers -------------------------------------------------
     def x_full(self):
@@ -156,9 +215,8 @@ class _Simplex:
         return x
 
     def refactor(self):
-        B = self.A[:, self.basis]
-        self.Binv = np.linalg.inv(B)
-        self.xB = self.Binv @ (self.b - self.A @ self.xN)
+        self.factor.refactor(self.A[:, self.basis])
+        self.xB = self.factor.solve(self.b - self.A @ self.xN)
         self._since_refactor = 0
         self._fresh = True
 
@@ -187,9 +245,12 @@ class _Simplex:
         stall = 0
         movable = self.movable()
         rc_tol = entering_tol(c)
+        priced = None  # factor.changes when y and rc were computed
         for _ in range(max_iters):
-            y = self.Binv.T @ c[self.basis]
-            rc = c - self.A.T @ y
+            if priced != self.factor.changes:  # not after a flip that crossed no kink
+                priced = self.factor.changes
+                y = self.factor.solve_T(c[self.basis])
+                rc = c - self.A.T @ y
             eligible = ((self.xN < self.hi) & (rc < -rc_tol)) | ((self.xN > self.lo) & (rc > rc_tol))
             eligible &= movable
             eligible[self.basis] = False
@@ -217,7 +278,7 @@ class _Simplex:
         their columns would make the basis singular.
         """
         direction = 1.0 if rcj < 0 else -1.0
-        w = self.Binv @ self.A[:, j]
+        w = self.factor.solve(self.A[:, j])
         dB = -direction * w
         basis = self.basis
 
@@ -271,7 +332,7 @@ class _Simplex:
         negated value; w and dB were negated there already."""
         for r in rows:
             self.basis[r] = self.twin[self.basis[r]]
-            self.Binv[r] = -self.Binv[r]
+            self.factor.negate(r)
             self.xB[r] = -self.xB[r]
 
     def _execute_pivot(self, j, r, direction, t, w):
@@ -284,11 +345,7 @@ class _Simplex:
         self.basis[r] = j
         self.xB[r] = self.xN[j] + direction * t
         self.xN[j] = 0.0
-        piv = w[r]
-        eta = w / piv
-        eta[r] = 0.0
-        self.Binv -= eta[:, None] * self.Binv[r]
-        self.Binv[r] /= piv
+        self.factor.replace(r, w)
         self._since_refactor += 1
         self._fresh = False
         if self._since_refactor >= REFACTOR_EVERY:
@@ -304,7 +361,7 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
     free = sx.movable()[:n_real]
     free[sx.basis[sx.basis < n_real]] = False  # movable and nonbasic
     for r in rows:
-        row = sx.Binv[r] @ sx.A[:, :n_real]
+        row = sx.factor.row(r) @ sx.A[:, :n_real]
         score = np.where(free, np.abs(row), 0.0)
         j = int(score.argmax())
         if score[j] <= PIVOT_TOL:
@@ -312,7 +369,7 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
         out = sx.basis[r]
         if min(abs(sx.xB[r] - sx.lo[out]), abs(sx.xB[r] - sx.hi[out])) > FIXED_TOL * abs(row[j]):
             continue
-        w = sx.Binv @ sx.A[:, j]
+        w = sx.factor.solve(sx.A[:, j])
         sx._execute_pivot(j, r, 1.0, 0.0, w)
         free[j] = False
 
@@ -365,7 +422,8 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
             near = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
             try:
                 sx.set_basis(cols, xN)
-                warm_ok = near and np.isfinite(sx.Binv).all() and sx.primal_infeasibility() <= WARM_TOL
+                # a B^-1 that is not finite makes xB, and so this test, fail too
+                warm_ok = near and sx.primal_infeasibility() <= WARM_TOL
             except np.linalg.LinAlgError:
                 warm_ok = False
             if warm_ok:
@@ -384,7 +442,7 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     x_full = sx.x_full()
     if np.any(x_full[:n_real] < lo - DEFAULT_TOL) or np.any(x_full[:n_real] > hi + DEFAULT_TOL):
         raise LpError("optimal point leaves a column bound by more than DEFAULT_TOL")
-    y = sx.Binv.T @ c_work[sx.basis]
+    y = sx.factor.solve_T(c_work[sx.basis])
     rc = c - A.T @ y
 
     return _build_solution(lp, x_full, y, rc, n, me, mi, tuple(sx.basis.tolist()), sx.iters)
@@ -406,7 +464,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
     sx.xN = np.concatenate([xN, np.zeros(m)])
     sx.ncols += m
     sx.basis = np.arange(n_real, n_real + m, dtype=np.int64)
-    sx.Binv = np.diag(art_sign)  # inverse of the artificial basis
+    sx.factor.refactor(np.diag(art_sign))  # the artificial basis
     sx.xB = np.abs(resid)
     sx._fresh = False
 

@@ -212,19 +212,27 @@ class TestBenchWork:
     """The work of the perfbench workloads, pinned: a change that claims to
     leave the solver's path alone must leave the LP solves, the simplex
     pivots and f_final as they are.  No LP runs phase 1: every first LP
-    starts at a point, and every probe at its parent's."""
+    starts at a point, and every probe at its parent's.  The trace's
+    ``lp_pivots`` add up to the pivots.  ``np.linalg.inv`` runs for every
+    basis but the signed permutations of 24 rows or more, which the crash
+    bases of chained LQ and LASSO are (their forms have M = L = 0); maxq's
+    carry L."""
 
-    @pytest.mark.parametrize("build, iters, solves, pivots, f_final", [
-        (lambda: bench.chained_lq(100), 5, 5, 640, 388.9187393553687),
-        (lambda: bench.maxq(20, "C2"), 200, 56, 77, 3.9165483595072184e-11),
-        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 996,
+    @pytest.mark.parametrize("build, iters, solves, pivots, inverses, f_final", [
+        (lambda: bench.chained_lq(100), 5, 5, 640, 5, 388.9187393553687),
+        (lambda: bench.maxq(20, "C2"), 200, 56, 77, 61, 3.9165483595072184e-11),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 996, 1,
          1982.9956613474728),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
-    def test_lp_work(self, lp_solves, phase1_calls, build, iters, solves, pivots, f_final):
+    def test_lp_work(self, monkeypatch, lp_solves, phase1_calls, build, iters, solves, pivots,
+                     inverses, f_final):
         inst = build()
+        inv_calls = spy(monkeypatch, np.linalg, "inv")
         res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         iters_per_lp = [c.result.simplex_iters for c in lp_solves]
         assert (len(iters_per_lp), sum(iters_per_lp)) == (solves, pivots)
+        assert sum(row.lp_pivots for row in res.trace.rows) == pivots
+        assert len(inv_calls) == inverses
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
         assert phase1_calls == []
 

@@ -105,6 +105,16 @@ class TestRun:
         hits, calls = map(int, status.rsplit(" warm=", 1)[1].split("/"))
         assert calls == len(rows) and 0 < hits < calls - 1
 
+    def test_status_line_counts_pivots(self, tmp_path, lp_solves):
+        # pivots=P, the trace's lp_pivots summed, comes just before warm=H/N
+        out = tmp_path / "pivots.csv"
+        main(["run", "--problem", "chained_lq", "--n", "5", "--max-iters", "40", "--out", str(out)])
+        _, rows, status = read_trace(out)
+        assert all(len(r) == 7 for r in rows)
+        head, pivots = status.rsplit(" warm=", 1)[0].rsplit(" pivots=", 1)
+        assert " " not in pivots and head.startswith("status=")
+        assert int(pivots) == sum(c.result.simplex_iters for c in lp_solves) > 0
+
     def test_partial_inner_limit_below_one_is_exit_2(self, tmp_path, capsys):
         for limit in ("0", "-3"):
             rc = main(["run", "--problem", "rosenbrock_nesterov2", "--n", "4",

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from absfw.lp import DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, _Simplex, solve
+from absfw.lp import (DEFAULT_TOL, FIXED_TOL, PIVOT_TOL, LpError, LpProblem, LpStatus, _Factor,
+                      _Simplex, solve)
 from absfw.polyhedron import Polyhedron, box, contains
 from absfw.randgen import random_lp, random_box_lp
 from conftest import spy
@@ -560,3 +561,119 @@ class TestBoundGuard:
                 solve(lp)
         else:
             assert solve(lp).status == LpStatus.OPTIMAL
+
+
+def dense_replace(inv, r, w):
+    """The dense rank-1 update of an explicit basis inverse when column r
+    of B becomes a, with w = B^-1 a: the reference ``_Factor`` is held to."""
+    inv = inv.copy()
+    piv = w[r]
+    eta = w / piv
+    eta[r] = 0.0
+    inv -= np.outer(eta, inv[r])
+    inv[r] /= piv
+    return inv
+
+
+def random_basis(rng, m, kind):
+    """A nonsingular m x m basis.  "dense" is Gaussian, so its inverse has
+    no zeros; "sparse" is a signed unit lower triangle like AASM's z block,
+    with exact zeros of both signs in it and in its inverse."""
+    if kind == "dense":
+        return rng.normal(size=(m, m))
+    lower = np.tril(np.where(rng.random((m, m)) < 3.0 / m, rng.normal(size=(m, m)), 0.0), -1)
+    return (np.eye(m) - lower) * rng.choice([-1.0, 1.0], size=m)
+
+
+def pivot_both(rng, B, steps=15):
+    """Make the same random pivots on a factor of B and on the dense
+    reference; returns (factor, reference, whether every solve and solve_T
+    on the way gave the reference's bytes)."""
+    m = B.shape[0]
+    fac = _Factor(m)
+    fac.refactor(B)
+    ref = fac.inv.copy()
+    same_products = True
+    for _ in range(steps):
+        a = np.where(rng.random(m) < 0.2, rng.normal(size=m), 0.0)
+        w = fac.solve(a)
+        r = int(np.abs(w).argmax())
+        if w[r] == 0.0:
+            continue
+        fac.replace(r, w)
+        ref = dense_replace(ref, r, w)
+        probe = np.where(rng.random(m) < 0.5, rng.normal(size=m), 0.0)
+        same_products &= (fac.solve(probe).tobytes() == (ref @ probe).tobytes()
+                          and fac.solve_T(probe).tobytes() == (ref.T @ probe).tobytes())
+    return fac, ref, same_products
+
+
+class TestFactor:
+    """``_Factor`` against the dense formulas it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("m", [5, _Factor.SPARSE_ROWS - 1, _Factor.SPARSE_ROWS, 90])
+    def test_replace_matches_dense_update(self, rng, m, kind):
+        # the dense path is the reference formula; the touched-row path may
+        # leave a -0.0 where the reference made +0.0, and nothing else
+        for _ in range(3):
+            fac, ref, same_products = pivot_both(rng, random_basis(rng, m, kind))
+            assert np.array_equal(fac.inv, ref)
+            differ = np.signbit(fac.inv) != np.signbit(ref)
+            assert np.all(fac.inv[differ] == 0.0) and np.all(np.signbit(fac.inv[differ]))
+            if kind == "dense" or m < _Factor.SPARSE_ROWS:
+                assert not differ.any()
+            assert same_products
+
+    def test_a_dropped_row_is_caught(self, rng, monkeypatch):
+        real = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: real(a)[:-1])
+        fac, ref, _ = pivot_both(rng, random_basis(rng, 80, "dense"))
+        assert not np.array_equal(fac.inv, ref)
+
+    @pytest.mark.parametrize("m", range(1, 121))
+    def test_signed_permutation_inverse_is_lapacks(self, rng, monkeypatch, m):
+        # slack-like +e_i columns, negated columns and zeros of both signs
+        monkeypatch.setattr(_Factor, "TRANSPOSE_ROWS", 0)  # the shortcut at every size
+        k = m // 3
+        B = np.where(rng.random((m, m)) < 0.5, -0.0, 0.0)
+        B[np.concatenate([np.arange(k), k + rng.permutation(m - k)]), np.arange(m)] = np.concatenate(
+            [np.ones(k), rng.choice([-1.0, 1.0], size=m - k)])
+        fac = _Factor(m)
+        inverses = spy(monkeypatch, np.linalg, "inv")
+        fac.refactor(B)
+        assert inverses == []
+        ref = np.linalg.inv(B)
+        assert fac.inv.flags.c_contiguous and fac.inv.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bend", ["one-plus-ulp", "extra-nonzero", "singular"])
+    def test_other_bases_are_inverted(self, rng, monkeypatch, bend):
+        m = 30
+        B = np.eye(m)[:, rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
+        i, j = np.argwhere(B != 0.0)[7]
+        if bend == "one-plus-ulp":
+            B[i, j] = np.copysign(1.0 + 2.0 ** -52, B[i, j])
+        elif bend == "extra-nonzero":
+            B[(i + 1) % m, j] = 0.5
+        else:
+            B[:, j] = B[:, (j + 1) % m]
+        fac = _Factor(m)
+        inverses = spy(monkeypatch, np.linalg, "inv")
+        if bend == "singular":
+            with pytest.raises(np.linalg.LinAlgError):
+                fac.refactor(B)
+            return
+        fac.refactor(B)
+        assert len(inverses) == 1
+        assert fac.inv.tobytes() == np.linalg.inv(B).tobytes()
+
+    def test_bound_flips_price_once(self, monkeypatch):
+        # x0 + x1 + s = 5 on [0, 1]^2: both columns flip to 1 and the slack
+        # stays basic, so the reduced costs of the first step serve all
+        sx = _Simplex(np.array([[1.0, 1.0, 1.0]]), np.array([5.0]), np.zeros(3),
+                      np.array([1.0, 1.0, np.inf]))
+        sx.set_basis([2], np.zeros(3))
+        pricings = spy(monkeypatch, _Factor, "solve_T")
+        assert sx.run(np.array([-1.0, -2.0, 0.0]), max_iters=10) == "optimal"
+        assert sx.iters == 2 and len(pricings) == 1
+        np.testing.assert_array_equal(sx.x_full(), [1.0, 1.0, 3.0])
