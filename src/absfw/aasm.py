@@ -11,13 +11,14 @@ one step where a plain simplex pivots z+_i out and z-_i in.  A signature
 pins z+_i or z-_i of the other, nonconvex kinks at 0, so a form with L = 0
 and babs >= 0 is solved by one LP.  The first LP of a call is over the
 start point's signature and starts from a crash basis of z columns and C's
-slacks (``_Lifted.crash``), so it runs no phase 1.  The crash is made at a
-warm point, such as the previous subproblem's vertex, when that point lies
-in C and keeps the signs the start pins, and at the start point otherwise.
-As iterates converge, consecutive subproblems keep their vertex, and a
-first LP started there makes few or no pivots (Braun, Pokutta & Zink,
-"Lazifying conditional gradient algorithms", ICML 2017, reuse the previous
-oracle answer the same way).
+slacks (``_Lifted.crash``), so it runs no phase 1.  The crash is made at
+the warm point of least model value, such as one of the last two
+subproblems' vertices, among those that lie in C and keep the signs the
+start pins, and at the start point if there is none.  As iterates
+converge, consecutive subproblems keep their vertex, or with open-loop
+steps alternate between two, and a first LP started there makes few or no
+pivots (Braun, Pokutta & Zink, "Lazifying conditional gradient
+algorithms", ICML 2017, keep earlier oracle answers the same way).
 
 At the per-polyhedron optimum every single flip of an active nonconvex kink
 is probed (both signs for pinned kinks); if no probe LP strictly decreases
@@ -79,7 +80,7 @@ class AasmResult:
     polyhedra_visited: int
     lp_calls: int
     visited_signatures: list = field(default_factory=list)
-    warm_started: bool = False  # the first LP started at ``warm_point``
+    warm_started: bool = False  # the first LP started at one of ``warm_points``
     lp_pivots: int = 0  # simplex_iters summed over the call's LPs
 
 
@@ -204,17 +205,19 @@ def aasm_minimize(
     start,
     partial_inner_limit: int | None = None,
     *,
-    warm_point=None,
+    warm_points=(),
 ) -> AasmResult:
     """Minimize ``form`` over C from ``start`` by adapted active signature
     descent over the nonconvex kinks.
 
     The first LP is over the closure of start's signature domain.  It starts
     from a crash basis and runs phase 2 only (cold, with phase 1, if C has
-    equality rows; ``warm_point`` is then unused).  The crash is made at
-    ``warm_point`` when that point lies in C to ``lp.WARM_TOL`` and each
-    nonconvex kink's sign there is 0 or the start's, and at ``start``
-    otherwise; ``warm_started`` in the result tells which.  The signature,
+    equality rows; ``warm_points`` are then unused).  Of the
+    ``warm_points``, newest first, those that lie in C to ``lp.WARM_TOL``
+    and where each nonconvex kink's sign is 0 or the start's are admissible;
+    the crash is made at the one of least model value, the newest among
+    ties, and at ``start`` if none is admissible.  ``warm_started`` in the
+    result tells whether a warm point was used.  The signature,
     and so the first polyhedron, does not depend on the choice; where that
     LP's optimum is tied, the vertex it returns, and the walk from it, may.
     Requires start feasible to ``lp.WARM_TOL``, C bounded and
@@ -241,17 +244,16 @@ def aasm_minimize(
     z0 = eval_pl(form, start)[1]
     sigma = switch_signs(form, start, z0)
     hint = x0 = None
-    warm = False
+    point, z, best = start, z0, np.inf
     if not C.Aeq.shape[0]:  # no slack to crash an Aeq row with
-        point, z = start, z0
-        if warm_point is not None:
-            z_w = eval_pl(form, warm_point)[1]
-            signs = switch_signs(form, warm_point, z_w)
-            # the crash at the warm point must be a start of sigma's LP
-            warm = contains(C, warm_point, lpmod.WARM_TOL) and bool(
-                np.all(ws.convex | (signs == 0) | (signs == sigma)))
-            if warm:
-                point, z = warm_point, z_w
+        for p in warm_points:
+            # the model value at p is the first LP's objective + d there; a
+            # tie keeps the newer point, and the crash must start sigma's LP
+            value, z_p = eval_pl(form, p)
+            if value < best and contains(C, p, lpmod.WARM_TOL):
+                signs = switch_signs(form, p, z_p)
+                if np.all(ws.convex | (signs == 0) | (signs == sigma)):
+                    point, z, best = p, z_p, value
         hint, x0 = ws.crash(z, point)
     sol, psi = _checked(*ws.solve(sigma, hint, x0))
 
@@ -297,7 +299,7 @@ def aasm_minimize(
         polyhedra_visited=len(visited),
         lp_calls=ws.calls,
         visited_signatures=list(visited.values()),
-        warm_started=warm,
+        warm_started=best < np.inf,
         lp_pivots=ws.pivots,
     )
 

@@ -90,7 +90,7 @@ class TraceRow:
     lp_calls: int
     elapsed_ms: int
     inner_status: str  # the subproblem's AasmStatus value
-    warm_started: bool  # its first LP started at the previous subproblem's vertex
+    warm_started: bool  # its first LP started at one of the last two subproblems' vertices
     lp_pivots: int  # simplex_iters summed over its LPs
 
 
@@ -143,9 +143,9 @@ def asfw_run(
 
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
-    Each subproblem after the first gets the previous one's vertex as its
-    warm point (see ``aasm_minimize``); ``TraceRow.warm_started`` tells
-    whether its first LP started there.
+    Each subproblem gets the last two subproblems' vertices, newest first
+    and a repeated one once, as its warm points (see ``aasm_minimize``);
+    ``TraceRow.warm_started`` tells whether its first LP started at one.
     ``partial_inner_limit`` (at least 1) caps the polyhedra each subproblem
     walk visits; the walk stops there only while a flip still needs an LP
     (see ``aasm_minimize``).  Neither gap test applies to a
@@ -169,7 +169,7 @@ def asfw_run(
     status = RunStatus.MAX_ITERS
     t_start = time.perf_counter()
     rec = evaluate(tape, x)
-    v = None  # the previous subproblem's vertex
+    recent = ()  # the last two subproblems' vertices, newest first
 
     for t in range(max_iters):
         fbar = rec.y
@@ -177,8 +177,10 @@ def asfw_run(
 
         scale = 1.0 if rule.kind == SHORT_STEP else rule.alpha(t)
         sub = affine_substitute(form, scale, -scale * x)
-        inner = aasm_minimize(sub, C, x, partial_inner_limit, warm_point=v)
+        inner = aasm_minimize(sub, C, x, partial_inner_limit, warm_points=recent)
         v = inner.v_star
+        # a repeated vertex could only tie with v, which wins ties: keep it once
+        recent = (v, *(u for u in recent[:1] if not np.array_equal(u, v)))
         if rule.kind == SHORT_STEP:
             dec = inner.psi_star - fbar  # = model increment at v - x
             nrm2 = float(np.dot(v - x, v - x))

@@ -111,7 +111,7 @@ class LpSolution:
     dual_lo: np.ndarray
     dual_hi: np.ndarray
     basis: tuple[int, ...] | None
-    simplex_iters: int
+    simplex_iters: int  # the simplex steps and the pivots of _swap_out, phase 1 included
 
 
 def entering_tol(c) -> float:
@@ -357,7 +357,7 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
     movable nonbasic real column of largest |alpha_rj| above PIVOT_TOL, but
     only if the leaving column's distance to its nearer bound, the residual
     the swap drops, is at most FIXED_TOL |alpha_rj|.  Other rows keep their
-    column."""
+    column.  Each swap counts in ``iters``, as a simplex pivot does."""
     free = sx.movable()[:n_real]
     free[sx.basis[sx.basis < n_real]] = False  # movable and nonbasic
     for r in rows:
@@ -371,6 +371,7 @@ def _swap_out(sx: _Simplex, rows, n_real: int):
             continue
         w = sx.factor.solve(sx.A[:, j])
         sx._execute_pivot(j, r, 1.0, 0.0, w)
+        sx.iters += 1
         free[j] = False
 
 

@@ -21,6 +21,7 @@ appends to a feasible set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,13 @@ class AbsLinearForm:
         if self.M[upper].any() or self.L[upper].any():
             raise ValueError("M and L must be strictly lower triangular")
 
+    @cached_property
+    def chain(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(i, M[i, :i], L[i, :i]) per row with an M or L entry, the rows
+        ``eval_pl`` substitutes; cached in ``__dict__`` like ``Tape.release``."""
+        rows = np.flatnonzero(self.M.any(axis=1) | self.L.any(axis=1)).tolist()
+        return tuple((i, self.M[i, :i], self.L[i, :i]) for i in rows)
+
 
 @dataclass(frozen=True)
 class AffineRestriction:
@@ -80,9 +88,11 @@ def eval_pl(form: AbsLinearForm, dx) -> tuple[float, np.ndarray]:
     """
     dx = np.asarray(dx, dtype=float)
     z = form.c + form.Z @ dx
-    for i in np.flatnonzero(form.M.any(axis=1) | form.L.any(axis=1)):
-        z[i] = z[i] + form.M[i, :i] @ z[:i] + form.L[i, :i] @ np.abs(z[:i])
-    value = form.d + form.a @ dx + form.b @ z + form.babs @ np.abs(z)
+    az = np.abs(z)
+    for i, m, l in form.chain:
+        z[i] = z[i] + m @ z[:i] + l @ az[:i]
+        az[i] = abs(z[i])
+    value = form.d + form.a @ dx + form.b @ z + form.babs @ az
     return float(value), z
 
 

@@ -715,7 +715,7 @@ class TestCrashStart:
         assert phase1_calls == []
         assert len(crashed(lp_solves)) >= 10
 
-    def test_probes_start_at_the_parent_point(self, phase1_calls, lp_solves):
+    def test_probes_start_at_the_parent_point(self, monkeypatch, phase1_calls, lp_solves):
         # a bias-free ReLU regression: kinks sit at 0 with their z column
         # basic, and a probe pins that column; hinted with the parent's basis
         # alone, most probes fell back to a cold phase 1
@@ -733,11 +733,13 @@ class TestCrashStart:
             loss.append(tb.square(out - float(y[k])))
         tape = tb.build(tb.scale(1.0 / (2 * p), sum(loss[1:], loss[0])))
         x0 = g.normals(h * d).clip(-3, 3) / 6
+        steps = spy(monkeypatch, lpmod._Simplex, "_pivot_on")
         res = asfw_run(tape, cube(h * d, 2.0), x0, StepRule.open_loop_sqrt(), max_iters=10)
         assert len(res.trace.rows) == 4
         assert phase1_calls == []
         assert len(crashed(lp_solves)) == 29  # 4 first LPs and 25 probes, all started at a point
-        assert sum(sol.simplex_iters for _, sol in crashed(lp_solves)) == 30
+        # 30 simplex steps and 24 swap-outs of pinned z columns from the starts
+        assert (len(steps), sum(sol.simplex_iters for _, sol in crashed(lp_solves))) == (30, 54)
         assert res.f_final == pytest.approx(0.04475761357385325, rel=1e-12)
 
     def test_equality_row_solves_cold(self, rng, phase1_calls, lp_solves):
@@ -755,7 +757,7 @@ class TestCrashStart:
             assert res.psi_star == pytest.approx(psi_o, rel=1e-9, abs=1e-9)
             assert contains(C, res.v_star)
             # no crash, so a warm point goes unused
-            again = aasm_minimize(form, C, start, warm_point=res.v_star)
+            again = aasm_minimize(form, C, start, warm_points=[res.v_star])
             assert same_result(again, res) and not again.warm_started
             del phase1_calls[:]
         assert crashed(lp_solves) == []
@@ -771,44 +773,57 @@ def same_result(a, b) -> bool:
 
 
 class TestWarmPoint:
-    """``warm_point`` moves the first LP's crash basis and start there when
-    it lies in C and keeps the signs the start's signature pins; otherwise
-    the call is the one without it.  The signature still comes from the
-    start, so only where the first LP pivots from changes."""
+    """``warm_points`` move the first LP's crash basis and start to the one
+    of least model value among those that lie in C and keep the signs the
+    start's signature pins; with none of them, the call is the one without
+    them.  The signature still comes from the start, so only where the
+    first LP pivots from changes."""
 
     @pytest.mark.parametrize("t", [10, 30])
-    def test_second_call_at_the_first_vertex_makes_no_pivot(self, t, lp_solves):
+    def test_second_call_at_the_first_vertex_makes_no_pivot(self, t, monkeypatch, lp_solves):
         """The subproblem of maxq C2 n=20 at iteration t, solved again from
-        its own vertex.  At other iterations that vertex may still cost one
-        pivot of step 0: the crash basis holds no v column, and a v column
-        strictly inside its box is priced both ways."""
+        its own vertex, makes no simplex step: its pivots only swap the
+        pinned z columns of kinks at 0 there out of the crash basis.  At
+        other iterations that vertex may still cost one step of length 0:
+        the crash basis holds no v column, and a v column strictly inside
+        its box is priced both ways."""
         inst, rule = bench.maxq(20, "C2"), StepRule.open_loop_sqrt()
         x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=t).x_final
         form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(t), -rule.alpha(t) * x)
         first = aasm_minimize(form, inst.C, x)
         assert pivots(lp_solves) > 0
         del lp_solves[:]
-        second = aasm_minimize(form, inst.C, x, warm_point=first.v_star)
+        steps = spy(monkeypatch, lpmod._Simplex, "_pivot_on")
+        second = aasm_minimize(form, inst.C, x, warm_points=[first.v_star])
         assert second.warm_started and not first.warm_started
-        assert pivots(lp_solves) == 0
+        assert steps == [] and second.lp_pivots == pivots(lp_solves) > 0
         assert (second.psi_star, second.status) == (first.psi_star, first.status)
 
-    def test_point_outside_C_is_ignored(self, rng):
+    def test_point_outside_C_is_ignored(self, rng, monkeypatch):
         # every kink of these forms is convex, so only C decides
+        crashes = spy(monkeypatch, _Lifted, "crash")
         C = cube(3, 2.0)
+        lower = 0
         for k in range(10):
             form = convex_form(rng, n=3, s=6)
             start = rng.uniform(-1.5, 1.5, size=3)
             point = rng.uniform(-2.0, 2.0, size=3)
             point[k % 3] = 2.0 + 2 * lpmod.WARM_TOL
-            res = aasm_minimize(form, C, start, warm_point=point)
+            res = aasm_minimize(form, C, start, warm_points=[point])
             assert same_result(res, aasm_minimize(form, C, start))
             assert not res.warm_started
+            # passed over for the next point, even where its model value is lower
+            inside = rng.uniform(-2.0, 2.0, size=3)
+            assert aasm_minimize(form, C, start, warm_points=[point, inside]).warm_started
+            assert crashes[-1].args[2] is inside
+            lower += eval_pl(form, point)[0] < eval_pl(form, inside)[0]
             point[k % 3] = 2.0 + lpmod.WARM_TOL / 2
-            assert aasm_minimize(form, C, start, warm_point=point).warm_started
+            assert aasm_minimize(form, C, start, warm_points=[point]).warm_started
+        assert lower > 0
 
-    def test_point_off_a_pinned_kink_is_ignored(self, rng):
-        checked = 0
+    def test_point_off_a_pinned_kink_is_ignored(self, rng, monkeypatch):
+        crashes = spy(monkeypatch, _Lifted, "crash")
+        checked = lower = 0
         for _ in range(20):
             form, start = pinned_form(rng, n=3, s=5, pins=2)
             C = cube(3, 3.0)
@@ -817,11 +832,36 @@ class TestWarmPoint:
                 continue  # both kinks at the start are convex: none is pinned
             point = rng.uniform(-3.0, 3.0, size=3)
             assert np.all(signature(form, point)[pinned] != 0)
-            res = aasm_minimize(form, C, start, warm_point=point)
+            res = aasm_minimize(form, C, start, warm_points=[point])
             assert same_result(res, aasm_minimize(form, C, start))
             assert not res.warm_started
+            # with no admissible point the call is the one without warm points
+            outside = start + [0.0, 0.0, 3.0 + 2 * lpmod.WARM_TOL - start[2]]
+            assert same_result(aasm_minimize(form, C, start, warm_points=[point, outside]), res)
+            # an admissible point after it is taken, even where its model value is higher
+            vertex = _Lifted(form, C).solve(signature(form, start))[0].x[:3]
+            assert aasm_minimize(form, C, start, warm_points=[point, vertex]).warm_started
+            assert crashes[-1].args[2] is vertex
+            lower += eval_pl(form, point)[0] < eval_pl(form, vertex)[0]
             checked += 1
-        assert checked >= 10
+        assert checked >= 10 and lower > 0
+
+    def test_least_model_value_wins_and_a_tie_keeps_the_newer(self, rng, monkeypatch):
+        """Of two admissible warm points, in either order, the crash is at the
+        one of lower model value; of two equal ones, at the first (newer)."""
+        crashes = spy(monkeypatch, _Lifted, "crash")
+        C = cube(3, 2.0)
+        for _ in range(10):
+            form = convex_form(rng, n=3, s=6)  # every kink convex: all of C is admissible
+            start = rng.uniform(-1.5, 1.5, size=3)
+            low, high = sorted(rng.uniform(-2.0, 2.0, size=(2, 3)), key=lambda p: eval_pl(form, p)[0])
+            assert eval_pl(form, low)[0] < eval_pl(form, high)[0]
+            for points in ([low, high], [high, low]):
+                assert aasm_minimize(form, C, start, warm_points=points).warm_started
+                assert crashes[-1].args[2] is low
+            twin = low.copy()
+            aasm_minimize(form, C, start, warm_points=[twin, low])
+            assert crashes[-1].args[2] is twin
 
     def test_first_lp_value_is_kept(self, rng, lifted_lps):
         """From a vertex of the start's closed domain, found by an LP with
@@ -833,7 +873,7 @@ class TestWarmPoint:
             other = dataclasses.replace(form, a=rng.normal(size=3), b=rng.normal(size=5))
             vertex = _Lifted(other, C).solve(signature(form, start))[0].x[:3]
             before = len(lifted_lps)
-            res = aasm_minimize(form, C, start, warm_point=vertex)
+            res = aasm_minimize(form, C, start, warm_points=[vertex])
             assert res.warm_started
             cold = aasm_minimize(form, C, start)
             psi_warm = lifted_lps[before].result[1]

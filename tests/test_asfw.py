@@ -189,18 +189,44 @@ class TestAsfwRun:
         assert res.f_final <= 1e-12
 
     def test_subproblems_get_the_previous_vertex(self, monkeypatch):
-        """Each subproblem after the first gets the previous one's vertex as
-        its warm point, and its trace row records whether the first LP
-        started there."""
+        """Each subproblem gets the last two subproblems' vertices, newest
+        first and a repeated one once, as its warm points, and its trace row
+        records whether the first LP started at one of them."""
         calls = spy(monkeypatch, asfw_mod, "aasm_minimize")
         inst = bench.maxq(8, "C3")
         rows = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt()).trace.rows
-        assert len(calls) == len(rows) and calls[0].kwargs["warm_point"] is None
-        for call, prev in zip(calls[1:], calls):
-            assert call.kwargs["warm_point"] is prev.result.v_star
+        vertices = [call.result.v_star for call in calls]
+        assert len(calls) == len(rows)
+        repeats = 0
+        for t, call in enumerate(calls):
+            recent = vertices[max(t - 2, 0):t][::-1]
+            if len(recent) == 2 and np.array_equal(*recent):
+                recent, repeats = recent[:1], repeats + 1
+            given = call.kwargs["warm_points"]
+            assert len(given) == len(recent) and all(p is q for p, q in zip(given, recent))
+        assert 0 < repeats < len(calls) - 2
         flags = [row.warm_started for row in rows]
         assert flags == [c.result.warm_started for c in calls]
         assert not flags[0] and True in flags[1:] and False in flags[1:]
+
+    def test_lasso_first_lps_start_two_vertices_back(self, monkeypatch, lp_solves):
+        """Open-loop steps make box LASSO's vertex alternate: v_t is v_(t-2)
+        from iteration 4 on, apart from 10-12, while from iteration 3 on v_t
+        and v_(t-1) differ in every coordinate.  Each first LP from iteration
+        2 on starts at v_(t-2), and makes no pivot wherever the vertex
+        repeats."""
+        calls = spy(monkeypatch, asfw_mod, "aasm_minimize")
+        inst = bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box")
+        asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=20)
+        assert len(lp_solves) == len(calls) == 20  # one LP per subproblem
+        assert all(np.all(calls[t].result.v_star != calls[t - 1].result.v_star) for t in range(3, 20))
+        v = [call.result.v_star.tobytes() for call in calls]
+        starts = [lp.kwargs["start"][:50].tobytes() for lp in lp_solves]
+        assert all(starts[t] == v[t - 2] != v[t - 1] for t in range(2, 20))
+        repeats = [t for t in range(2, 20) if v[t] == v[t - 2]]
+        assert repeats == [4, 5, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19]
+        assert all(lp_solves[t].result.simplex_iters == 0 for t in repeats)
+        assert sum(lp.result.simplex_iters for lp in lp_solves) == 107
 
     def test_trace_sink_called(self, abs_tape):
         # alpha_0 = 1 jumps |x| straight to its minimizer, so the run stops

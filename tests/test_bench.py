@@ -219,9 +219,9 @@ class TestBenchWork:
     carry L."""
 
     @pytest.mark.parametrize("build, iters, solves, pivots, inverses, f_final", [
-        (lambda: bench.chained_lq(100), 5, 5, 640, 5, 388.9187393553687),
+        (lambda: bench.chained_lq(100), 5, 5, 354, 4, 388.9187393553687),
         (lambda: bench.maxq(20, "C2"), 200, 56, 77, 61, 3.9165483595072184e-11),
-        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 996, 1,
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20, 107, 1,
          1982.9956613474728),
     ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
     def test_lp_work(self, monkeypatch, lp_solves, phase1_calls, build, iters, solves, pivots,
@@ -236,16 +236,22 @@ class TestBenchWork:
         assert res.f_final == pytest.approx(f_final, rel=1e-12, abs=0.0)
         assert phase1_calls == []
 
-    @pytest.mark.parametrize("n, iters", [(20, 200), (6, 500)], ids=["maxq_C2-n20", "maxq_C2-n6"])
-    def test_lps_agree_with_highs(self, lp_solves, n, iters):
-        """Near maxq C2's optimum every switching value is below 1e-10.  A
-        kink pinned there although its value is not 0 relative to its terms
-        leaves the LP feasible only to that value, and HiGHS calls it
-        infeasible; every LP of the run must be optimal to both solvers."""
+    @pytest.mark.parametrize("build, iters, solves", [
+        (lambda: bench.maxq(20, "C2"), 200, 41),
+        (lambda: bench.maxq(6, "C2"), 500, 41),
+        (lambda: bench.chained_lq(100), 5, 5),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20),
+    ], ids=["maxq_C2-n20", "maxq_C2-n6", "chained_lq-n100", "lasso_box-n50-p100"])
+    def test_lps_agree_with_highs(self, lp_solves, build, iters, solves):
+        """Every LP of the run must be optimal to both solvers.  Near maxq
+        C2's optimum every switching value is below 1e-10.  A kink pinned
+        there although its value is not 0 relative to its terms leaves the
+        LP feasible only to that value, and HiGHS calls it infeasible.
+        Chained LQ's and LASSO's first LPs start two vertices back."""
         linprog = pytest.importorskip("scipy.optimize").linprog
-        inst = bench.maxq(n, "C2")
+        inst = build()
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
-        assert len(lp_solves) > 40
+        assert len(lp_solves) >= solves
         for (lp,), _, sol in lp_solves:
             P = lp.P
             assert P.Ain.shape[0] == 0  # C is a box

@@ -214,10 +214,12 @@ class TestStartPoint:
     @pytest.mark.parametrize("rhs, cols", [(0.0, (1,)), (1e-12, (1,)), (4e-12, (0,))])
     def test_fixed_column_swapped_out_only_if_residual_tiny(self, rhs, cols):
         # x0 - 2 x1 = rhs with x0 fixed at 0 and basic at rhs: swapping in x1
-        # drops the residual rhs, allowed up to FIXED_TOL * |alpha| = 2e-12
+        # drops the residual rhs, allowed up to FIXED_TOL * |alpha| = 2e-12;
+        # the swap is the one pivot
         lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -2]], beq=[rhs], lo=[0, 0], hi=[0, 1]))
         sol = solve(lp, basis_hint=(0,), start=np.zeros(2))
-        assert (sol.status, sol.basis, sol.simplex_iters) == (LpStatus.OPTIMAL, cols, 0)
+        swaps = int(cols == (1,))
+        assert (sol.status, sol.basis, sol.simplex_iters) == (LpStatus.OPTIMAL, cols, swaps)
 
 
 class TestBoxOracle:
@@ -386,11 +388,12 @@ class TestFixedColumnOracle:
 
     def test_crash_swaps_out_fixed_column(self):
         # x0 - x1 = 0 with x0 fixed at 0: the crash basis (x0,) is optimal
-        # at the start, so only the zero-step swap takes x0 out of it
+        # at the start, so only the zero-step swap, the one pivot counted,
+        # takes x0 out of it
         lp = LpProblem(c=[0.0, 1.0], P=make_poly(2, Aeq=[[1, -1]], beq=[0.0], lo=[0, 0], hi=[0, 1]))
         sol = solve(lp, basis_hint=(0,), start=np.zeros(2))
         self.check(lp, sol)
-        assert (sol.basis, sol.simplex_iters) == ((1,), 0)
+        assert (sol.basis, sol.simplex_iters) == ((1,), 1)
 
     def test_lifted_lps_on_maxq(self, lp_solves):
         from absfw import bench
