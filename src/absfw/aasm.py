@@ -25,10 +25,11 @@ is probed (both signs for pinned kinks); if no probe LP strictly decreases
 the objective, no single flip of a nonconvex kink descends.  That is weaker
 than first-order minimality where C's rows, or M's shared switching values,
 tie kinks together: descent may then need several flips at once.
-A flip moves only bounds, so all flips of a polyhedron are priced from the
-parent LP in one pass: unless the column a flip unpins passes the simplex's
-entering test, the parent basis stays optimal and the flip is certified
-without an LP.  The entering tolerance reads the cost alone
+A flip moves only bounds, so ``_Lifted.flips`` reads the parent LP's
+reduced costs at the z columns once and gives all flips of a polyhedron in
+probe order, each with its verdict: unless the column a flip unpins passes
+the simplex's entering test, the parent basis stays optimal and the flip is
+settled without an LP.  The entering tolerance reads the cost alone
 (``lp.entering_tol``), and every LP of a call has the same cost, so the test
 is the probe LP's own.  Other probes start from the parent's basis and point.
 Probes double as the step to the next polyhedron, which makes descent of the
@@ -141,52 +142,34 @@ class _Lifted:
     def z(self, sol) -> np.ndarray:
         return sol.x[self.plus] - sol.x[self.minus]
 
-    def priced_out(self, sol, flips) -> np.ndarray:
-        """For each flip (i, f) of sol's signature, True when the optimal
-        basis of ``sol`` stays optimal after the flip, so the flipped LP's
-        value is sol's.  A flip pins the column that carries z_i now, at 0
-        (to the signature tolerance), and unpins column j, z+_i or z-_i.  A,
-        c and B are unchanged, so the basis stays optimal unless j, fixed in
-        sol, passes the probe LP's own entering test against ``enter_tol``."""
-        if not flips:
-            return np.zeros(0, bool)
-        i, f = np.array(flips).T
-        j = np.where(f > 0, self.plus[i], self.minus[i])
-        # both bounds of a fixed column are active
-        return sol.dual_lo[j] - sol.dual_hi[j] >= -self.enter_tol
+    def flips(self, sigma, signs, sol) -> list[tuple[int, int, bool]]:
+        """Single flips (i, new sign, settled) of the active nonconvex kinks at
+        sol, in sigma's domain with switching signs ``signs``: pinned kinks
+        (sigma_i = 0) both ways, kinks with signs_i = 0 to the other sign.
+        Largest |z-bound multiplier| first (rc(z+_i), -rc(z-_i) or, where
+        sigma_i = 0, their half-difference), then lower index, then + before
+        -.  A flip moves only bounds: it pins z_i's column at 0 and unpins j,
+        z+_i or z-_i, so sol's basis stays optimal and the flipped LP's value
+        is sol's (settled) unless j passes the probe LP's own entering test."""
+        rc = sol.dual_lo - sol.dual_hi  # both bounds of a fixed column are active
+        up, down = rc[self.plus], rc[self.minus]
+        mult = np.where(sigma > 0, up, np.where(sigma < 0, -down, (up - down) / 2))
+        active = ~self.convex & ((sigma == 0) | (signs == 0))
+        cands = [
+            (i, f, bool((up if f > 0 else down)[i] >= -self.enter_tol))
+            for i in np.flatnonzero(active).tolist()
+            for f in ((1, -1) if sigma[i] == 0 else (-int(sigma[i]),))
+        ]
+        return sorted(cands, key=lambda c: (-abs(mult[c[0]]), c[0], -c[1]))
 
 
 def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
 
 
-def _candidate_flips(sigma, signs, kink_duals, convex) -> list[tuple[int, int]]:
-    """Single flips (i, new sign) of the active nonconvex kinks at a point
-    of sigma's domain whose switching values have ``signs``: pinned kinks
-    (sigma_i = 0) both ways, kinks with signs_i = 0 to the other sign.
-    Largest |kink multiplier| first, then lower index, then + before -."""
-    active = ~convex & ((sigma == 0) | (signs == 0))
-    cands = [
-        (i, f)
-        for i in np.flatnonzero(active).tolist()
-        for f in ((1, -1) if sigma[i] == 0 else (-int(sigma[i]),))
-    ]
-    return sorted(cands, key=lambda c: (-abs(kink_duals[c[0]]), c[0], -c[1]))
-
-
 def _descends(psi_child: float, psi: float) -> bool:
     """Strict descent by more than the LP tolerance, relative to |psi|."""
     return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
-
-
-def _kink_duals(ws: _Lifted, sigma, sol) -> np.ndarray:
-    """The z-bound multipliers of the LP in (v, z) with |z_i| = sigma_i z_i
-    substituted: rc(z+_i) where sigma_i > 0, -rc(z-_i) where sigma_i < 0 and
-    their half-difference where both are pinned.  Magnitude signals binding
-    kinks."""
-    rc = sol.dual_lo - sol.dual_hi
-    up, down = rc[ws.plus], rc[ws.minus]
-    return np.where(sigma > 0, up, np.where(sigma < 0, -down, (up - down) / 2))
 
 
 def _checked(sol, psi):
@@ -262,10 +245,9 @@ def aasm_minimize(
     while True:
         signs = switch_signs(form, sol.x[:form.n], ws.z(sol))
         visited[_sig_key(sigma)] = np.where(ws.convex, signs, sigma)
-        flips = _candidate_flips(sigma, signs, _kink_duals(ws, sigma, sol), ws.convex)
-        # a priced-out flip keeps the parent's value, certified without an LP
-        flips = [flip for flip, kept in zip(flips, ws.priced_out(sol, flips)) if not kept]
-        if not flips:
+        flips = ws.flips(sigma, signs, sol)
+        # a settled flip keeps the parent's value, certified without an LP
+        if all(settled for *_, settled in flips):
             status = AasmStatus.LOCAL_MIN
             break
         if partial_inner_limit is not None and len(visited) >= partial_inner_limit:
@@ -274,7 +256,9 @@ def aasm_minimize(
 
         accepted = None
         improving_but_visited = False
-        for i, f in flips:
+        for i, f, settled in flips:
+            if settled:
+                continue
             sig2 = sigma.copy()
             sig2[i] = f
             sol2, psi2 = ws.solve(sig2, sol.basis, sol.x)

@@ -125,8 +125,12 @@ def generalized_gap(form: AbsLinearForm, fbar: float, x, v, alpha: float) -> flo
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
-    sub = affine_substitute(form, alpha, -alpha * x)
-    return -delta_eval(sub, fbar, v) / alpha
+    return _gap(affine_substitute(form, alpha, -alpha * x), fbar, v, alpha)
+
+
+def _gap(sub: AbsLinearForm, fbar: float, v, scale: float) -> float:
+    """The gap at v of ``sub``, the model in v at x + scale*(v - x)."""
+    return -delta_eval(sub, fbar, v) / scale
 
 
 def asfw_run(
@@ -143,6 +147,9 @@ def asfw_run(
 
     Stops with EXACT_GAP_ZERO when the subproblem cannot improve at all,
     GAP_TOL_REACHED when the gap falls to gap_tol, otherwise MAX_ITERS.
+    Each row's gap is ``generalized_gap`` at the subproblem's vertex v, at
+    alpha 1 for the short step, whose step is then min(1, gap / (2 gamma
+    |v - x|^2)) where gap and |v - x| are positive, and 1 elsewhere.
     Each subproblem gets the last two subproblems' vertices, newest first
     and a repeated one once, as its warm points (see ``aasm_minimize``);
     ``TraceRow.warm_started`` tells whether its first LP started at one.
@@ -181,17 +188,11 @@ def asfw_run(
         v = inner.v_star
         # a repeated vertex could only tie with v, which wins ties: keep it once
         recent = (v, *(u for u in recent[:1] if not np.array_equal(u, v)))
-        if rule.kind == SHORT_STEP:
-            dec = inner.psi_star - fbar  # = model increment at v - x
+        gap = _gap(sub, fbar, v, scale)
+        alpha = scale
+        if rule.kind == SHORT_STEP and gap > 0.0:
             nrm2 = float(np.dot(v - x, v - x))
-            if dec >= 0.0 or nrm2 == 0.0:
-                alpha = 1.0
-            else:
-                alpha = min(1.0, -dec / (2.0 * rule.gamma * nrm2))
-            gap = -dec  # alpha = 1 subproblem gap
-        else:
-            alpha = scale
-            gap = -delta_eval(sub, fbar, v) / alpha  # generalized_gap, with the sub just built
+            alpha = min(1.0, gap / (2.0 * rule.gamma * nrm2)) if nrm2 > 0.0 else 1.0
 
         row = TraceRow(
             t=t,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -84,8 +85,8 @@ def cmd_run(args) -> int:
     for n in ns:
         out = args.out
         if out and len(ns) > 1:
-            stem, dot, ext = out.rpartition(".")
-            out = f"{stem}_n{n}.{ext}" if dot else f"{out}_n{n}"
+            root, ext = os.path.splitext(out)
+            out = f"{root}_n{n}{ext}"
         _run_single(args, n, out)
     return 0
 
@@ -123,7 +124,8 @@ def cmd_selftest(args) -> int:
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
-    """A --config file holds key=value lines; explicit flags override it."""
+    """A --config file holds key=value lines; explicit flags override it.
+    ``monotone``, the one switch, takes true or false."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -137,8 +139,14 @@ def _load_config_args(argv: list[str]) -> list[str]:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            key, _, value = ln.partition("=")
-            injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
+            key, _, value = (part.strip() for part in ln.partition("="))
+            flag = f"--{key.replace('_', '-')}"
+            if flag != "--monotone":
+                injected += [flag, value]
+            elif value in ("true", "false"):
+                injected += [flag] if value == "true" else []
+            else:
+                raise ConfigError(f"bad config line {ln!r}: monotone takes true or false")
     rest = argv[:idx] + argv[idx + 2:]
     return [rest[0]] + injected + rest[1:] if rest else injected
 

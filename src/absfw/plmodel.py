@@ -201,6 +201,8 @@ def form_from_text(text: str) -> AbsLinearForm:
         name, *values = ln.split()
         if len(values) != sizes.get(name):
             raise ValueError(f"bad block line {ln!r}: unknown block or wrong length")
+        if name in data:
+            raise ValueError(f"bad block line {ln!r}: block given twice")
         try:
             data[name] = [float(v) for v in values]
         except ValueError:

@@ -9,7 +9,6 @@ from absfw import bench
 from absfw.asfw import StepRule, asfw_run
 from absfw.aasm import (
     _Lifted,
-    _candidate_flips,
     AasmStatus,
     AasmError,
     aasm_minimize,
@@ -357,21 +356,33 @@ class TestLocalOptimality:
             local_optimality_test(form, inst.C, x)
 
 
+def sol_with_rc(ws, up, down):
+    """A stand-in LP solution whose z+ and z- columns have reduced costs
+    ``up`` and ``down``, every other column 0."""
+    rc = np.zeros(ws.cost.size)
+    rc[ws.plus], rc[ws.minus] = up, down
+    return SimpleNamespace(dual_lo=np.maximum(rc, 0.0), dual_hi=np.maximum(-rc, 0.0))
+
+
 class TestCandidateFlips:
     def test_largest_multiplier_first(self):
         # two pinned kinks: each is probed both ways, + before -, and the
-        # kink with the larger |multiplier| comes first
-        form = form_of(
-            lambda tb, xs: tb.scale(-2.0, tb.abs(xs[0])) + tb.scale(-2.0, tb.abs(xs[1])),
-            2, [0.0, 0.0],
-        )
-        sigma = signature(form, [0.0, 0.0])
+        # kink with the larger |multiplier|, the half-difference of its z
+        # columns' reduced costs, comes first
+        def build(b1):
+            return form_of(
+                lambda tb, xs: tb.scale(-2.0, tb.abs(xs[0])) + tb.scale(b1, tb.abs(xs[1])),
+                2, [0.0, 0.0],
+            )
+        ws = _Lifted(build(-2.0), cube(2, 1.0))
+        sigma = signature(ws.form, [0.0, 0.0])
         np.testing.assert_array_equal(sigma, [0, 0])
-        duals = np.array([-0.1, -5.0])
-        flips = _candidate_flips(sigma, sigma, duals, np.zeros(2, bool))
-        assert flips == [(1, 1), (1, -1), (0, 1), (0, -1)]
-        # a kink marked convex is never a candidate
-        assert _candidate_flips(sigma, sigma, duals, np.array([False, True])) == [(0, 1), (0, -1)]
+        sol = sol_with_rc(ws, [-0.1, -5.0], [0.1, 5.0])
+        assert ws.flips(sigma, sigma, sol) == [(1, 1, False), (1, -1, True), (0, 1, False), (0, -1, True)]
+        # a convex kink is never a candidate
+        ws = _Lifted(build(2.0), cube(2, 1.0))
+        np.testing.assert_array_equal(ws.convex, [False, True])
+        assert ws.flips(sigma, sigma, sol) == [(0, 1, False), (0, -1, True)]
 
 
 class TestOracleSoundness:
@@ -400,10 +411,10 @@ class TestOracleSoundness:
                 assert local_optimality_test(form, C, res.v_star)
 
     def test_dropped_flip_is_caught(self, rng, monkeypatch):
-        """The oracle does not call ``_candidate_flips``: with its first
+        """The oracle does not call ``_Lifted.flips``: with its first
         candidate dropped, the solver stops early at points the oracle
         rejects, where the same forms' true LOCAL_MIN results all pass."""
-        real_flips = aasm_mod._candidate_flips
+        real_flips = _Lifted.flips
         cases = []
         for _ in range(10):
             form, C = random_pl_form(rng, n=3, s=5, convex=False), cube(3, 3.0)
@@ -411,7 +422,7 @@ class TestOracleSoundness:
             res = aasm_minimize(form, C, start)
             assert res.status != AasmStatus.LOCAL_MIN or local_optimality_test(form, C, res.v_star)
             cases.append((form, C, start))
-        monkeypatch.setattr(aasm_mod, "_candidate_flips", lambda *args: real_flips(*args)[1:])
+        monkeypatch.setattr(_Lifted, "flips", lambda *args: real_flips(*args)[1:])
         rejected = 0
         for form, C, start in cases:
             res = aasm_minimize(form, C, start)
@@ -443,7 +454,9 @@ class TestExhaustedExits:
     @pytest.fixture(autouse=True)
     def every_probe_descends(self, monkeypatch):
         monkeypatch.setattr(aasm_mod, "_descends", lambda psi_child, psi: True)
-        monkeypatch.setattr(_Lifted, "priced_out", lambda self, sol, flips: np.zeros(len(flips), bool))
+        real_flips = _Lifted.flips
+        monkeypatch.setattr(_Lifted, "flips",
+                            lambda *args: [(i, f, False) for i, f, _ in real_flips(*args)])
 
     def test_only_visited_polyhedra_descend(self):
         # z_1 = v, z_2 = |z_1| - 1, psi = |z_1| - |z_2| / 2, both kinks
@@ -521,17 +534,15 @@ class TestProbePricing:
         minimal by ``local_optimality_test``, which enumerates the kinks at
         the point on the restriction route.  On maxq C2 n=20 at iteration 3
         some priced flips pin a column that is basic at 0."""
-        parents = spy(monkeypatch, aasm_mod, "_candidate_flips")  # each walk's sigma, then its flips
-        pricings = spy(monkeypatch, _Lifted, "priced_out")
+        pricings = spy(monkeypatch, _Lifted, "flips")
 
         def margins(start):
             """(sigma_i of the parent, z_i's column basic, psi_child - psi +
             tol_dec) of each flip priced out from pricing ``start`` on."""
             out = []
-            for parent, ((ws, sol, flips), _, verdicts) in list(zip(parents, pricings))[start:]:
-                sigma = parent.args[0]
-                for (i, f), kept in zip(flips, verdicts):
-                    if kept:
+            for (ws, sigma, _, sol), _, flips in pricings[start:]:
+                for i, f, settled in flips:
+                    if settled:
                         sig2 = sigma.copy()
                         sig2[i] = f
                         basic = sigma[i] != 0 and (ws.plus if sigma[i] > 0 else ws.minus)[i] in sol.basis
@@ -558,14 +569,14 @@ class TestProbePricing:
         x = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=3).x_final
         form = affine_substitute(abs_linearize(inst.tape, x), rule.alpha(3), -rule.alpha(3) * x)
         aasm_minimize(form, inst.C, x)  # the subproblem of outer iteration 3
-        priced = [kept for c in pricings[start:] for kept in c.result]
+        priced = [settled for c in pricings[start:] for *_, settled in c.result]
         assert priced and all(priced)
         maxq = margins(start)
         assert any(basic for _, basic, _ in random + maxq)
         assert min(m for _, _, m in random + maxq) >= 0.0
 
     def test_pricing_saves_lps_on_maxq(self, monkeypatch):
-        pricings = spy(monkeypatch, _Lifted, "priced_out")
+        pricings = spy(monkeypatch, _Lifted, "flips")
         inst = bench.maxq(6, "C2")
         x = np.array([0.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # four of five kinks at 0
         form = affine_substitute(abs_linearize(inst.tape, x), 1.0, -x)
@@ -575,7 +586,7 @@ class TestProbePricing:
         assert local_optimality_test(form, inst.C, res.v_star)
         # both signs of the three pinned nonconvex kinks and one flip of
         # kink 0; the fourth kink at 0, the root, is convex and never pinned
-        probed = [flip for c in pricings for flip in c.args[2]]
+        probed = [flip for c in pricings for flip in c.result]
         assert len(probed) == 7
         assert res.lp_calls < len(probed)
 
@@ -603,36 +614,35 @@ def per_flip_verdict(ws, sol, i, f) -> bool:
 
 
 class TestBatchedPricing:
-    """``_Lifted.priced_out`` gives, for all flips of a polyhedron at once,
-    the verdicts of the per-flip entering test bit for bit, with the one
+    """``_Lifted.flips`` gives, for all flips of a polyhedron at once, the
+    verdicts of the per-flip entering test bit for bit, with the one
     tolerance every LP of the call enters with."""
 
     @staticmethod
     def boundary_verdicts(ws, sigma):
-        """Every single flip of sigma priced with its reduced cost at the
-        threshold and one ulp past it: (batched, per-flip) verdicts."""
-        flips = [(i, f) for i in range(ws.form.s) for f in (1, -1) if f != sigma[i]]
+        """The flips of sigma at a point where every kink is at 0, priced
+        with every z column's reduced cost at the threshold and one ulp past
+        it: (batched, per-flip) verdicts."""
         got, want = [], []
         for beyond in (False, True):
-            rc = np.zeros(ws.cost.size)
-            for i, f in flips:
-                j = ws.form.n + i + (0 if f > 0 else ws.form.s)
-                rc[j] = -lpmod.entering_tol(ws.cost)
-                if beyond:
-                    rc[j] = np.nextafter(rc[j], -np.inf)
-            sol = SimpleNamespace(dual_lo=np.maximum(rc, 0.0), dual_hi=np.maximum(-rc, 0.0))
-            got += ws.priced_out(sol, flips).tolist()
-            want += [per_flip_verdict(ws, sol, i, f) for i, f in flips]
+            rc = np.full(ws.form.s, -lpmod.entering_tol(ws.cost))
+            if beyond:
+                rc = np.nextafter(rc, -np.inf)
+            sol = sol_with_rc(ws, rc, rc)
+            flips = ws.flips(sigma, np.zeros(ws.form.s, int), sol)
+            got += [settled for *_, settled in flips]
+            want += [per_flip_verdict(ws, sol, i, f) for i, f, _ in flips]
         return got, want
 
     @pytest.mark.parametrize("b3", [0.5, 4.0], ids=["unique-largest", "tie"])
     def test_flipping_the_costliest_kink(self, b3):
-        # free z columns of sigma = (0, +, -, +) cost 5, 0 and b3 + 1; the
-        # flip of kink 1 unpins z-_1 (cost 3) and pins the costliest column,
-        # yet the tolerance reads the cost alone: 5 with or without a tie
+        # four nonconvex kinks; free z columns of sigma = (0, +, -, +) cost
+        # -5, 0 and -(b3 + 1); the flip of kink 1 unpins z-_1 (cost 3) and
+        # pins the costliest column, yet the tolerance reads the cost alone:
+        # 5 with or without a tie
         form = AbsLinearForm(n=2, s=4, Z=np.ones((4, 2)), M=np.zeros((4, 4)), L=np.zeros((4, 4)),
-                             a=np.array([0.5, -0.25]), b=np.array([0.0, 4.0, 1.0, b3]),
-                             babs=np.ones(4), c=np.zeros(4), d=0.0)
+                             a=np.array([0.5, -0.25]), b=-np.array([0.0, 4.0, 1.0, b3]),
+                             babs=-np.ones(4), c=np.zeros(4), d=0.0)
         ws = _Lifted(form, cube(2, 1.0))
         sigma = np.array([0, 1, -1, 1])
         got, want = self.boundary_verdicts(ws, sigma)
@@ -648,7 +658,7 @@ class TestBatchedPricing:
             assert got == want
 
     def test_walks_match_per_flip(self, rng, monkeypatch):
-        pricings = spy(monkeypatch, _Lifted, "priced_out")
+        pricings = spy(monkeypatch, _Lifted, "flips")
         for _ in range(10):
             form, start = pinned_form(rng, n=3, s=5, pins=2)
             aasm_minimize(form, cube(3, 3.0), start)
@@ -656,15 +666,16 @@ class TestBatchedPricing:
                             (bench.maxq(8, "C3"), 500)):
             asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
         compared = []
-        for (ws, sol, flips), _, verdicts in pricings:
-            assert verdicts.tolist() == [per_flip_verdict(ws, sol, i, f) for i, f in flips]
-            compared.extend(verdicts.tolist())
+        for (ws, _, _, sol), _, flips in pricings:
+            verdicts = [settled for *_, settled in flips]
+            assert verdicts == [per_flip_verdict(ws, sol, i, f) for i, f, _ in flips]
+            compared.extend(verdicts)
         assert len(compared) > 1000
         assert True in compared and False in compared
 
     def test_every_lp_of_a_call_enters_with_enter_tol(self, rng, monkeypatch, phase1_calls):
         """The simplex of each LP a walk solves, probes included, enters
-        columns against the threshold ``priced_out`` uses."""
+        columns against the threshold ``flips`` prices with."""
         used = spy(monkeypatch, lpmod, "entering_tol")
         probes = 0
         for _ in range(10):

@@ -5,6 +5,7 @@ from absfw import asfw as asfw_mod
 from absfw import bench
 from absfw.aasm import local_optimality_test
 from absfw.asfw import (
+    SHORT_STEP,
     StepRule,
     RunStatus,
     asfw_run,
@@ -42,6 +43,28 @@ class TestGeneralizedGap:
         form = abs_linearize(abs_tape, [1.0])
         with pytest.raises(ValueError):
             generalized_gap(form, 1.0, [1.0], [0.0], 0.0)
+
+    @pytest.mark.parametrize("rule", [
+        StepRule.open_loop_sqrt(), StepRule.open_loop_harmonic(), StepRule.fixed_horizon(16),
+        StepRule.short_step(4.0),
+    ], ids=["sqrt", "harmonic", "fixed", "short"])
+    @pytest.mark.parametrize("build, iters", [
+        (bench.mifflin2, 60), (lambda: bench.chained_lq(20), 200),
+    ], ids=["mifflin2", "chained_lq-n20"])
+    def test_every_trace_gap_is_the_generalized_gap(self, monkeypatch, rule, build, iters):
+        """Each row's gap is ``generalized_gap`` of the model at x_t, f(x_t),
+        x_t and the subproblem's vertex, bit for bit, at the rule's step or
+        at 1 for the short step."""
+        forms = spy(monkeypatch, asfw_mod, "abs_linearize")
+        inners = spy(monkeypatch, asfw_mod, "aasm_minimize")
+        inst = build()
+        rows = asfw_run(inst.tape, inst.C, inst.x0, rule, max_iters=iters).trace.rows
+        assert len(rows) == len(forms) == len(inners) > 0
+        for row, lin, inner in zip(rows, forms, inners):
+            x = lin.args[1]
+            scale = 1.0 if rule.kind == SHORT_STEP else rule.alpha(row.t)
+            assert row.fval == evaluate(inst.tape, x).y
+            assert row.gap == generalized_gap(lin.result, row.fval, x, inner.result.v_star, scale)
 
 
 class TestStepRule:

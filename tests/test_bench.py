@@ -286,10 +286,10 @@ class TestPricingWork:
         (6, 500, 16, 16),
     ], ids=["maxq_C2-n20", "maxq_C2-n6"])
     def test_flips_priced(self, monkeypatch, n, iters, priced, settled):
-        pricings = spy(monkeypatch, _Lifted, "priced_out")
+        pricings = spy(monkeypatch, _Lifted, "flips")
         inst = bench.maxq(n, "C2")
         asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
-        verdicts = [kept for c in pricings for kept in c.result.tolist()]
+        verdicts = [settled for c in pricings for *_, settled in c.result]
         assert (len(verdicts), sum(verdicts)) == (priced, settled)
 
 

@@ -65,14 +65,18 @@ class TestRun:
         assert "gap_tol_reached" in status or "exact_gap_zero" in status
         assert len(rows) <= 500
 
-    def test_sweep(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        rc = main(["run", "--problem", "chained_lq", "--n", "3,4", "--max-iters", "5",
-                   "--out", str(out)])
-        assert rc == 0
-        for n in (3, 4):
-            meta, rows, _ = read_trace(tmp_path / f"sweep_n{n}.csv")
-            assert meta["n"] == n and len(rows) == 5
+    def test_sweep(self, tmp_path, monkeypatch):
+        # the suffix goes before the file name's extension, never into a directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.d").mkdir()
+        for out, stem, ext in (("sweep.csv", "sweep", ".csv"), ("./trace", "trace", ""),
+                               ("runs.d/trace", "runs.d/trace", "")):
+            rc = main(["run", "--problem", "chained_lq", "--n", "3,4", "--max-iters", "5",
+                       "--out", out])
+            assert rc == 0
+            for n in (3, 4):
+                meta, rows, _ = read_trace(tmp_path / f"{stem}_n{n}{ext}")
+                assert meta["n"] == n and len(rows) == 5
 
     def test_partial_inner_limit(self, tmp_path):
         out = tmp_path / "pl.csv"
@@ -156,6 +160,26 @@ class TestRun:
         assert rc == 0
         _, rows, _ = read_trace(out)
         assert len(rows) == 3  # explicit flag wins over the file
+
+    def test_config_monotone_switch(self, tmp_path, capsys):
+        """``monotone=true`` acts as --monotone and ``monotone=false`` as its
+        absence, to the CSV apart from elapsed_ms; other values exit 2."""
+        def csv(*args):
+            out = tmp_path / "m.csv"
+            assert main(["run", *args, "--out", str(out)]) == 0
+            return [ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()]
+
+        base = ["--problem", "mifflin2", "--step", "sqrt", "--max-iters", "30"]
+        cfg = tmp_path / "cfg"
+        on, off = csv(*base, "--monotone"), csv(*base)
+        assert on != off
+        for value, want in (("true", on), ("false", off)):
+            cfg.write_text(f"problem=mifflin2\nmonotone={value}\n")
+            assert csv("--config", str(cfg), "--step", "sqrt", "--max-iters", "30") == want
+        cfg.write_text("problem=mifflin2\nmonotone=yes\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "no.csv")]) == 2
+        assert "bad config line 'monotone=yes'" in capsys.readouterr().err
+        assert not (tmp_path / "no.csv").exists()
 
     def test_bad_step_config_is_exit_2(self, tmp_path):
         rc = main(["run", "--problem", "chained_lq", "--n", "4", "--step", "short",

@@ -12,6 +12,8 @@ The maxq rows were re-recorded when each subproblem's first LP began to
 start at the previous subproblem's vertex: the integers stayed, and from
 row 25 on the gaps and values, below 1e-6, moved by up to 3.5e-16 absolute
 (1.4e-9 relative), as the LPs pick other vertices of tied optima.
+The cases run the open-loop 1/sqrt(t+1) rule, apart from the short step on
+mifflin2, recorded when its gap became the one re-evaluated at the vertex.
 Integers must match exactly and floats to a relative 1e-12.  After a change
 that is meant to alter trajectories, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
@@ -28,18 +30,20 @@ from absfw.asfw import StepRule, asfw_run
 
 GOLDEN = Path(__file__).with_name("golden_trajectories.json")
 
+SQRT = StepRule.open_loop_sqrt()
 CASES = {
-    "maxq_C2-n6": (lambda: bench.maxq(6, "C2"), dict(max_iters=500, gap_tol=1e-10)),
-    "chained_lq-n5": (lambda: bench.chained_lq(5), dict(max_iters=30)),
+    "maxq_C2-n6": (lambda: bench.maxq(6, "C2"), SQRT, dict(max_iters=500, gap_tol=1e-10)),
+    "chained_lq-n5": (lambda: bench.chained_lq(5), SQRT, dict(max_iters=30)),
     "lasso_box-n8-p12-seed3": (
-        lambda: bench.constrained_lasso(8, 12, seed=3, variant="box"), dict(max_iters=10)),
+        lambda: bench.constrained_lasso(8, 12, seed=3, variant="box"), SQRT, dict(max_iters=10)),
+    "mifflin2-short-g4": (bench.mifflin2, StepRule.short_step(4.0), dict(max_iters=60)),
 }
 
 
 def trajectory(name):
-    build, kwargs = CASES[name]
+    build, rule, kwargs = CASES[name]
     inst = build()
-    res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), **kwargs)
+    res = asfw_run(inst.tape, inst.C, inst.x0, rule, **kwargs)
     return {
         "f_final": res.f_final,
         "status": res.status.value,

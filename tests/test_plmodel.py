@@ -248,8 +248,9 @@ class TestFormProperties:
         (lambda t: t.replace("\nZ 1.0 ", "\nZ x "), "bad block line 'Z x "),
         (lambda t: t.replace("\nd 0.25", "\nd 0.25 1.0"), "bad block line 'd 0.25 1.0'"),
         (lambda t: t + "q 1.0\n", "bad block line 'q 1.0'"),
+        (lambda t: t + "d 2.0\n", "bad block line 'd 2.0': block given twice"),
     ], ids=["empty", "short-header", "non-numeric-header", "missing-block",
-            "non-numeric-entry", "wrong-length", "unknown-block"])
+            "non-numeric-entry", "wrong-length", "unknown-block", "duplicate-block"])
     def test_malformed_text_names_the_line(self, kink3_form, edit, match):
         text = form_to_text(kink3_form)
         bad = edit(text)
