@@ -1,7 +1,8 @@
 """Frank-Wolfe for abs-smooth functions over compact polyhedra.
 
 Layers, bottom up: :mod:`absfw.tape` records abs-smooth functions and
-abs-linearizes them, :mod:`absfw.plmodel` handles the resulting piecewise
+abs-linearizes them with the compiled programs of :mod:`absfw.tape_program`,
+:mod:`absfw.plmodel` handles the resulting piecewise
 linear models, :mod:`absfw.lp` is a dense bounded-variable simplex,
 :mod:`absfw.aasm` minimizes piecewise linear models over polyhedra by
 successive signature-domain LPs, :mod:`absfw.asfw` is the outer conditional

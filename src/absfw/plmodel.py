@@ -62,7 +62,7 @@ class AbsLinearForm:
     @cached_property
     def chain(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """(i, M[i, :i], L[i, :i]) per row with an M or L entry, the rows
-        ``eval_pl`` substitutes; cached in ``__dict__`` like ``Tape.release``."""
+        ``eval_pl`` substitutes; cached in ``__dict__`` like ``Tape.program``."""
         rows = np.flatnonzero(self.M.any(axis=1) | self.L.any(axis=1)).tolist()
         return tuple((i, self.M[i, :i], self.L[i, :i]) for i in rows)
 

@@ -20,14 +20,15 @@ the numpy arrays those products read.  Its text line is
 per term.
 
 An abs node's switching slot is its rank among the abs nodes, so no table
-stores it: ``evaluate`` and ``abs_linearize`` count slots as they go, and
-``Tape.switch_index`` derives the map for readers.  The other unary
-primitives are smooth, each one (value, derivative) pair in ``_SMOOTH``
-that the one tangent rule ``f(a) + f'(a) (rec - a)`` linearizes.
+stores it; ``Tape.switch_index`` derives the map for readers.  The other
+unary primitives are smooth, each one (value, derivative) pair in
+``absfw.tape_program.SMOOTH`` that the one tangent rule
+``f(a) + f'(a) (rec - a)`` linearizes.
 
-Linearization drops a node's record once no later node reads it.  Which
-records go after which node depends only on the tape, so ``Tape.release``
-works that plan out on the first linearization and keeps it for the rest.
+``evaluate`` and ``abs_linearize`` run the tape's ``TapeProgram``
+(``Tape.program``), compiled on first use into groups of nodes that run as
+one numpy operation each, in the arithmetic of one node at a time; see
+:mod:`absfw.tape_program`.
 """
 from __future__ import annotations
 
@@ -38,18 +39,11 @@ from functools import cached_property
 import numpy as np
 
 from .plmodel import AbsLinearForm
+from .tape_program import SMOOTH, EvalRecord, EvaluationError, TapeProgram
 
 # ops taking two operands
 _BINARY = ("add", "sub", "mul")
-# smooth ops taking a single argument: (value, derivative)
-_SMOOTH = {
-    "neg": (lambda a: -a, lambda a: -1.0),
-    "square": (lambda a: a * a, lambda a: 2.0 * a),
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda a: -math.sin(a)),
-    "exp": (math.exp, math.exp),
-}
-_UNARY = tuple(_SMOOTH) + ("abs",)
+_UNARY = tuple(SMOOTH) + ("abs",)
 # operand count per op; None for affine, which takes one or more
 _ARITY = {"input": 0, "const": 0, "scale": 1, "affine": None,
           **dict.fromkeys(_BINARY, 2), **dict.fromkeys(_UNARY, 1)}
@@ -57,14 +51,6 @@ _ARITY = {"input": 0, "const": 0, "scale": 1, "affine": None,
 
 class TapeError(Exception):
     """Malformed tape or invalid builder usage."""
-
-
-class EvaluationError(Exception):
-    """A smooth primitive produced a non-finite value."""
-
-    def __init__(self, node: int, message: str):
-        super().__init__(f"node {node}: {message}")
-        self.node = node
 
 
 @dataclass(frozen=True)
@@ -94,25 +80,10 @@ class Tape:
         return {idx: k for k, idx in enumerate(kinks)}
 
     @cached_property
-    def release(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the operands no later node reads (never the output),
-        whose linearization records may go once the node is done.  Built on
-        first use, as ``__post_init__`` would charge tapes never linearized;
-        the cache sits in ``__dict__``, unseen by ``__eq__`` and ``repr``."""
-        last: dict[int, int] = {}
-        for idx, node in enumerate(self.nodes):
-            last.update(dict.fromkeys(node.args, idx))
-        last.pop(self.output, None)
-        plan: list[list[int]] = [[] for _ in self.nodes]
-        for k, idx in last.items():
-            plan[idx].append(k)
-        return tuple(map(tuple, plan))
-
-    @cached_property
     def affine(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per affine node, its operands and weights as read-only arrays, for
-        the products of ``evaluate`` and ``abs_linearize``.  Built on first
-        use and cached like ``release``."""
+        the products of the compiled program.  Built on first use; the cache
+        sits in ``__dict__``, unseen by ``__eq__`` and ``repr``."""
         table = {}
         for idx, node in enumerate(self.nodes):
             if node.op == "affine":
@@ -120,6 +91,13 @@ class Tape:
                 args.flags.writeable = weights.flags.writeable = False
                 table[idx] = args, weights
         return table
+
+    @cached_property
+    def program(self) -> TapeProgram:
+        """The tape compiled into level groups, which ``evaluate`` and
+        ``abs_linearize`` run.  Built on first use, as ``__post_init__``
+        would charge tapes never run, and cached like ``affine``."""
+        return TapeProgram(self)
 
     def __post_init__(self):
         if self.num_inputs < 0:
@@ -142,51 +120,15 @@ class Tape:
             raise TapeError("output index out of range")
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    values: np.ndarray  # per-node values
-    z: np.ndarray       # switching values, tape order
-    y: float
-
-
 def evaluate(tape: Tape, x) -> EvalRecord:
-    """Run the tape at ``x``; abs-node values are |z_i| for switching value z_i."""
+    """Run the tape at ``x``; abs-node values are |z_i| for switching value z_i.
+
+    A non-finite value raises ``EvaluationError`` naming the first node, in
+    tape order, that has one."""
     x = np.asarray(x, dtype=float)
     if x.shape != (tape.num_inputs,):
         raise ValueError(f"expected input of length {tape.num_inputs}, got {x.shape}")
-    vals = np.empty(len(tape.nodes))
-    z = np.empty(tape.num_switch)
-    i = 0  # the next switching slot
-    for idx, node in enumerate(tape.nodes):
-        op, args = node.op, node.args
-        if op == "input":
-            v = x[node.value]
-        elif op == "const":
-            v = node.value
-        elif op == "add":
-            v = vals[args[0]] + vals[args[1]]
-        elif op == "sub":
-            v = vals[args[0]] - vals[args[1]]
-        elif op == "mul":
-            v = vals[args[0]] * vals[args[1]]
-        elif op == "scale":
-            v = node.value * vals[args[0]]
-        elif op == "affine":
-            ks, w = tape.affine[idx]
-            v = w @ vals[ks] + node.value
-        elif op == "abs":
-            z[i] = vals[args[0]]
-            v = abs(z[i])
-            i += 1
-        else:
-            try:
-                v = _SMOOTH[op][0](vals[args[0]])
-            except OverflowError:
-                raise EvaluationError(idx, f"{op} overflow") from None
-        if not math.isfinite(v):
-            raise EvaluationError(idx, f"non-finite value in {op}")
-        vals[idx] = v
-    return EvalRecord(values=vals, z=z, y=float(vals[tape.output]))
+    return tape.program.evaluate(x)
 
 
 def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLinearForm:
@@ -201,82 +143,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     ``record``, if given, must be ``evaluate(tape, xbar)``; it saves that run.
     """
     rec = evaluate(tape, xbar) if record is None else record
-    vals = rec.values
-    n, s = tape.num_inputs, tape.num_switch
-    width = 1 + n + 2 * s
-    xpart = slice(1, 1 + n)
-
-    Z = np.zeros((s, n))
-    M = np.zeros((s, s))
-    L = np.zeros((s, s))
-    c = np.zeros(s)
-
-    release = tape.release
-    recs: list[np.ndarray | None] = [None] * len(tape.nodes)
-    # operand records stacked per affine operand tuple; an abs node
-    # rewrites a record, which makes every stack stale
-    stacked: dict[tuple[int, ...], np.ndarray] = {}
-    i = 0  # the next switching slot
-    for idx, node in enumerate(tape.nodes):
-        op, args = node.op, node.args
-        if op == "input":
-            r = np.zeros(width)
-            r[0] = vals[idx]
-            r[1 + node.value] = 1.0
-        elif op == "const":
-            r = np.zeros(width)
-            r[0] = node.value
-        elif op == "add":
-            r = recs[args[0]] + recs[args[1]]
-        elif op == "sub":
-            r = recs[args[0]] - recs[args[1]]
-        elif op == "scale":
-            r = node.value * recs[args[0]]
-        elif op == "mul":
-            va, vb = vals[args[0]], vals[args[1]]
-            r = vb * recs[args[0]] + va * recs[args[1]]
-            r[0] -= va * vb
-        elif op == "affine":
-            if args not in stacked:
-                stacked[args] = np.array([recs[k] for k in args])
-            r = tape.affine[idx][1] @ stacked[args]
-            r[0] += node.value
-        elif op == "abs":  # freeze the argument's record as switching row i
-            arg = recs[args[0]]
-            c[i] = arg[0]
-            Z[i] = arg[xpart]
-            M[i] = arg[1 + n:1 + n + s]
-            L[i] = arg[1 + n + s:]
-            # later uses of the argument refer to z_i, of this node to |z_i|
-            zr = np.zeros(width)
-            zr[1 + n + i] = 1.0
-            recs[args[0]] = zr
-            stacked.clear()
-            r = np.zeros(width)
-            r[1 + n + s + i] = 1.0
-            i += 1
-        else:  # the tangent f(a) + f'(a) (rec - a), with f(a) this node's value
-            va = vals[args[0]]
-            d = _SMOOTH[op][1](va)
-            r = d * recs[args[0]]
-            r[0] += vals[idx] - d * va
-        recs[idx] = r
-        for k in release[idx]:
-            recs[k] = None
-
-    out = recs[tape.output]
-    return AbsLinearForm(
-        n=n,
-        s=s,
-        Z=Z,
-        M=M,
-        L=L,
-        a=out[xpart].copy(),
-        b=out[1 + n:1 + n + s].copy(),
-        babs=out[1 + n + s:].copy(),
-        c=c,
-        d=float(out[0]),
-    )
+    return tape.program.linearize(rec.values)
 
 
 def directional_fd(tape: Tape, xbar, d, h: float) -> float:

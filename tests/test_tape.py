@@ -1,5 +1,8 @@
+import heapq
 import re
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +20,11 @@ from absfw.tape import (
     tape_from_text,
 )
 from absfw import bench
+from absfw.asfw import StepRule, asfw_run
 from absfw.plmodel import delta_eval, eval_pl
 from absfw.randgen import random_tape
+
+import tape_reference
 
 
 class TestEvaluate:
@@ -56,8 +62,32 @@ class TestEvaluate:
         tb = TapeBuilder(1)
         (x,) = tb.inputs()
         tape = tb.build(tb.exp(tb.square(tb.exp(x))))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="node 3: exp overflow") as err:
             evaluate(tape, [100.0])
+        assert err.value.node == 3
+
+    @pytest.mark.parametrize("build, x, node, op", [
+        (lambda tb, u, v: tb.square(u), [1e200, 0.0], 2, "square"),
+        (lambda tb, u, v: u * v, [1e200, 1e200], 2, "mul"),
+        (lambda tb, u, v: u + v, [1.5e308, 1.5e308], 2, "add"),
+        (lambda tb, u, v: tb.scale(1e300, u), [1e10, 0.0], 2, "scale"),
+        # sin reads the infinity: the square is named, and sin raises nothing
+        (lambda tb, u, v: tb.sin(tb.square(u)), [1e200, 0.0], 2, "square"),
+        # the exp overflows at a lower level, but the second square comes
+        # first in tape order
+        (lambda tb, u, v: tb.square(tb.square(u)) + tb.exp(v), [1e100, 1e3], 3, "square"),
+    ], ids=["square", "mul", "add", "scale", "sin-of-inf", "tape-order"])
+    def test_overflow_in_arithmetic_reports_node(self, build, x, node, op):
+        # pytest turns warnings into errors, so none may escape
+        tb = TapeBuilder(2)
+        tape = tb.build(build(tb, *tb.inputs()))
+        with pytest.raises(EvaluationError, match=f"node {node}: non-finite value in {op}") as err:
+            evaluate(tape, x)
+        assert err.value.node == node
+
+    def test_non_finite_input_reports_its_node(self, abs_tape):
+        with pytest.raises(EvaluationError, match="node 0: non-finite value in input"):
+            evaluate(abs_tape, [np.nan])
 
 
 class TestAbsLinearize:
@@ -472,31 +502,182 @@ def _operands(tape, idx):
 
 
 class TestReleasePlan:
+    """The linearization's row plan: which row holds each record, and when
+    a row is taken again."""
+
     def test_each_operand_released_once_at_its_last_reader(self):
+        # every read finds its record still in its row: a row is taken
+        # again at the earliest by its record's last reader, which reads all
+        # its operands before it writes
         for tape, _ in _plan_cases():
-            released = [(k, idx) for idx, ks in enumerate(tape.release) for k in ks]
-            nodes = [k for k, _ in released]
-            assert len(nodes) == len(set(nodes)) and tape.output not in nodes
-            read = set().union(*(_operands(tape, idx) for idx in range(len(tape.nodes))))
-            assert set(nodes) == read - {tape.output}
-            for k, idx in released:
-                assert k in _operands(tape, idx)
-                assert not any(k in _operands(tape, j) for j in range(idx + 1, len(tape.nodes)))
+            program = tape.program
+            held = {}
+            written = []
+            for group, (writes, reads) in zip(program.linearization, program.record_keys):
+                rows = [r for rows in group.ins for r in np.ravel(rows).tolist()]
+                assert [held[r] for r in rows] == reads
+                held.update(zip(group.out.tolist(), writes))
+                written += writes
+            assert held[program.out_row] == program.out_key
+            assert len(written) == len(set(written))
+            if tape.num_switch > 5:  # the bench tapes: rows are reused
+                assert program.rows < len(written)
 
     def test_built_on_first_linearization_and_kept(self):
         tape = bench.constrained_lasso(5, 8).tape
-        assert "release" not in vars(tape)
+        assert "program" not in vars(tape)
         abs_linearize(tape, np.zeros(5))
-        plan = tape.release
+        program = tape.program
         abs_linearize(tape, np.ones(5))
-        assert tape.release is plan
+        evaluate(tape, np.ones(5))
+        assert tape.program is program
+        assert tape == bench.constrained_lasso(5, 8).tape
 
     def test_releasing_nothing_gives_the_same_form(self, monkeypatch):
-        cases = list(_plan_cases())
-        forms = [abs_linearize(tape, x) for tape, x in cases]
-        monkeypatch.setattr(Tape, "release", property(lambda self: [()] * len(self.nodes)))
-        for (tape, x), form in zip(cases, forms):
-            kept = abs_linearize(tape, x)
-            for name in ("Z", "M", "L", "a", "b", "babs", "c"):
-                np.testing.assert_array_equal(getattr(kept, name), getattr(form, name), err_msg=name)
-            assert kept.d == form.d
+        # plans with no row reused, and with the tape in one segment, give
+        # the same bytes as the default plan
+        import absfw.tape_program as tape_mod
+
+        def forms():
+            return [abs_linearize(tape, x) for tape, x in _plan_cases()]
+
+        want = forms()
+        with monkeypatch.context() as m:
+            m.setattr(tape_mod, "heapq", SimpleNamespace(heappop=heapq.heappop, heappush=lambda heap, row: None))
+            kept = forms()
+        with monkeypatch.context() as m:
+            m.setattr(tape_mod, "_BUDGET", 1 << 40)
+            whole = forms()
+        with monkeypatch.context() as m:
+            m.setattr(tape_mod, "_BUDGET", 1)  # one node per segment
+            split = forms()
+        for plan in (kept, whole, split):
+            for got, form in zip(plan, want):
+                _assert_same_form(got, form)
+
+
+_FORM_BLOCKS = ("Z", "M", "L", "a", "b", "babs", "c")
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_same_form(got, want):
+    for name in _FORM_BLOCKS:
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _bits(got.d) == _bits(want.d)
+
+
+def _assert_matches_loop(tape, x):
+    """The compiled program's record and form are the node-by-node loop's,
+    byte for byte, signed zeros included."""
+    rec, want = evaluate(tape, x), tape_reference.evaluate(tape, x)
+    for name in ("values", "z", "y"):
+        assert _bits(getattr(rec, name)) == _bits(getattr(want, name)), name
+    _assert_same_form(abs_linearize(tape, x, rec), tape_reference.abs_linearize(tape, x, want))
+
+
+class TestMatchesNodeLoop:
+    def test_random_tapes(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            n = int(rng.integers(1, 5))
+            tape = random_tape(rng, n, n_ops=int(rng.integers(1, 40)), p_abs=float(rng.uniform(0.1, 0.6)))
+            for _ in range(3):
+                _assert_matches_loop(tape, rng.uniform(-1, 1, size=n))
+            _assert_matches_loop(tape, np.zeros(n))  # kinks at 0 and signed zeros
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_affine_pairs(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for tape in _affine_pair(seed):
+            for _ in range(2):
+                _assert_matches_loop(tape, rng.normal(size=5))
+
+    def test_abs_arguments_read_again(self):
+        # the affine operand tuple read again after abs(x0), and two abs
+        # nodes on one input: the second freezes z_0, not x's record
+        tb = TapeBuilder(2)
+        x0, x1 = tb.inputs()
+        before = tb.affine([1.0, 2.0], [x0, x1])
+        kink = tb.abs(x0)
+        after = tb.affine([1.0, 2.0], [x0, x1])
+        repeated = tb.build(before + after + kink)
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        twice = tb.build(-tb.abs(x) - tb.abs(x))
+        for tape, x in ((repeated, [0.5, -1.0]), (repeated, [0.0, -0.0]), (twice, [0.3]), (twice, [-0.0])):
+            _assert_matches_loop(tape, np.array(x))
+        np.testing.assert_array_equal(abs_linearize(twice, [0.3]).M, [[0.0, 0.0], [1.0, 0.0]])
+
+    def test_edge_tapes(self):
+        # the output an input, a constant or an abs node; the output read by
+        # a later abs; a dead chain of adds after the output
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        tapes = [tb.build(x), tb.build(tb.abs(x))]
+        tb = TapeBuilder(0)
+        tapes.append(tb.build(tb.const(-0.0)))
+        tapes.append(Tape(nodes=(_X0, TapeNode("abs", (0,))), num_inputs=1, output=0))
+        tb = TapeBuilder(2)
+        u, v = tb.inputs()
+        total = ((u + v) + u) + v
+        recorded = tb.build((total + u) + v)
+        tapes.append(Tape(nodes=recorded.nodes, num_inputs=2, output=total.index))
+        for tape in tapes:
+            for x in (np.full(tape.num_inputs, 0.3), np.full(tape.num_inputs, -0.0)):
+                _assert_matches_loop(tape, x)
+
+    @pytest.mark.parametrize("name", ["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_bench_runs_at_every_iterate(self, name, monkeypatch):
+        # the three benchmark runs, with the loop checked at each call
+        import absfw.asfw as asfw_mod
+
+        inst, iters = {
+            "chained_lq-n100": (lambda: bench.chained_lq(100), 5),
+            "maxq_C2-n20": (lambda: bench.maxq(20, "C2"), 200),
+            "lasso_box-n50-p100": (lambda: bench.constrained_lasso(50, 100, seed=0), 20),
+        }[name]
+        inst = inst()
+        points = []
+
+        def spy(x, *rest):
+            points.append(np.array(x))
+            _assert_matches_loop(inst.tape, x)
+            return (abs_linearize if rest else evaluate)(inst.tape, x, *rest)
+
+        monkeypatch.setattr(asfw_mod, "evaluate", lambda tape, x: spy(x))
+        monkeypatch.setattr(asfw_mod, "abs_linearize", lambda tape, x, rec: spy(x, rec))
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert len(points) >= 2 * len(res.trace.rows)
+
+
+class TestCompiledWork:
+    """Pinned shapes of the three benchmark tapes' programs: a fall back to
+    one group per node changes these counts."""
+
+    @pytest.mark.parametrize("build, nodes, groups", [
+        (lambda: bench.chained_lq(100), 1191, (9, 64)),
+        (lambda: bench.maxq(20, "C2"), 135, (21, 22)),
+        (lambda: bench.constrained_lasso(50, 100, seed=0), 553, (6, 8)),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_group_counts(self, build, nodes, groups):
+        tape = build().tape
+        program = tape.program
+        assert len(tape.nodes) == nodes
+        assert (len(program.evaluation), len(program.linearization)) == groups
+
+    def test_linearization_memory_is_bounded(self):
+        # the records stay within the budget: the peak is about 0.67 MB,
+        # where the whole tape's records would take 2.8 MB
+        inst = bench.chained_lq(100)
+        rec = evaluate(inst.tape, inst.x0)
+        abs_linearize(inst.tape, inst.x0, rec)
+        tracemalloc.start()
+        try:
+            abs_linearize(inst.tape, inst.x0, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
