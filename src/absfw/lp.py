@@ -62,7 +62,8 @@ class LpStatus(Enum):
 
 class LpError(Exception):
     """Numerical breakdown: the iteration limit was hit, phase 1 found a ray,
-    or an optimal point left a column bound by more than DEFAULT_TOL."""
+    or an optimal point is not finite or left a column bound by more than
+    DEFAULT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class LpProblem:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
         if self.c.shape[0] != self.P.dim:
             raise ValueError("objective length does not match polyhedron dimension")
+        if not np.isfinite(self.c).all():
+            raise ValueError("objective must be finite")
         pairs = np.asarray(self.twins, dtype=np.int64)
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValueError("twins must be pairs of column indices")
@@ -441,8 +444,10 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     if not sx._fresh:
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
     x_full = sx.x_full()
-    if np.any(x_full[:n_real] < lo - DEFAULT_TOL) or np.any(x_full[:n_real] > hi + DEFAULT_TOL):
-        raise LpError("optimal point leaves a column bound by more than DEFAULT_TOL")
+    x_real = x_full[:n_real]
+    if not (np.isfinite(x_real).all() and (x_real >= lo - DEFAULT_TOL).all()
+            and (x_real <= hi + DEFAULT_TOL).all()):
+        raise LpError("optimal point is not finite or leaves a column bound by more than DEFAULT_TOL")
     y = sx.factor.solve_T(c_work[sx.basis])
     rc = c - A.T @ y
 

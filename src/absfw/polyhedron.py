@@ -15,7 +15,8 @@ DEFAULT_FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """{x : Aeq x = beq, Ain x <= bin, lo <= x <= hi}; bounds may be +-inf."""
+    """{x : Aeq x = beq, Ain x <= bin, lo <= x <= hi}; the rows are finite,
+    and lo may be -inf and hi +inf."""
 
     Aeq: np.ndarray
     beq: np.ndarray
@@ -34,6 +35,12 @@ class Polyhedron:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).ravel())
         if self.Aeq.shape[0] != self.beq.shape[0] or self.Ain.shape[0] != self.bin.shape[0]:
             raise ValueError("row dimensions inconsistent")
+        if not (np.isfinite(self.Aeq).all() and np.isfinite(self.beq).all()
+                and np.isfinite(self.Ain).all() and np.isfinite(self.bin).all()):
+            raise ValueError("constraint rows must be finite")
+        # a NaN fails its comparison too
+        if not ((self.lo < np.inf).all() and (self.hi > -np.inf).all()):
+            raise ValueError("bounds must not be NaN, lo = +inf or hi = -inf")
         if np.any(self.lo > self.hi):
             raise ValueError("lo must not exceed hi")
         for arr in ("Aeq", "beq", "Ain", "bin", "lo", "hi"):

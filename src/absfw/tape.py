@@ -14,21 +14,19 @@ scale factor or the affine constant.  Besides the scalar primitives there is
 one n-ary node, ``affine``, with value ``value + sum_k weights[k] *
 v[args[k]]``.  A regression residual ``A_k x - y_k`` is then one node instead
 of a chain of ``scale`` and ``add`` per entry, and its linearization is one
-vector-matrix product over its operands' records.  ``Tape.affine`` derives
-the numpy arrays those products read.  Its text line is
+vector-matrix product over its operands' records.  Its text line is
 ``<idx> affine <const> <arg> <weight> ...`` with one (operand, weight) pair
 per term.
 
 An abs node's switching slot is its rank among the abs nodes, so no table
-stores it; ``Tape.switch_index`` derives the map for readers.  The other
-unary primitives are smooth, each one (value, derivative) pair in
-``absfw.tape_program.SMOOTH`` that the one tangent rule
+stores it.  The other unary primitives are smooth, each one (value,
+derivative) pair in ``absfw.tape_program.SMOOTH`` that the one tangent rule
 ``f(a) + f'(a) (rec - a)`` linearizes.
 
 ``evaluate`` and ``abs_linearize`` run the tape's ``TapeProgram``
 (``Tape.program``), compiled on first use into groups of nodes that run as
 one numpy operation each, in the arithmetic of one node at a time; see
-:mod:`absfw.tape_program`.
+:mod:`absfw.tape_program`, the one place that derives data from the nodes.
 """
 from __future__ import annotations
 
@@ -73,30 +71,12 @@ class Tape:
     def num_switch(self) -> int:
         return sum(node.op == "abs" for node in self.nodes)
 
-    @property
-    def switch_index(self) -> dict[int, int]:
-        """Switching slot (0-based) per abs node: its rank among them."""
-        kinks = [idx for idx, node in enumerate(self.nodes) if node.op == "abs"]
-        return {idx: k for k, idx in enumerate(kinks)}
-
-    @cached_property
-    def affine(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per affine node, its operands and weights as read-only arrays, for
-        the products of the compiled program.  Built on first use; the cache
-        sits in ``__dict__``, unseen by ``__eq__`` and ``repr``."""
-        table = {}
-        for idx, node in enumerate(self.nodes):
-            if node.op == "affine":
-                args, weights = np.array(node.args, dtype=np.intp), np.array(node.weights)
-                args.flags.writeable = weights.flags.writeable = False
-                table[idx] = args, weights
-        return table
-
     @cached_property
     def program(self) -> TapeProgram:
         """The tape compiled into level groups, which ``evaluate`` and
         ``abs_linearize`` run.  Built on first use, as ``__post_init__``
-        would charge tapes never run, and cached like ``affine``."""
+        would charge tapes never run; the cache sits in ``__dict__``, unseen
+        by ``__eq__`` and ``repr``."""
         return TapeProgram(self)
 
     def __post_init__(self):
@@ -141,6 +121,8 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
     argument of an abs, later uses of it refer to the switching variable
     symbolically, which is what populates M and b.
     ``record``, if given, must be ``evaluate(tape, xbar)``; it saves that run.
+    A record that is not finite raises ``EvaluationError`` naming the first
+    node, in tape order, that has one; a chain of adds counts as its last add.
     """
     rec = evaluate(tape, xbar) if record is None else record
     return tape.program.linearize(rec.values)

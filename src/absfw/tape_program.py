@@ -8,7 +8,9 @@ node at a time: elementwise ops batched, a chain of adds as one sequential
 ``np.add.accumulate``, the affine nodes sharing an operand tuple as one
 stacked product with one dot or vector-matrix product per node, and the
 smooth primitives through the same ``math`` functions.  Values and forms
-are therefore the bytes a node-by-node loop gives.
+are therefore the bytes a node-by-node loop gives.  The program is the one
+reader that derives data from a tape's nodes: it ranks the abs nodes into
+switching slots and stacks the affine weights from ``TapeNode.weights``.
 """
 from __future__ import annotations
 
@@ -31,8 +33,14 @@ _BUDGET = 1 << 19
 
 def _each(f):
     """``f`` applied to each entry of an array, as math rounds it: numpy's
-    own sin, cos and exp may differ in the last bit."""
-    return lambda a: np.array([f(t) for t in a.tolist()])
+    own sin, cos and exp may differ in the last bit.  An entry math rejects,
+    as an overflow or a non-finite argument, gives NaN."""
+    def at(t):
+        try:
+            return f(t)
+        except (OverflowError, ValueError):
+            return math.nan
+    return lambda a: np.array([at(t) for t in a.tolist()])
 
 
 # smooth ops taking a single argument: (value, derivative), each mapping an
@@ -47,8 +55,8 @@ SMOOTH = {
 
 
 class EvaluationError(Exception):
-    """A node's value is not finite; ``node`` is the first such node in
-    tape order."""
+    """A node's value or linearization record is not finite; ``node`` is the
+    first such node in tape order."""
 
     def __init__(self, node: int, message: str):
         super().__init__(f"node {node}: {message}")
@@ -101,13 +109,14 @@ class TapeProgram:
         self.base = np.array([node.value if node.op == "const" else 0.0 for node in nodes])
         self.inputs = np.array([j for j, op in enumerate(self.ops) if op == "input"], dtype=np.intp)
         self.slots = np.array([nodes[j].value for j in self.inputs], dtype=np.intp)
-        self.slot = tape.switch_index
 
+        self.slot = {}  # switching slot per abs node: its rank among them
         now = list(range(N))  # the record a read of each node sees
         self.lin_src = []
         for j, node in enumerate(nodes):
             self.lin_src.append(tuple(now[k] for k in node.args))
             if node.op == "abs":
+                self.slot[j] = len(self.slot)
                 now[node.args[0]] = N + self.slot[j]
         self.out_src = now[tape.output]
 
@@ -186,7 +195,7 @@ class TapeProgram:
         reads = [[rec(k) for k in col] for col in zip(*(src[j] for j in items))]
         if op == "affine":  # the shared operands; weights as rows of an (m, 1, k) stack
             reads = [[rec(k) for k in key[1]]]
-            data = (np.array([tape.affine[j][1] for j in items])[:, None, :],
+            data = (np.array([nodes[j].weights for j in items])[:, None, :],
                     np.array([nodes[j].value for j in items]))
         elif op == "scale":
             data = (np.array([nodes[j].value for j in items]),)
@@ -312,7 +321,6 @@ class TapeProgram:
         vals = self.base.copy()
         vals[self.inputs] = x[self.slots]
         z = np.empty(self.s)
-        overflow = set()  # nodes whose math function overflowed
         with np.errstate(all="ignore"):  # a non-finite value is reported below
             for op, out, ins, data in self.evaluation:
                 if op == "add":
@@ -331,30 +339,53 @@ class TapeProgram:
                     z[data[0]] = vals[ins[0]]
                     vals[out] = np.abs(vals[ins[0]])
                 else:
-                    f = SMOOTH[op][0]
-                    try:
-                        vals[out] = f(vals[ins[0]])
-                    except (OverflowError, ValueError):  # math's, for one argument
-                        for j, a in zip(out.tolist(), ins[0].tolist()):
-                            try:
-                                vals[j] = f(vals[a:a + 1])[0]
-                            except OverflowError:
-                                vals[j] = math.nan
-                                overflow.add(j)
-                            except ValueError:  # a non-finite argument, reported upstream
-                                vals[j] = math.nan
+                    vals[out] = SMOOTH[op][0](vals[ins[0]])
         finite = np.isfinite(vals)
         if not finite.all():
             j = int(finite.argmin())
             op = self.ops[j]
-            raise EvaluationError(j, f"{op} overflow" if j in overflow else f"non-finite value in {op}")
+            # the first such node's operands are finite: if math computes it, it overflowed
+            raise EvaluationError(j, f"{op} overflow" if op in ("sin", "cos", "exp")
+                                  else f"non-finite value in {op}")
         return EvalRecord(values=vals, z=z, y=float(vals[self.output]))
 
     def linearize(self, vals: np.ndarray) -> AbsLinearForm:
         n, s = self.n, self.s
         R = np.empty((self.rows, self.width))
         rows = np.zeros((s, self.width))  # switching rows: c, Z, M and L side by side
-        for op, out, ins, data in self.linearization:
+        with np.errstate(all="ignore"):  # a non-finite record is reported below
+            self._run(vals, R, rows, self.linearization)
+        out = R[self.out_row].copy()
+        del R  # the records go before the form copies its arrays
+        if not (np.isfinite(rows).all() and np.isfinite(out).all()):
+            raise self._non_finite(vals)
+        return AbsLinearForm(
+            n=n,
+            s=s,
+            Z=rows[:, 1:1 + n],
+            M=rows[:, 1 + n:1 + n + s],
+            L=rows[:, 1 + n + s:],
+            a=out[1:1 + n],
+            b=out[1 + n:1 + n + s],
+            babs=out[1 + n + s:],
+            c=rows[:, 0],
+            d=float(out[0]),
+        )
+
+    def _non_finite(self, vals: np.ndarray) -> EvaluationError:
+        """The error for a form that is not finite, from a second run that
+        checks the node records each group writes."""
+        R, rows, bad = np.empty((self.rows, self.width)), np.zeros((self.s, self.width)), []
+        with np.errstate(all="ignore"):
+            for group, (writes, _) in zip(self.linearization, self.record_keys):
+                self._run(vals, R, rows, [group])
+                bad += [k for k, r in zip(writes, R[group.out]) if not np.isfinite(r).all()]
+        j = min(bad)
+        return EvaluationError(j, f"non-finite linearization of {self.ops[j]}")
+
+    def _run(self, vals: np.ndarray, R: np.ndarray, rows: np.ndarray, groups):
+        """Run the linearization ``groups`` on the records R and the switching rows."""
+        for op, out, ins, data in groups:
             if op == "leaf":  # an input's or constant's value, or a unit
                 valued, nodes_valued, unit, cols = data
                 R[out] = 0.0
@@ -388,17 +419,3 @@ class TapeProgram:
                     r *= d[:, None]
                     r[:, 0] += vals[data[1]] - d * va
                 R[out] = r
-        out = R[self.out_row].copy()
-        del R  # the records go before the form copies its arrays
-        return AbsLinearForm(
-            n=n,
-            s=s,
-            Z=rows[:, 1:1 + n],
-            M=rows[:, 1 + n:1 + n + s],
-            L=rows[:, 1 + n + s:],
-            a=out[1:1 + n],
-            b=out[1 + n:1 + n + s],
-            babs=out[1 + n + s:],
-            c=rows[:, 0],
-            d=float(out[0]),
-        )

@@ -61,8 +61,7 @@ def evaluate(tape: Tape, x) -> EvalRecord:
         elif op == "scale":
             v = node.value * vals[args[0]]
         elif op == "affine":
-            ks, w = tape.affine[idx]
-            v = w @ vals[ks] + node.value
+            v = np.array(node.weights) @ vals[list(args)] + node.value
         elif op == "abs":
             z[i] = vals[args[0]]
             v = abs(z[i])
@@ -128,7 +127,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
         elif op == "affine":
             if args not in stacked:
                 stacked[args] = np.array([recs[k] for k in args])
-            r = tape.affine[idx][1] @ stacked[args]
+            r = np.array(node.weights) @ stacked[args]
             r[0] += node.value
         elif op == "abs":  # freeze the argument's record as switching row i
             arg = recs[args[0]]

@@ -75,6 +75,11 @@ class TestBasics:
         assert sol.objective == pytest.approx(-2.0)
         check_certificates(lp, sol)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_rejected(self, bad):
+        with pytest.raises(ValueError, match="objective must be finite"):
+            LpProblem(c=[bad, 1.0], P=box([0.0, 0.0], [1.0, 1.0]))
+
     def test_infeasible(self):
         lp = LpProblem(c=[1.0], P=make_poly(1, Ain=[[1.0]], bin_=[-1.0], lo=[0.0]))
         assert solve(lp).status == LpStatus.INFEASIBLE
@@ -564,6 +569,21 @@ class TestBoundGuard:
                 solve(lp)
         else:
             assert solve(lp).status == LpStatus.OPTIMAL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_optimal_point(self, monkeypatch, bad):
+        # NaN compares false, and no column has a finite upper bound, so
+        # neither point leaves a bound
+        real = _Simplex.refactor
+
+        def poisoned(sx):
+            real(sx)
+            sx.xB = np.full(sx.m, bad)
+
+        monkeypatch.setattr(_Simplex, "refactor", poisoned)
+        lp = LpProblem(c=[-1.0, -2.0], P=make_poly(2, Ain=[[1.0, 1.0]], bin_=[1.0], lo=[0.0, 0.0]))
+        with pytest.raises(LpError, match="not finite"):
+            solve(lp)
 
 
 def dense_replace(inv, r, w):

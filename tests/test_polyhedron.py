@@ -77,6 +77,30 @@ class TestValidation:
                 lo=-np.ones(3), hi=np.ones(3),
             )
 
+    @pytest.mark.parametrize("field, entry, value, match", [
+        ("lo", 0, np.nan, "bounds"),
+        ("hi", 1, np.nan, "bounds"),
+        ("lo", 0, np.inf, "bounds"),
+        ("hi", 1, -np.inf, "bounds"),
+        ("Aeq", (0, 1), np.nan, "rows"),
+        ("beq", 0, np.inf, "rows"),
+        ("Ain", (0, 0), np.nan, "rows"),
+        ("Ain", (0, 1), -np.inf, "rows"),
+        ("bin", 0, np.nan, "rows"),
+    ])
+    def test_non_finite_data_rejected(self, field, entry, value, match):
+        # NaN compares false, so a NaN bound or row would pass every later
+        # test and the LP be solved OPTIMAL at a meaningless point
+        def data():
+            return dict(Aeq=np.ones((1, 2)), beq=np.ones(1), Ain=np.ones((1, 2)), bin=np.ones(1),
+                        lo=np.array([0.0, -np.inf]), hi=np.array([np.inf, 1.0]))
+
+        Polyhedron(**data())  # infinite bounds of their own sign are fine
+        bad = data()
+        bad[field][entry] = value  # an infinite bound pairs with one of its own sign
+        with pytest.raises(ValueError, match=match):
+            Polyhedron(**bad)
+
     def test_boxedness(self):
         assert cube(2, 1.0).is_boxed()
         assert not box([-1.0], [np.inf]).is_boxed()

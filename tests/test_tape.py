@@ -1,7 +1,7 @@
 import heapq
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +22,7 @@ from absfw.tape import (
 from absfw import bench
 from absfw.asfw import StepRule, asfw_run
 from absfw.plmodel import delta_eval, eval_pl
+from absfw.polyhedron import cube
 from absfw.randgen import random_tape
 
 import tape_reference
@@ -49,9 +50,13 @@ class TestEvaluate:
         assert rec.y == pytest.approx(9.0)
 
     def test_abs_values_match_switching(self, three_kink_max):
+        # slot i is the i-th abs node; z_i is its argument's value
         rec = evaluate(three_kink_max, [0.7])
-        for node, slot in three_kink_max.switch_index.items():
-            assert rec.values[node] == pytest.approx(abs(rec.z[slot]))
+        kinks = [j for j, node in enumerate(three_kink_max.nodes) if node.op == "abs"]
+        assert len(kinks) == len(rec.z) == 3
+        for slot, j in enumerate(kinks):
+            assert rec.z[slot] == rec.values[three_kink_max.nodes[j].args[0]]
+            assert rec.values[j] == abs(rec.z[slot])
 
     def test_mifflin_value(self, mifflin2_tape):
         assert evaluate(mifflin2_tape, [-1.8, 1.8]).y == pytest.approx(
@@ -64,6 +69,13 @@ class TestEvaluate:
         tape = tb.build(tb.exp(tb.square(tb.exp(x))))
         with pytest.raises(EvaluationError, match="node 3: exp overflow") as err:
             evaluate(tape, [100.0])
+        assert err.value.node == 3
+        # nodes 2 and 3 run as one group; only the second overflows
+        tb = TapeBuilder(2)
+        u, v = tb.inputs()
+        tape = tb.build(tb.exp(u) + tb.exp(v))
+        with pytest.raises(EvaluationError, match="node 3: exp overflow") as err:
+            evaluate(tape, [1.0, 1000.0])
         assert err.value.node == 3
 
     @pytest.mark.parametrize("build, x, node, op", [
@@ -139,6 +151,24 @@ class TestAbsLinearize:
             exact = evaluate(three_kink_max, [0.25 + dx]).y
             assert delta_eval(form, fbar, [dx]) == pytest.approx(exact - fbar, abs=1e-12)
 
+    @pytest.mark.parametrize("build, x, node, op", [
+        # node 3's tangent 1e200 cos(.) 1e200 overflows: the form would hold
+        # Z = [[inf]], and the run fail in phase 1
+        (lambda tb, x: tb.abs(tb.sin(tb.scale(1e200, tb.sin(tb.scale(1e200, x))))), 0.3, 3, "scale"),
+        # p + p overflows in the record only; the chain of adds 2, 3 and 4 is
+        # one accumulate, named by its last add
+        (lambda tb, x: (lambda p: p + p + x + x)(tb.scale(1e308, x)), 1e-10, 4, "add"),
+    ], ids=["tangent", "chain"])
+    def test_non_finite_record_reports_node(self, build, x, node, op):
+        tb = TapeBuilder(1)
+        tape = tb.build(build(tb, *tb.inputs()))
+        assert np.isfinite(evaluate(tape, [x]).values).all()
+        with pytest.raises(EvaluationError, match=f"node {node}: non-finite linearization of {op}") as err:
+            abs_linearize(tape, [x])
+        assert err.value.node == node
+        with pytest.raises(EvaluationError, match=f"node {node}"):
+            asfw_run(tape, cube(1, 1.0), [x], StepRule.open_loop_sqrt(), max_iters=5)
+
 
 class TestSwitchSlots:
     def test_two_abs_chain_slots_follow_node_order(self):
@@ -147,8 +177,8 @@ class TestSwitchSlots:
         tb = TapeBuilder(1)
         (x,) = tb.inputs()
         tape = tb.build(tb.abs(tb.abs(x) - 1.0))  # abs nodes 1 and 4
-        assert tape.switch_index == {1: 0, 4: 1}
-        assert tape_from_text(tape_to_text(tape)).switch_index == {1: 0, 4: 1}
+        assert [j for j, node in enumerate(tape.nodes) if node.op == "abs"] == [1, 4]
+        assert tape_from_text(tape_to_text(tape)) == tape
         np.testing.assert_array_equal(evaluate(tape, [0.5]).z, [0.5, -0.5])
         form = abs_linearize(tape, [0.5])
         np.testing.assert_array_equal(form.L, [[0.0, 0.0], [1.0, 0.0]])
@@ -358,8 +388,9 @@ _X0 = TapeNode("input", value=0)
 class TestAffine:
     def test_tapes_compare_by_value(self):
         a, b = bench.constrained_lasso(3, 4).tape, bench.constrained_lasso(3, 4).tape
-        assert a.affine and a == b
-        idx = next(iter(b.affine))
+        a.program  # cached in __dict__, unseen by __eq__
+        assert a == b
+        idx = next(j for j, node in enumerate(b.nodes) if node.op == "affine")
         node = b.nodes[idx]
         weights = (node.weights[0] + 1.0,) + node.weights[1:]
         for changed_node in (replace(node, weights=weights), replace(node, args=node.args[::-1])):
@@ -428,11 +459,11 @@ class TestAffine:
         text = tape_to_text(tape)
         back = tape_from_text(text)
         assert tape_to_text(back) == text
-        assert back.affine.keys() == tape.affine.keys()
-        for idx, (args, w) in tape.affine.items():
-            np.testing.assert_array_equal(back.affine[idx][0], args)
-            assert back.affine[idx][1].tobytes() == w.tobytes()
-            assert back.nodes[idx].value == tape.nodes[idx].value
+        assert back == tape
+        for node, orig in zip(back.nodes, tape.nodes):
+            if orig.op == "affine":
+                assert np.array(node.weights).tobytes() == np.array(orig.weights).tobytes()
+                assert np.float64(node.value).tobytes() == np.float64(orig.value).tobytes()
         x = np.random.default_rng(1).normal(size=5)
         assert evaluate(back, x).y == evaluate(tape, x).y
 
@@ -443,8 +474,11 @@ class TestAffine:
         tape = tb.build(tb.affine(w, xs))
         w[0] = 7.0
         assert evaluate(tape, [1.0, 1.0]).y == 3.0
-        with pytest.raises(ValueError):
-            tape.affine[2][1][0] = 5.0
+        assert tape.nodes[2].weights == (1.0, 2.0)
+        with pytest.raises(TypeError):
+            tape.nodes[2].weights[0] = 5.0
+        with pytest.raises(FrozenInstanceError):
+            tape.nodes[2].weights = (5.0, 2.0)
 
     @pytest.mark.parametrize("nodes, match", [
         ((_X0, TapeNode("affine")), "cannot take 0 operands"),
