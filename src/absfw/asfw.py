@@ -168,7 +168,7 @@ def asfw_run(
         raise ValueError("x0 must be feasible")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    if gap_tol < 0:
+    if not gap_tol >= 0:  # NaN fails too
         raise ValueError("gap_tol must be nonnegative")
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")

@@ -182,8 +182,8 @@ def constrained_lasso(
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < math.inf:  # NaN fails too
+        raise ValueError("rho must be finite and nonnegative")
     gen = CounterRng(seed)
     A = gen.normals(p * n).reshape(p, n)
     y = gen.normals(p)

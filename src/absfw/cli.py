@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, reproduce the signature-method
 iteration table, and execute the property suites.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error.
+Exit codes: 0 success, 2 configuration error, 3 solver error (an LP, the
+subproblem solver, or a tape value or record that is not finite).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .asfw import StepRule, asfw_run
 from .lp import LpError
 from .plmodel import affine_substitute
 from .selftest import run_all
-from .tape import abs_linearize
+from .tape import EvaluationError, abs_linearize
 
 CSV_HEADER = "t,alpha,gap,fval,inner_polyhedra,lp_calls,elapsed_ms"
 
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except (LpError, AasmError) as exc:
+    except (LpError, AasmError, EvaluationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -91,13 +91,14 @@ class TapeProgram:
     Linearization reads records where evaluation reads values.
     ``lin_src[j]`` names the record each operand read of node j sees:
     N + i stands for z_i, which every read of an abs argument after the abs
-    sees.  Unit records (inputs, constants, |z_i| and z_i) are leaves, made
-    afresh in each segment that reads them, so no reader waits for an abs
-    node, whose linearization only freezes its argument's record.
-    Linearization runs in segments of tape order whose live records stay
-    within ``_BUDGET`` bytes (or one node per segment).  A record's row is
-    taken again once the record's last reader has read it; per level, the
-    groups that free more rows than they take run first.
+    sees.  Unit records (inputs, constants, |z_i| and z_i) are leaves, so
+    no reader waits for an abs node, whose linearization only freezes its
+    argument's record.  Linearization runs in segments of tape order, each
+    making at most ``_BUDGET`` bytes of records beyond those live at its
+    start, unless it is one node.  Every record, a leaf's too, is made once,
+    a leaf by the segment of its first reader, and its row is taken again
+    once its last reader has read it; per level, the groups that free more
+    rows than they take run first.
     """
 
     def __init__(self, tape: Tape):
@@ -185,16 +186,16 @@ class TapeProgram:
         order = sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1] not in ("chain", "freeze")))
         return [(k[1:], items) for k, items in order]
 
-    def _step(self, tape, key, items, src, rec=lambda k: k):
+    def _step(self, tape, key, items, src):
         """(op, written, read, data) of one group: the nodes it writes (per
-        chain, all its nodes), per operand what it reads, mapped by ``rec``,
-        and the op's constants."""
+        chain, all its nodes), per operand what it reads, and the op's
+        constants."""
         op, nodes = key[0], tape.nodes
         if op == "chain":  # the sums so far, then each position's terms
-            return op, [p[0] for p in items], [[rec(k) for k in col] for col in zip(*(p[1] for p in items))], ()
-        reads = [[rec(k) for k in col] for col in zip(*(src[j] for j in items))]
+            return op, [p[0] for p in items], list(zip(*(p[1] for p in items))), ()
+        reads = list(zip(*(src[j] for j in items)))
         if op == "affine":  # the shared operands; weights as rows of an (m, 1, k) stack
-            reads = [[rec(k) for k in key[1]]]
+            reads = [key[1]]
             data = (np.array([nodes[j].weights for j in items])[:, None, :],
                     np.array([nodes[j].value for j in items]))
         elif op == "scale":
@@ -209,44 +210,35 @@ class TapeProgram:
             data = ()
         return op, [] if op == "freeze" else items, reads, data
 
-    def _segments(self, leaf) -> list[tuple[int, int]]:
-        """Node ranges whose records, with those still live from earlier
-        ranges, fill at most ``_BUDGET`` bytes: a bound that counts every
-        record a range makes or reads, and every leaf it reads, once."""
+    def _segments(self, leaf) -> list[tuple[int, int, list]]:
+        """Node ranges, each with the leaves first read in it (the output is
+        read last), and each making at most ``_BUDGET`` bytes of records
+        unless it is one node: a leaf counts at its first reader, a chain of
+        adds once.  Records live from earlier ranges are not counted, as no
+        cut can free them."""
         N, src = len(self.ops), self.lin_src
         budget = max(1, _BUDGET // (8 * self.width))
-        live = np.zeros(N + 2, dtype=np.intp)  # live[a]: records made before node a, read from a on
-        last = {k: j for j in range(N) for k in src[j] if not leaf(k)}
-        if not leaf(self.out_src):
-            last[self.out_src] = N
-        for k, j in last.items():
-            live[k + 1] += 1
-            live[j + 1] -= 1
-        live = np.cumsum(live)
-
-        def need(j, lo, seen):
-            new = {k for k in src[j] if leaf(k)} - seen
-            grows = self.ops[j] not in ("input", "const", "abs") and not (
-                j in self.link and src[j][self.link[j]] >= lo)  # a chain going on takes its row
-            return new, len(new) + grows
-
-        ranges, lo, rows, seen = [], 0, 0, set()
+        ranges, lo, rows, seen, first = [], 0, 0, set(), []
         for j in range(N):
-            new, more = need(j, lo, seen)
-            if j > lo and rows + more > budget:
-                ranges.append((lo, j))
-                lo, rows, seen = j, int(live[j]), set()
-                new, more = need(j, lo, seen)
-            rows += more
-            seen |= new
-        return ranges + [(lo, N)]
+            reads = src[j] + (self.out_src,) * (j == N - 1)
+            new = [k for k in dict.fromkeys(reads) if leaf(k) and k not in seen]
+            more = len(new) + (self.ops[j] not in ("input", "const", "abs"))
+            chain = j in self.link and src[j][self.link[j]] >= lo  # a chain going on takes its row
+            if j > lo and rows + more - chain > budget:
+                ranges.append((lo, j, first))
+                lo, rows, chain, first = j, 0, False, []
+            rows += more - chain
+            seen.update(new)
+            first += new
+        return ranges + [(lo, N, first)]
 
     def _plan(self, tape):
         """The linearization's groups, each record's row and the output's row.
 
-        A record is a node's, or a leaf's in one segment: ``record_keys``
-        holds, per group, the records it writes and those it reads, in the
-        order of its rows."""
+        A record is keyed by its ``lin_src`` entry, a node or N + i for z_i.
+        Each segment starts with a leaf step that makes the leaves first read
+        in it.  ``record_keys`` holds, per group, the records it writes and
+        those it reads, in the order of its rows."""
         N, n, s, ops = len(self.ops), self.n, self.s, self.ops
         nodes, src = tape.nodes, self.lin_src
 
@@ -267,28 +259,16 @@ class TapeProgram:
             return 1 + n + s + self.slot[k] if ops[k] == "abs" else None
 
         steps = []  # (op, records written, records read per operand, data)
-        segments = self._segments(leaf)
-        for seg, (lo, hi) in enumerate(segments):
-            def rec(k):
-                return (seg, k) if leaf(k) else k
-
-            groups = self._levels(lo, hi, src, key)
-            leaves = dict.fromkeys(k for (op, *_), items in groups for item in items
-                                   for k in (item[1] if op == "chain" else src[item]) if leaf(k))
-            if hi == N and leaf(self.out_src):
-                leaves[self.out_src] = None
+        for lo, hi, leaves in self._segments(leaf):
             valued = [k for k in leaves if k < N and ops[k] != "abs"]  # inputs and constants
             units = [k for k in leaves if unit(k) is not None]
-            steps.append(("leaf", [rec(k) for k in leaves], [],
-                          ([rec(k) for k in valued], np.array(valued, dtype=np.intp),
-                           [rec(k) for k in units], np.array([unit(k) for k in units], dtype=np.intp))))
-            for k, items in groups:
-                op, writes, reads, data = self._step(tape, k, items, src, rec)
+            steps.append(("leaf", leaves, [], (valued, units, np.array([unit(k) for k in units], dtype=np.intp))))
+            for k, items in self._levels(lo, hi, src, key):
+                op, writes, reads, data = self._step(tape, k, items, src)
                 steps.append((op, [w[-1] for w in writes] if op == "chain" else writes, reads, data))
 
-        self.out_key = (len(segments) - 1, self.out_src) if leaf(self.out_src) else self.out_src
         last = {k: g for g, (_, _, reads, _) in enumerate(steps) for keys in reads for k in keys}
-        last[self.out_key] = len(steps)
+        last[self.out_src] = len(steps)
         row: dict = {}
         free: list[int] = []
         self.rows = 0
@@ -310,12 +290,12 @@ class TapeProgram:
                 if k not in last:  # never read
                     heapq.heappush(free, row[k])
             if op == "leaf":  # the rows that hold a value and those that hold a unit
-                valued, nodes_valued, units, cols = data
-                data = (rows(valued), nodes_valued, rows(units), cols)
+                valued, units, cols = data
+                data = (rows(valued), np.array(valued, dtype=np.intp), rows(units), cols)
             ins = tuple(map(rows, reads))
             self.linearization.append(_Group(op, rows(writes), (np.array(ins),) if op == "chain" else ins, data))
             self.record_keys.append((list(writes), [k for keys in reads for k in keys]))
-        self.out_row = row[self.out_key]
+        self.out_row = row[self.out_src]
 
     def evaluate(self, x: np.ndarray) -> EvalRecord:
         vals = self.base.copy()

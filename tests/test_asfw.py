@@ -114,6 +114,14 @@ class TestAsfwRun:
         res = asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(), max_iters=0)
         assert res.trace.rows == [] and res.f_final == 3.0
 
+    def test_nan_gap_tol_rejected(self, abs_tape):
+        # no gap passes a NaN tolerance, so the run could only stop at max_iters
+        with pytest.raises(ValueError, match="gap_tol"):
+            asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(), gap_tol=float("nan"))
+        res = asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(), max_iters=3,
+                       gap_tol=float("inf"))
+        assert res.status.value == "gap_tol_reached" and len(res.trace.rows) == 1
+
     def test_gap_nonnegative_and_feasible(self, mifflin2_tape):
         res = asfw_run(mifflin2_tape, cube(2, 5.0), [-1.0, 1.0],
                        StepRule.open_loop_sqrt(), max_iters=60)

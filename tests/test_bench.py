@@ -166,6 +166,13 @@ class TestLasso:
         inst = bench.constrained_lasso(4, 6, rho=0.0, seed=1)
         assert inst.tape.num_switch == 0
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -1.0])
+    def test_rho_must_be_finite_and_nonnegative(self, rho):
+        # a NaN rho used to build the rho = 0 tape, and an infinite one a
+        # tape that fails at its first evaluation
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            bench.constrained_lasso(5, 8, rho=rho)
+
     def test_model_matches_displayed_formula(self, rng):
         # model increment = (xbar^T A^T - y^T) A dx + rho(||xbar+dx||_1 - ||xbar||_1)
         n, p, rho, seed = 5, 8, 1.3, 9

@@ -128,6 +128,17 @@ class TestRun:
             assert "--partial-inner-limit must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "no.csv").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--problem", "lasso", "--n", "5", "--p", "8", "--rho", "nan"], "rho must be finite and nonnegative"),
+        (["--problem", "lasso", "--n", "5", "--p", "8", "--rho", "inf"], "rho must be finite and nonnegative"),
+        (["--problem", "maxq", "--n", "4", "--set", "C2", "--gap-tol", "nan"], "gap_tol must be nonnegative"),
+    ], ids=["rho-nan", "rho-inf", "gap-tol-nan"])
+    def test_non_finite_parameter_is_exit_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "no.csv"
+        assert main(["run", *args, "--max-iters", "3", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_max_iters_is_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no.csv"
         rc = main(["run", "--problem", "chained_lq", "--n", "4", "--max-iters", "-3",
@@ -253,6 +264,13 @@ class TestSolverErrorPath:
         rc = cli.main(["run", "--problem", "chained_lq", "--n", "4",
                        "--max-iters", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    def test_overflowing_objective_exits_3(self, tmp_path, capsys):
+        # rho * ||x||_1 overflows at the start point: an EvaluationError
+        rc = main(["run", "--problem", "lasso", "--n", "5", "--p", "8", "--rho", "1e308",
+                   "--max-iters", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "solver error: node 48: non-finite value in scale" in capsys.readouterr().err
 
 
 class TestAasmTable:

@@ -26,6 +26,7 @@ from absfw.polyhedron import cube
 from absfw.randgen import random_tape
 
 import tape_reference
+from conftest import spy
 
 
 class TestEvaluate:
@@ -552,7 +553,7 @@ class TestReleasePlan:
                 assert [held[r] for r in rows] == reads
                 held.update(zip(group.out.tolist(), writes))
                 written += writes
-            assert held[program.out_row] == program.out_key
+            assert held[program.out_row] == program.out_src
             assert len(written) == len(set(written))
             if tape.num_switch > 5:  # the bench tapes: rows are reused
                 assert program.rows < len(written)
@@ -588,6 +589,39 @@ class TestReleasePlan:
         for plan in (kept, whole, split):
             for got, form in zip(plan, want):
                 _assert_same_form(got, form)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 20, 200])
+    def test_segments_make_at_most_the_budget(self, monkeypatch, budget):
+        # budget in rows: a segment makes at most that many records unless
+        # it is one node, and the plan holds at most the records live at a
+        # segment's start plus the larger of the budget and what it makes
+        import absfw.tape_program as tape_mod
+
+        rng = np.random.default_rng(31)
+        tapes = [tape for tape, _ in _plan_cases()]
+        tapes += [random_tape(rng, 2, n_ops=int(rng.integers(1, 6))) for _ in range(30)]
+        calls = spy(monkeypatch, tape_mod.TapeProgram, "_segments")
+        for tape in tapes:
+            monkeypatch.setattr(tape_mod, "_BUDGET", budget * 8 * (1 + tape.num_inputs + 2 * tape.num_switch))
+            program = tape_mod.TapeProgram(tape)
+            ranges = calls[-1].result
+            starts = [g for g, group in enumerate(program.linearization) if group.op == "leaf"]
+            assert len(starts) == len(ranges)
+            written, last = {}, {}
+            for g, (writes, reads) in enumerate(program.record_keys):
+                written.update(dict.fromkeys(writes, g))
+                last.update(dict.fromkeys(reads, g))
+            last[program.out_src] = len(program.linearization)
+            # live at group a: written before a, last read at a or later
+            w = np.sort(list(written.values()))
+            r = np.sort([last.get(k, g) for k, g in written.items()])
+            live = np.searchsorted(w, starts) - np.searchsorted(r, starts)
+            peak = 0
+            for (lo, hi, _), a, b, held in zip(ranges, starts, starts[1:] + [None], live):
+                made = sum(len(writes) for writes, _ in program.record_keys[a:b])
+                assert made <= budget or hi - lo == 1
+                peak = max(peak, held + max(budget, made))
+            assert program.rows <= peak
 
 
 _FORM_BLOCKS = ("Z", "M", "L", "a", "b", "babs", "c")
@@ -688,14 +722,18 @@ class TestMatchesNodeLoop:
 
 
 class TestCompiledWork:
-    """Pinned shapes of the three benchmark tapes' programs: a fall back to
-    one group per node changes these counts."""
+    """Pinned shapes of the three benchmark tapes' programs, and of a wide
+    LASSO tape, each of whose residual nodes reads more leaves (200 inputs)
+    than the budget's 109 rows: a fall back to one group per node changes
+    these counts, and so do leaves made again in each segment that reads
+    them (2,414 groups on the wide tape)."""
 
     @pytest.mark.parametrize("build, nodes, groups", [
-        (lambda: bench.chained_lq(100), 1191, (9, 64)),
+        (lambda: bench.chained_lq(100), 1191, (9, 58)),
         (lambda: bench.maxq(20, "C2"), 135, (21, 22)),
         (lambda: bench.constrained_lasso(50, 100, seed=0), 553, (6, 8)),
-    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+        (lambda: bench.constrained_lasso(200, 400), 2203, (6, 72)),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100", "lasso-n200-p400"])
     def test_group_counts(self, build, nodes, groups):
         tape = build().tape
         program = tape.program
