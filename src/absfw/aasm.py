@@ -129,13 +129,16 @@ class _Lifted:
     def solve(self, sigma: np.ndarray, hint: tuple[int, ...] | None = None, x0=None):
         """The LP over the closure of sigma's domain, with the convex kinks
         free and passed as twins; returns the solution and psi = objective +
-        d (inf unless OPTIMAL).  ``hint`` and ``x0``, a point over the LP's
-        columns, are a warm start, given together (see ``lp.solve``)."""
+        d (inf if INFEASIBLE).  ``hint`` and ``x0``, a point over the LP's
+        columns, are a warm start, given together (see ``lp.solve``).  An
+        UNBOUNDED LP raises: v is boxed, and a twin pair costs 2 babs >= 0."""
         P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
                        lo=self.lo, hi=self.upper(sigma))
         sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=self.twins), basis_hint=hint, start=x0)
         self.calls += 1
         self.pivots += sol.simplex_iters
+        if sol.status == LpStatus.UNBOUNDED:
+            raise AasmError("LP unbounded on a boxed feasible set")
         psi = sol.objective + self.form.d if sol.status == LpStatus.OPTIMAL else np.inf
         return sol, psi
 
@@ -170,16 +173,6 @@ def _sig_key(sigma: np.ndarray) -> bytes:
 def _descends(psi_child: float, psi: float) -> bool:
     """Strict descent by more than the LP tolerance, relative to |psi|."""
     return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
-
-
-def _checked(sol, psi):
-    """The first LP of a call, which a feasible start and a boxed C make
-    feasible and bounded; anything else is a solver fault."""
-    if sol.status == LpStatus.INFEASIBLE:
-        raise AasmError("first LP infeasible despite a feasible start")
-    if sol.status == LpStatus.UNBOUNDED:
-        raise AasmError("LP unbounded on a boxed feasible set")
-    return sol, psi
 
 
 def aasm_minimize(
@@ -217,6 +210,8 @@ def aasm_minimize(
     """
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
+    if form.n != C.dim:
+        raise ValueError(f"form has {form.n} variables but C has dimension {C.dim}")
     start = np.asarray(start, dtype=float)
     if not contains(C, start, lpmod.WARM_TOL):
         raise AasmError("start point is not feasible")
@@ -238,7 +233,9 @@ def aasm_minimize(
                 if np.all(ws.convex | (signs == 0) | (signs == sigma)):
                     point, z, best = p, z_p, value
         hint, x0 = ws.crash(z, point)
-    sol, psi = _checked(*ws.solve(sigma, hint, x0))
+    sol, psi = ws.solve(sigma, hint, x0)
+    if sol.status == LpStatus.INFEASIBLE:  # the start lies in this LP's polyhedron
+        raise AasmError("first LP infeasible despite a feasible start")
 
     max_poly = 2 ** min(int(np.count_nonzero(~ws.convex)), 20)
     visited = {}  # _sig_key -> signature, in visiting order; no flip moves sigma's convex entries

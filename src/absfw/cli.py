@@ -23,7 +23,9 @@ from .plmodel import affine_substitute
 from .selftest import run_all
 from .tape import EvaluationError, abs_linearize
 
-CSV_HEADER = "t,alpha,gap,fval,inner_polyhedra,lp_calls,elapsed_ms"
+# TraceRow fields, each an int or a float, whose repr is the CSV text
+CSV_FIELDS = ("t", "alpha", "gap", "fval", "inner_polyhedra", "lp_calls", "elapsed_ms")
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 class ConfigError(Exception):
@@ -55,10 +57,7 @@ def _run_single(args, n: int, out_path: str | None) -> None:
     lines.append(CSV_HEADER)
 
     def sink(row):
-        lines.append(
-            f"{row.t},{row.alpha!r},{row.gap!r},{row.fval!r},"
-            f"{row.inner_polyhedra},{row.lp_calls},{row.elapsed_ms}"
-        )
+        lines.append(",".join(repr(getattr(row, f)) for f in CSV_FIELDS))
 
     res = asfw_run(
         inst.tape, inst.C, inst.x0, rule,

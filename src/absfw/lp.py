@@ -12,10 +12,10 @@ column indices.  A column may enter when its reduced cost passes zero by
 after a stall of 50 degenerate pivots it switches to Bland's rule until a
 nondegenerate pivot is made, which makes crafted cycling instances
 terminate.  The basis inverse is kept explicitly in a ``_Factor``, updated
-per pivot and refactorized periodically.  On large bases an update rewrites
-only the rows where its eta vector is nonzero, and a basis whose columns
-are +-e_i for distinct i (the crash basis of a form with M = L = 0) is
-inverted by transposing it.
+per pivot, refactorized periodically and at the end of a solve unless its
+warm start made no step.  On large bases an update rewrites only the rows
+where its eta vector is nonzero; every basis whose columns are +-e_i for
+distinct i (phase 1's, or a crash basis of M = L = 0) is transposed.
 
 Split variables z = z+ - z-, given as ``LpProblem.twins`` (two columns that
 are exact negatives, both with lower bound 0), get a piecewise-linear ratio
@@ -131,13 +131,12 @@ def _bound_point(lo, hi):
 
 class _Factor:
     """The explicit inverse of the basis matrix B.  Each method gives the
-    numbers of the dense formula it stands for, and its shortcuts (see the
-    module docstring) start at the basis sizes below, where they were
-    measured to pay.  The dense update also turns some -0.0 of the rows
+    numbers of the dense formula it stands for.  Every signed permutation is
+    transposed; the touched-row update starts at the size below, where it
+    was measured to pay.  The dense update also turns some -0.0 of the rows
     ``replace`` skips into +0.0; a zero's sign changes a sum only when all
     its terms are zero, and BLAS gives +0.0 there, so no product changes."""
 
-    TRANSPOSE_ROWS = 24  # the permutation test and B^T cost less than inv from here
     SPARSE_ROWS = 60  # the touched-row update beats the dense one from here
 
     def __init__(self, m):
@@ -176,8 +175,8 @@ class _Factor:
         """Invert B afresh; a signed permutation's B^-1 is B^T, with row i's
         zeros signed as column i's entry, as LAPACK's inverse signs them."""
         m = B.shape[0]
-        if (m >= self.TRANSPOSE_ROWS and np.count_nonzero(B) == m
-                and (np.abs(B).sum(axis=0) == 1.0).all() and (np.abs(B).sum(axis=1) == 1.0).all()):
+        if (np.count_nonzero(B) == m and (np.abs(B).sum(axis=0) == 1.0).all()
+                and (np.abs(B).sum(axis=1) == 1.0).all()):
             self.inv = np.ascontiguousarray(B.sum(axis=0)[:, None] * np.abs(B.T))
         else:
             self.inv = np.linalg.inv(B)
@@ -201,15 +200,14 @@ class _Simplex:
         self.b = b
         self.lo = lo
         self.hi = hi
-        self.m, self.ncols = A.shape
-        self.twin = np.full(self.ncols, -1, dtype=np.int64) if twin is None else twin
+        self.m = A.shape[0]
+        self.twin = np.full(A.shape[1], -1, dtype=np.int64) if twin is None else twin
         self.iters = 0
         self.xN = _bound_point(lo, hi)
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.factor = _Factor(self.m)
         self.xB = np.zeros(self.m)
         self._since_refactor = 0
-        self._fresh = False  # the factor and xB are exactly what refactor() gives
 
     # --- state helpers -------------------------------------------------
     def x_full(self):
@@ -221,7 +219,6 @@ class _Simplex:
         self.factor.refactor(self.A[:, self.basis])
         self.xB = self.factor.solve(self.b - self.A @ self.xN)
         self._since_refactor = 0
-        self._fresh = True
 
     def set_basis(self, cols, xN):
         self.basis = np.asarray(cols, dtype=np.int64).copy()
@@ -302,7 +299,6 @@ class _Simplex:
                 # no basis change; the entering variable moves to its other bound
                 self._cross(crossed)
                 self.xB += t_flip * dB
-                self._fresh = False
                 self.xN[j] = self.hi[j] if direction > 0 else self.lo[j]
                 return t_flip
 
@@ -350,7 +346,6 @@ class _Simplex:
         self.xN[j] = 0.0
         self.factor.replace(r, w)
         self._since_refactor += 1
-        self._fresh = False
         if self._since_refactor >= REFACTOR_EVERY:
             self.refactor()
 
@@ -389,7 +384,8 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     nonbasic columns take start's values clipped onto their bounds, fixed
     basic columns are swapped out where ``_swap_out`` allows, and only phase
     2 runs.  An unusable hint falls back to the cold two-phase solve.  Only
-    one of the two, or a start of the wrong length, raises ValueError.
+    one of the two, or a start of the wrong length, raises ValueError.  A
+    solve refactors its final basis unless a warm start made no step.
     """
     if (basis_hint is None) != (start is None):
         raise ValueError("basis_hint and start must be given together")
@@ -414,7 +410,7 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
 
     sx = _Simplex(A, b, lo, hi, twin)
-    max_iters = 2000 + 50 * (sx.m + sx.ncols)
+    max_iters = 2000 + 50 * (m + n_real)
 
     warm_ok = False
     if basis_hint is not None:
@@ -436,12 +432,12 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     if not warm_ok and not _phase1(sx, max_iters):
         return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
 
-    c_work = np.zeros(sx.ncols)
+    c_work = np.zeros(sx.A.shape[1])
     c_work[:n_real] = c
     if sx.run(c_work, max_iters) == "unbounded":
         return _no_solution(LpStatus.UNBOUNDED, n, me, mi, sx.iters)
 
-    if not sx._fresh:
+    if not (warm_ok and sx.iters == 0):
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
     x_full = sx.x_full()
     x_real = x_full[:n_real]
@@ -458,7 +454,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
     """Install artificials, minimize their sum, drive out those whose
     residual ``_swap_out`` may drop, and remove the artificial columns when
     none stays basic; returns False when infeasibility remains."""
-    m, n_real = sx.m, sx.ncols
+    m, n_real = sx.A.shape
     xN = _bound_point(sx.lo, sx.hi)
     resid = sx.b - sx.A @ xN
     art_sign = np.where(resid >= 0, 1.0, -1.0)
@@ -468,11 +464,9 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
     sx.hi = np.concatenate([sx.hi, np.full(m, np.inf)])
     sx.twin = np.concatenate([sx.twin, np.full(m, -1, dtype=np.int64)])
     sx.xN = np.concatenate([xN, np.zeros(m)])
-    sx.ncols += m
     sx.basis = np.arange(n_real, n_real + m, dtype=np.int64)
     sx.factor.refactor(np.diag(art_sign))  # the artificial basis
     sx.xB = np.abs(resid)
-    sx._fresh = False
 
     c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
     if sx.run(c1, max_iters) == "unbounded":
@@ -484,7 +478,7 @@ def _phase1(sx: _Simplex, max_iters) -> bool:
         # back to the real columns: zero-valued artificials still change the
         # summation order of b - A x_N, which a warm re-solve's system lacks
         sx.A, sx.lo, sx.hi, sx.twin = real
-        sx.xN, sx.ncols, sx._fresh = sx.xN[:n_real], n_real, False
+        sx.xN = sx.xN[:n_real]
     else:
         # a redundant row keeps its artificial: pin them all so phase 2
         # cannot reuse them

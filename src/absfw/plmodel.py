@@ -58,6 +58,9 @@ class AbsLinearForm:
         upper = ~np.tri(s, k=-1, dtype=bool)  # on and above the diagonal
         if self.M[upper].any() or self.L[upper].any():
             raise ValueError("M and L must be strictly lower triangular")
+        data = (self.Z, self.M, self.L, self.a, self.b, self.babs, self.c, [self.d])
+        if not np.isfinite(np.concatenate([np.ravel(v) for v in data])).all():
+            raise ValueError("form data must be finite")
 
     @cached_property
     def chain(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:

@@ -130,7 +130,7 @@ def abs_linearize(tape: Tape, xbar, record: EvalRecord | None = None) -> AbsLine
 
 def directional_fd(tape: Tape, xbar, d, h: float) -> float:
     """One-sided finite difference (f(xbar + h*d) - f(xbar)) / h, h > 0."""
-    if h <= 0:
+    if not h > 0:  # NaN fails too
         raise ValueError("h must be positive")
     xbar = np.asarray(xbar, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -187,7 +187,7 @@ class TapeBuilder:
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
         self._nodes: list[TapeNode] = []
-        self._consts: dict[float, int] = {}
+        self._consts: dict[tuple[float, float], int] = {}  # by (value, sign): -0.0 is not 0.0
         self._inputs = [self._push(TapeNode("input", value=k)) for k in range(num_inputs)]
 
     def _push(self, node: TapeNode) -> int:
@@ -203,9 +203,10 @@ class TapeBuilder:
 
     def const(self, value: float) -> Expr:
         value = float(value)
-        if value not in self._consts:
-            self._consts[value] = self._push(TapeNode("const", value=value))
-        return Expr(self, self._consts[value])
+        key = (value, math.copysign(1.0, value))
+        if key not in self._consts:
+            self._consts[key] = self._push(TapeNode("const", value=value))
+        return Expr(self, self._consts[key])
 
     def scale(self, value: float, e: Expr) -> Expr:
         idx = self._push(TapeNode("scale", (e.index,), float(value)))
@@ -301,11 +302,11 @@ def tape_from_text(text: str) -> Tape:
     naming the offending line."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     try:
-        head = dict(part.split("=") for part in lines[0].split())
-        n, s = int(head["n"]), int(head["s"])
-        if n < 0:
-            raise ValueError("negative input count")
-    except (IndexError, KeyError, ValueError):
+        (key_n, n), (key_s, s) = (part.split("=") for part in lines[0].split())
+        n, s = int(n), int(s)
+        if (key_n, key_s) != ("n", "s") or n < 0:
+            raise ValueError("header is not n=<int> s=<int> with n >= 0")
+    except (IndexError, ValueError):
         raise TapeError(f"bad header line {lines[0] if lines else ''!r}") from None
     nodes: list[TapeNode] = []
     for ln in lines[1:]:

@@ -337,20 +337,21 @@ class TapeProgram:
             self._run(vals, R, rows, self.linearization)
         out = R[self.out_row].copy()
         del R  # the records go before the form copies its arrays
-        if not (np.isfinite(rows).all() and np.isfinite(out).all()):
-            raise self._non_finite(vals)
-        return AbsLinearForm(
-            n=n,
-            s=s,
-            Z=rows[:, 1:1 + n],
-            M=rows[:, 1 + n:1 + n + s],
-            L=rows[:, 1 + n + s:],
-            a=out[1:1 + n],
-            b=out[1 + n:1 + n + s],
-            babs=out[1 + n + s:],
-            c=rows[:, 0],
-            d=float(out[0]),
-        )
+        try:
+            return AbsLinearForm(
+                n=n,
+                s=s,
+                Z=rows[:, 1:1 + n],
+                M=rows[:, 1 + n:1 + n + s],
+                L=rows[:, 1 + n + s:],
+                a=out[1:1 + n],
+                b=out[1 + n:1 + n + s],
+                babs=out[1 + n + s:],
+                c=rows[:, 0],
+                d=float(out[0]),
+            )
+        except ValueError:  # the tape makes M and L triangular, so a record is not finite
+            raise self._non_finite(vals) from None
 
     def _non_finite(self, vals: np.ndarray) -> EvaluationError:
         """The error for a form that is not finite, from a second run that

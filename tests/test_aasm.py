@@ -117,6 +117,33 @@ class TestAasmMinimize:
         with pytest.raises(AasmError):
             aasm_minimize(abs_v_form, P, [0.0])
 
+    def test_dimension_mismatch_rejected(self, abs_v_form):
+        with pytest.raises(ValueError, match="form has 1 variables but C has dimension 2"):
+            aasm_minimize(abs_v_form, cube(2, 5.0), [0.0, 0.0])
+
+    @pytest.mark.parametrize("nth, status, match", [
+        (1, LpStatus.INFEASIBLE, "first LP infeasible"),
+        (1, LpStatus.UNBOUNDED, "unbounded"),
+        # RN2 n=3's first subproblem makes 4 LPs; an UNBOUNDED probe read as
+        # psi = inf would end the walk LOCAL_MIN after 2
+        (2, LpStatus.UNBOUNDED, "unbounded"),
+    ], ids=["first-infeasible", "first-unbounded", "probe-unbounded"])
+    def test_impossible_lp_outcome_raises(self, monkeypatch, nth, status, match):
+        inst = bench.rosenbrock_nesterov2(3)
+        form = affine_substitute(abs_linearize(inst.tape, inst.x0), 1.0, -inst.x0)
+        assert aasm_minimize(form, inst.C, inst.x0).lp_calls == 4
+        real, calls = lpmod.solve, []
+
+        def failing(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            calls.append(sol)
+            return dataclasses.replace(sol, status=status) if len(calls) == nth else sol
+
+        monkeypatch.setattr(lpmod, "solve", failing)
+        with pytest.raises(AasmError, match=match):
+            aasm_minimize(form, inst.C, inst.x0)
+        assert len(calls) == nth
+
     def test_partial_inner_limit_descent(self, neg_abs_v_form):
         # the first LP reaches v = 5, where no kink is active: no flip is
         # left to solve, so the limit does not cut the walk short

@@ -221,9 +221,9 @@ class TestBenchWork:
     pivots and f_final as they are.  No LP runs phase 1: every first LP
     starts at a point, and every probe at its parent's.  The trace's
     ``lp_pivots`` add up to the pivots.  ``np.linalg.inv`` runs for every
-    basis but the signed permutations of 24 rows or more, which the crash
-    bases of chained LQ and LASSO are (their forms have M = L = 0); maxq's
-    carry L."""
+    basis but the signed permutations, which are transposed at every size;
+    the crash bases of chained LQ and LASSO are such (their forms have
+    M = L = 0), and maxq's carry L."""
 
     @pytest.mark.parametrize("build, iters, solves, pivots, inverses, f_final", [
         (lambda: bench.chained_lq(100), 5, 5, 354, 4, 388.9187393553687),

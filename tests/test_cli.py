@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,20 @@ class TestSolverErrorPath:
                    "--max-iters", "3", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "solver error: node 48: non-finite value in scale" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_from_a_checkout(self, tmp_path):
+        args = ["run", "--problem", "maxq", "--n", "5", "--set", "C2", "--max-iters", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "absfw", *args, "--out", str(tmp_path / "m.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main([*args, "--out", str(tmp_path / "in.csv")]) == 0
+        m_meta, m_rows, m_status = read_trace(tmp_path / "m.csv")
+        meta, rows, status = read_trace(tmp_path / "in.csv")
+        assert len(m_rows) == 2
+        assert (m_meta, [r[:-1] for r in m_rows], m_status) == (meta, [r[:-1] for r in rows], status)
 
 
 class TestAasmTable:

@@ -337,6 +337,18 @@ class TestWarmStart:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert warm.simplex_iters == 0
 
+    def test_stepless_warm_start_keeps_its_inverse(self, rng, monkeypatch):
+        # set_basis inverts the basis once; a warm start that makes no step
+        # skips the final refactor, whose inverse and xB would be the same
+        c, P, _ = random_lp(rng, n=8, m_eq=2, m_in=6)
+        lp = LpProblem(c=c, P=P)
+        cold = solve(lp)
+        inverses = spy(monkeypatch, np.linalg, "inv")  # dense rows: not a signed permutation
+        warm = solve(lp, basis_hint=cold.basis, start=cold.x)
+        assert (warm.simplex_iters, len(inverses)) == (0, 1)
+        for field in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
+            assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes()
+
     def test_hint_with_changed_objective(self, rng):
         c, P, _ = random_lp(rng, n=8, m_eq=1, m_in=5)
         cold = solve(LpProblem(c=c, P=P))
@@ -657,7 +669,6 @@ class TestFactor:
     @pytest.mark.parametrize("m", range(1, 121))
     def test_signed_permutation_inverse_is_lapacks(self, rng, monkeypatch, m):
         # slack-like +e_i columns, negated columns and zeros of both signs
-        monkeypatch.setattr(_Factor, "TRANSPOSE_ROWS", 0)  # the shortcut at every size
         k = m // 3
         B = np.where(rng.random((m, m)) < 0.5, -0.0, 0.0)
         B[np.concatenate([np.arange(k), k + rng.permutation(m - k)]), np.arange(m)] = np.concatenate(

@@ -240,6 +240,25 @@ class TestFormProperties:
         with pytest.raises(ValueError, match="strictly lower triangular"):
             form_from_text(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block, entry", [("Z", (1, 0)), ("M", (1, 0)), ("L", (1, 0)), ("a", 0),
+                                              ("b", 1), ("babs", 0), ("c", 1), ("d", None)])
+    def test_non_finite_entries_rejected(self, block, entry, value):
+        # signature() would cast a NaN switching value to int
+        data = dict(n=1, s=2, Z=[[1.0], [1.0]], M=np.zeros((2, 2)), L=np.zeros((2, 2)),
+                    a=[0.0], b=[0.0, 0.0], babs=[1.0, -1.0], c=[0.5, 0.0], d=0.0)
+        if entry is None:
+            data[block] = value
+        else:
+            data[block] = np.array(data[block], dtype=float)
+            data[block][entry] = value
+        with pytest.raises(ValueError, match="form data must be finite"):
+            AbsLinearForm(**data)
+
+    def test_non_finite_text_rejected(self):
+        with pytest.raises(ValueError, match="form data must be finite"):
+            form_from_text("1 1\nZ nan\nM 0\nL 0\na 1\nb 0\nbabs 1\nc 0.5\nd 0\n")
+
     @pytest.mark.parametrize("edit, match", [
         (lambda t: "", "bad header line ''"),
         (lambda t: t.replace("1 3\n", "1\n"), "bad header line '1'"),

@@ -201,6 +201,11 @@ class TestDirectionalFd:
         with pytest.raises(ValueError):
             directional_fd(abs_tape, [0.0], [1.0], 0.0)
 
+    def test_rejects_nan_step(self, abs_tape):
+        # h <= 0 is False for NaN
+        with pytest.raises(ValueError, match="h must be positive"):
+            directional_fd(abs_tape, [0.0], [1.0], float("nan"))
+
 
 class TestSmoothCollapse:
     def test_gradient_matches_central_differences(self, rng):
@@ -295,6 +300,10 @@ class TestSerialization:
         ("n=1\n0 input 0\n", "n=1"),
         ("n=-1 s=0\n0 const 1.0\n", "n=-1 s=0"),
         ("n=1 s=x\n0 input 0\n", "n=1 s=x"),
+        ("n=1 s=0 q=7\n0 input 0\n", "n=1 s=0 q=7"),
+        ("n=1 n=2 s=0\n0 input 0\n", "n=1 n=2 s=0"),
+        ("s=0 n=1\n0 input 0\n", "s=0 n=1"),
+        ("n=1=1 s=0\n0 input 0\n", "n=1=1 s=0"),
         ("n=1 s=0\n0 input\n", "0 input"),
         ("n=1 s=0\n0 input 0.5\n", "0 input 0.5"),
         ("n=1 s=0\n0\n", "0"),
@@ -319,6 +328,15 @@ class TestSerialization:
 
 
 class TestBuilderHelpers:
+    def test_signed_zero_constants_are_distinct(self):
+        # IEEE gives -0.0 + -0.0 = -0.0, so x + (-0.0) needs its own -0.0 node
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        assert tb.const(0.0).index != tb.const(-0.0).index
+        assert tb.const(-0.0).index == tb.const(-0.0).index
+        y = evaluate(tb.build(x + (-0.0)), [-0.0]).y
+        assert y == 0.0 and np.signbit(y)
+
     def test_max_identity(self):
         tb = TapeBuilder(2)
         u, v = tb.inputs()
