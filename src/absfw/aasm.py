@@ -170,6 +170,11 @@ def _sig_key(sigma: np.ndarray) -> bytes:
     return sigma.astype(np.int8).tobytes()
 
 
+def _check_dims(form: AbsLinearForm, C: Polyhedron) -> None:
+    if form.n != C.dim:
+        raise ValueError(f"form has {form.n} variables but C has dimension {C.dim}")
+
+
 def _descends(psi_child: float, psi: float) -> bool:
     """Strict descent by more than the LP tolerance, relative to |psi|."""
     return psi_child < psi - lpmod.DEFAULT_TOL * (1.0 + abs(psi))
@@ -210,8 +215,10 @@ def aasm_minimize(
     """
     if partial_inner_limit is not None and partial_inner_limit < 1:
         raise ValueError("partial_inner_limit must be at least 1")
-    if form.n != C.dim:
-        raise ValueError(f"form has {form.n} variables but C has dimension {C.dim}")
+    _check_dims(form, C)
+    for k, p in enumerate(warm_points):
+        if np.shape(p) != (form.n,):
+            raise ValueError(f"warm point {k} has shape {np.shape(p)}, not ({form.n},)")
     start = np.asarray(start, dtype=float)
     if not contains(C, start, lpmod.WARM_TOL):
         raise AasmError("start point is not feasible")
@@ -291,12 +298,16 @@ def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
     each kink at v both signs hold v, the model is linear on each, and they
     cover a neighbourhood of v in C: their minimum is below the model at v
     exactly when some direction from v descends."""
+    _check_dims(form, C)
+    if np.shape(v) != (C.dim,):
+        raise ValueError(f"v has shape {np.shape(v)} but C has dimension {C.dim}")
     psi_v, z = eval_pl(form, v)
     return not _descends(_enumerated_min(form, C, switch_signs(form, v, z))[1], psi_v)
 
 
 def brute_force_pl_min(form: AbsLinearForm, C: Polyhedron):
     """Global minimum over all 2^s closed signature domains (s <= 16)."""
+    _check_dims(form, C)
     return _enumerated_min(form, C, np.zeros(form.s, dtype=int))
 
 

@@ -13,8 +13,8 @@ after a stall of 50 degenerate pivots it switches to Bland's rule until a
 nondegenerate pivot is made, which makes crafted cycling instances
 terminate.  The basis inverse is kept explicitly in a ``_Factor``, updated
 per pivot, refactorized periodically and at the end of a solve unless its
-warm start made no step.  On large bases an update rewrites only the rows
-where its eta vector is nonzero; every basis whose columns are +-e_i for
+warm start made no step.  At every basis size an update rewrites only the
+rows where its eta vector is nonzero; every basis whose columns are +-e_i for
 distinct i (phase 1's, or a crash basis of M = L = 0) is transposed.
 
 Split variables z = z+ - z-, given as ``LpProblem.twins`` (two columns that
@@ -132,16 +132,13 @@ def _bound_point(lo, hi):
 class _Factor:
     """The explicit inverse of the basis matrix B.  Each method gives the
     numbers of the dense formula it stands for.  Every signed permutation is
-    transposed; the touched-row update starts at the size below, where it
-    was measured to pay.  The dense update also turns some -0.0 of the rows
-    ``replace`` skips into +0.0; a zero's sign changes a sum only when all
-    its terms are zero, and BLAS gives +0.0 there, so no product changes."""
+    transposed, and ``replace`` rewrites only the rows where its eta vector
+    is nonzero.  The dense update would also turn some -0.0 of the rows
+    skipped into +0.0; a zero's sign changes a sum only when all its terms
+    are zero, and BLAS gives +0.0 there, so no product changes."""
 
-    SPARSE_ROWS = 60  # the touched-row update beats the dense one from here
-
-    def __init__(self, m):
+    def __init__(self):
         self.inv = None  # until the first refactor
-        self.sparse = m >= self.SPARSE_ROWS
         self.changes = 0  # basis changes so far
 
     def solve(self, a):
@@ -163,11 +160,8 @@ class _Factor:
         piv = w[r]
         eta = w / piv
         eta[r] = 0.0
-        if self.sparse:
-            rows = np.flatnonzero(eta)
-            self.inv[rows] -= eta[rows, None] * self.inv[r]
-        else:
-            self.inv -= eta[:, None] * self.inv[r]
+        rows = np.flatnonzero(eta)
+        self.inv[rows] -= eta[rows, None] * self.inv[r]
         self.inv[r] /= piv
         self.changes += 1
 
@@ -205,7 +199,7 @@ class _Simplex:
         self.iters = 0
         self.xN = _bound_point(lo, hi)
         self.basis = np.zeros(self.m, dtype=np.int64)
-        self.factor = _Factor(self.m)
+        self.factor = _Factor()
         self.xB = np.zeros(self.m)
         self._since_refactor = 0
 

@@ -25,7 +25,9 @@ class CounterRng:
     """Stateful façade over the stateless (seed, index) -> value map."""
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        if not 0 <= seed < 2 ** 64:  # each seed its own stream: no wrap-around
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = np.uint64(seed)
         self.counter = 0
 
     def _raw(self, count: int) -> np.ndarray:

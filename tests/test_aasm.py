@@ -121,6 +121,10 @@ class TestAasmMinimize:
         with pytest.raises(ValueError, match="form has 1 variables but C has dimension 2"):
             aasm_minimize(abs_v_form, cube(2, 5.0), [0.0, 0.0])
 
+    def test_warm_point_shape_rejected(self, abs_v_form):
+        with pytest.raises(ValueError, match=r"warm point 1 has shape \(3,\), not \(1,\)"):
+            aasm_minimize(abs_v_form, cube(1, 5.0), [0.0], warm_points=([0.0], np.zeros(3)))
+
     @pytest.mark.parametrize("nth, status, match", [
         (1, LpStatus.INFEASIBLE, "first LP infeasible"),
         (1, LpStatus.UNBOUNDED, "unbounded"),
@@ -372,6 +376,18 @@ class TestLocalOptimality:
         assert res.status == AasmStatus.LOCAL_MIN and res.psi_star == 0.0
         assert not local_optimality_test(form, C, res.v_star)
         assert brute_force_pl_min(form, C)[1] == -10.0
+
+    @pytest.mark.parametrize("oracle, dim, v, match", [
+        ("brute", 2, None, "form has 1 variables but C has dimension 2"),
+        ("local", 2, np.zeros(2), "form has 1 variables but C has dimension 2"),
+        ("local", 1, np.zeros(2), r"v has shape \(2,\) but C has dimension 1"),
+    ], ids=["brute-force-set", "local-set", "local-point"])
+    def test_dimension_mismatch_rejected(self, abs_v_form, oracle, dim, v, match):
+        with pytest.raises(ValueError, match=match):
+            if oracle == "brute":
+                brute_force_pl_min(abs_v_form, cube(dim, 1.0))
+            else:
+                local_optimality_test(abs_v_form, cube(dim, 1.0), v)
 
     def test_more_than_16_kinks_rejected(self):
         # maxq C2 n=20's optimum 0 lies on all 19 kinks

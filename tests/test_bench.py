@@ -317,3 +317,12 @@ class TestRng:
     def test_uniform_open_interval(self):
         u = CounterRng(9).uniform(10_000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # no wrap-around: masked to 64 bits, 2**64 would alias seed 0 and -1 seed 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            CounterRng(seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            bench.constrained_lasso(3, 4, seed=seed)
+        assert CounterRng(2 ** 64 - 1).uniform(4).tobytes() != CounterRng(0).uniform(4).tobytes()

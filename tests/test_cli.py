@@ -176,6 +176,34 @@ class TestRun:
         _, rows, _ = read_trace(out)
         assert len(rows) == 3  # explicit flag wins over the file
 
+    def test_config_skips_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# a comment\n\nproblem=chained_lq\n   \n  # indented\nn=4\nmax_iters=2\n")
+        out = tmp_path / "cfg.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, rows, _ = read_trace(out)
+        assert (meta["name"], meta["n"], meta["max_iters"], len(rows)) == ("chained_lq", 4, 2, 2)
+
+    def test_config_without_path_is_exit_2(self, capsys):
+        assert main(["run", "--config"]) == 2
+        assert "--config requires a file path" in capsys.readouterr().err
+
+    def test_csv_goes_to_stdout_without_out(self, tmp_path, capsys):
+        args = ["run", "--problem", "chained_lq", "--n", "4", "--max-iters", "3"]
+        out = tmp_path / "t.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]  # no elapsed_ms
+        assert strip(capsys.readouterr().out) == strip(out.read_text())
+
+    def test_seed_outside_64_bits_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no.csv"
+        assert main(["run", "--problem", "lasso", "--n", "3", "--p", "4", "--seed", "-1",
+                     "--max-iters", "2", "--out", str(out)]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_monotone_switch(self, tmp_path, capsys):
         """``monotone=true`` acts as --monotone and ``monotone=false`` as its
         absence, to the CSV apart from elapsed_ms; other values exit 2."""

@@ -337,6 +337,15 @@ class TestBuilderHelpers:
         y = evaluate(tb.build(x + (-0.0)), [-0.0]).y
         assert y == 0.0 and np.signbit(y)
 
+    def test_reflected_sub_and_abs(self):
+        # 1.0 - abs(x) runs Expr.__abs__, then Expr.__rsub__ with the constant first
+        tb = TapeBuilder(1)
+        (x,) = tb.inputs()
+        tape = tb.build(1.0 - abs(x))
+        assert [node.op for node in tape.nodes] == ["input", "abs", "const", "sub"]
+        assert tape.nodes[3].args == (2, 1)
+        assert evaluate(tape, [-2.0]).y == -1.0
+
     def test_max_identity(self):
         tb = TapeBuilder(2)
         u, v = tb.inputs()
