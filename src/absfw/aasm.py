@@ -19,6 +19,9 @@ converge, consecutive subproblems keep their vertex, or with open-loop
 steps alternate between two, and a first LP started there makes few or no
 pivots (Braun, Pokutta & Zink, "Lazifying conditional gradient
 algorithms", ICML 2017, keep earlier oracle answers the same way).
+The rows and cost are built once per call from the checked form and C, and
+only the blocks built there are checked; every LP's ``Polyhedron`` and
+``LpProblem`` share them through the internal constructors, unchecked.
 
 At the per-polyhedron optimum every single flip of an active nonconvex kink
 is probed (both signs for pinned kinks); if no probe LP strictly decreases
@@ -94,20 +97,37 @@ class _Lifted:
     def __init__(self, form: AbsLinearForm, C: Polyhedron):
         self.form = form
         self.C = C
-        T = np.eye(form.s) - form.M
-        k = 2 * form.s
-        self.Aeq = np.vstack([np.hstack([-form.Z, T - form.L, -T - form.L]),
-                              np.hstack([C.Aeq, np.zeros((C.Aeq.shape[0], k))])])
+        n, s = form.n, form.s
+        k = 2 * s
+        self.Aeq = np.zeros((s + C.Aeq.shape[0], n + k))
+        np.negative(form.Z, out=self.Aeq[:s, :n])
+        # the z+ and z- blocks, T - L and -T - L with T = I - M, made in
+        # place; 0 - M, not -M, keeps the +0.0 that I - M has where M is 0
+        zplus, zminus = self.Aeq[:s, n:n + s], self.Aeq[:s, n + s:]
+        np.subtract(0.0, form.M, out=zplus)
+        zplus[np.diag_indices(s)] = 1.0  # M's diagonal is 0
+        np.negative(zplus, out=zminus)
+        # form and C are checked: only the blocks made here can overflow, and
+        # the checks below report that as Polyhedron and LpProblem would
+        with np.errstate(over="ignore"):
+            zplus -= form.L
+            zminus -= form.L
+            self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
+        if not np.isfinite(self.Aeq[:s, n:]).all():
+            raise ValueError("constraint rows must be finite")
+        if not np.isfinite(self.cost).all():
+            raise ValueError("objective must be finite")
+        self.Aeq[s:, :n] = C.Aeq
         self.beq = np.concatenate([form.c, C.beq])
         self.Ain = np.hstack([C.Ain, np.zeros((C.Ain.shape[0], k))])
-        self.cost = np.concatenate([form.a, form.b + form.babs, form.babs - form.b])
         self.lo = np.concatenate([C.lo, np.zeros(k)])
         self.convex = ~form.L.any(axis=0) & (form.babs >= 0)
         # column indices of z+, z- and the slacks lp.solve appends for C's Ain rows
         self.plus = form.n + np.arange(form.s)
         self.minus = self.plus + form.s
         self.slacks = form.n + k + np.arange(C.Ain.shape[0])
-        # a convex kink's z+_i and z-_i have negated columns and are both free
+        # a convex kink's z+_i and z-_i have negated columns, as its L column
+        # is 0, and are both free
         self.twins = tuple(zip(self.plus[self.convex].tolist(), self.minus[self.convex].tolist()))
         self.enter_tol = lpmod.entering_tol(self.cost)  # slacks cost 0: every LP of the call
         self.calls = self.pivots = 0
@@ -132,9 +152,10 @@ class _Lifted:
         d (inf if INFEASIBLE).  ``hint`` and ``x0``, a point over the LP's
         columns, are a warm start, given together (see ``lp.solve``).  An
         UNBOUNDED LP raises: v is boxed, and a twin pair costs 2 babs >= 0."""
-        P = Polyhedron(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
-                       lo=self.lo, hi=self.upper(sigma))
-        sol = lpmod.solve(LpProblem(c=self.cost, P=P, twins=self.twins), basis_hint=hint, start=x0)
+        P = Polyhedron._trusted(Aeq=self.Aeq, beq=self.beq, Ain=self.Ain, bin=self.C.bin,
+                                lo=self.lo, hi=self.upper(sigma))
+        lp = LpProblem._trusted(c=self.cost, P=P, twins=self.twins)
+        sol = lpmod.solve(lp, basis_hint=hint, start=x0)
         self.calls += 1
         self.pivots += sol.simplex_iters
         if sol.status == LpStatus.UNBOUNDED:

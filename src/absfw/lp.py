@@ -34,6 +34,11 @@ so stationarity reads c + Aeq' dual_eq + Ain' dual_in = pi_lo - pi_hi.
 A warm start is a basis together with its point, which places the nonbasic
 columns: from a nonsingular basis feasible to ``WARM_TOL`` there, only
 phase 2 runs; any other hint silently falls back to the cold start.
+
+``LpProblem(...)`` checks its cost and twins against P; the solver's own
+LPs, made from data it checked, come from ``LpProblem._trusted`` and are
+checked nowhere.  ``solve`` reads a polyhedron with no inequality rows, and
+its cost, in place.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polyhedron import Polyhedron
+from .polyhedron import Polyhedron, unchecked
 
 DEFAULT_TOL = 1e-9
 FIXED_TOL = 1e-12
@@ -98,6 +103,8 @@ class LpProblem:
         if not (np.array_equal(self.P.Aeq[:, k], -self.P.Aeq[:, k2])
                 and np.array_equal(self.P.Ain[:, k], -self.P.Ain[:, k2])):
             raise ValueError("twin columns must be exact negatives of each other")
+
+    _trusted = classmethod(unchecked)  # twins: a tuple of int pairs
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,10 @@ class _Factor:
         eta = w / piv
         eta[r] = 0.0
         rows = np.flatnonzero(eta)
-        self.inv[rows] -= eta[rows, None] * self.inv[r]
+        # take, subtract in place, store back: cheaper than ``inv[rows] -=``
+        upd = self.inv.take(rows, axis=0)
+        upd -= eta.take(rows)[:, None] * self.inv[r]
+        self.inv[rows] = upd
         self.inv[r] /= piv
         self.changes += 1
 
@@ -187,6 +197,7 @@ class _Simplex:
     or -1; by default every entry is -1.  The basis inverse is ``factor``,
     read and changed only through its methods; after a bound flip that
     crossed no kink, B is unchanged and the next step reuses y and rc.
+    ``run`` leaves its last pricing in ``y`` and ``rc``.
     """
 
     def __init__(self, A, b, lo, hi, twin=None):
@@ -201,6 +212,7 @@ class _Simplex:
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.factor = _Factor()
         self.xB = np.zeros(self.m)
+        self.y = self.rc = None  # until run prices
         self._since_refactor = 0
 
     # --- state helpers -------------------------------------------------
@@ -243,8 +255,8 @@ class _Simplex:
         for _ in range(max_iters):
             if priced != self.factor.changes:  # not after a flip that crossed no kink
                 priced = self.factor.changes
-                y = self.factor.solve_T(c[self.basis])
-                rc = c - self.A.T @ y
+                self.y = self.factor.solve_T(c[self.basis])
+                self.rc = rc = c - self.A.T @ self.y
             eligible = ((self.xN < self.hi) & (rc < -rc_tol)) | ((self.xN > self.lo) & (rc > rc_tol))
             eligible &= movable
             eligible[self.basis] = False
@@ -391,14 +403,17 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     m = me + mi
     n_real = n + mi
 
-    A = np.zeros((m, n_real))
-    A[:me, :n] = P.Aeq
-    A[me:, :n] = P.Ain
-    A[me:, n:] = np.eye(mi)
-    b = np.concatenate([P.beq, P.bin])
-    lo = np.concatenate([P.lo, np.zeros(mi)])
-    hi = np.concatenate([P.hi, np.full(mi, np.inf)])
-    c = np.concatenate([lp.c, np.zeros(mi)])
+    if mi:
+        A = np.zeros((m, n_real))
+        A[:me, :n] = P.Aeq
+        A[me:, :n] = P.Ain
+        A[me:, n:] = np.eye(mi)
+        b = np.concatenate([P.beq, P.bin])
+        lo = np.concatenate([P.lo, np.zeros(mi)])
+        hi = np.concatenate([P.hi, np.full(mi, np.inf)])
+        c = np.concatenate([lp.c, np.zeros(mi)])
+    else:  # read P and c in place: the simplex writes none of them
+        A, b, lo, hi, c = np.ascontiguousarray(P.Aeq), P.beq, P.lo, P.hi, lp.c
     twin = np.full(n_real, -1, dtype=np.int64)
     pairs = np.array(lp.twins, dtype=np.int64).reshape(-1, 2)
     twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
@@ -410,7 +425,7 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     if basis_hint is not None:
         cols = np.asarray(basis_hint, dtype=np.int64)
         if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)):
-            xN = _bound_point(lo, hi)
+            xN = sx.xN  # the bound point; phase 1 makes its own
             xN[:n] = np.clip(start, P.lo, P.hi)
             # before set_basis, which keeps xN and zeroes its basic entries
             near = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
@@ -421,7 +436,9 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
             except np.linalg.LinAlgError:
                 warm_ok = False
             if warm_ok:
-                _swap_out(sx, np.flatnonzero(~sx.movable()[sx.basis]), n_real)
+                fixed = np.flatnonzero(~sx.movable()[sx.basis])
+                if fixed.size:
+                    _swap_out(sx, fixed, n_real)
 
     if not warm_ok and not _phase1(sx, max_iters):
         return _no_solution(LpStatus.INFEASIBLE, n, me, mi, sx.iters)
@@ -431,15 +448,17 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
     if sx.run(c_work, max_iters) == "unbounded":
         return _no_solution(LpStatus.UNBOUNDED, n, me, mi, sx.iters)
 
-    if not (warm_ok and sx.iters == 0):
+    if warm_ok and sx.iters == 0:  # B, A and c are those of run's single pricing
+        y, rc = sx.y, sx.rc
+    else:
         sx.refactor()  # fresh inverse for accurate primal/dual extraction
+        y = sx.factor.solve_T(c_work[sx.basis])
+        rc = c - A.T @ y
     x_full = sx.x_full()
     x_real = x_full[:n_real]
     if not (np.isfinite(x_real).all() and (x_real >= lo - DEFAULT_TOL).all()
             and (x_real <= hi + DEFAULT_TOL).all()):
         raise LpError("optimal point is not finite or leaves a column bound by more than DEFAULT_TOL")
-    y = sx.factor.solve_T(c_work[sx.basis])
-    rc = c - A.T @ y
 
     return _build_solution(lp, x_full, y, rc, n, me, mi, tuple(sx.basis.tolist()), sx.iters)
 

@@ -14,9 +14,11 @@ keep it explicit so the switch count always equals the number of abs nodes of
 the originating tape.
 
 All values are plain numpy arrays, frozen read-only after construction; every
-operation here is pure.  A signature domain's closure is described by the
-row blocks of ``signature_constraints``, which ``polyhedron.intersect``
-appends to a feasible set.
+operation here is pure.  ``AbsLinearForm(...)`` checks everything it is
+given; ``affine_substitute``'s form, derived from a checked one, shares the
+blocks it keeps and checks only those it computes.  A signature domain's
+closure is described by the row blocks of ``signature_constraints``, which
+``polyhedron.intersect`` appends to a feasible set.
 """
 from __future__ import annotations
 
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .polyhedron import unchecked
 
 
 def _frozen(arr, shape) -> np.ndarray:
@@ -62,12 +66,22 @@ class AbsLinearForm:
         if not np.isfinite(np.concatenate([np.ravel(v) for v in data])).all():
             raise ValueError("form data must be finite")
 
+    _trusted = classmethod(unchecked)
+
     @cached_property
     def chain(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """(i, M[i, :i], L[i, :i]) per row with an M or L entry, the rows
         ``eval_pl`` substitutes; cached in ``__dict__`` like ``Tape.program``."""
         rows = np.flatnonzero(self.M.any(axis=1) | self.L.any(axis=1)).tolist()
         return tuple((i, self.M[i, :i], self.L[i, :i]) for i in rows)
+
+    @cached_property
+    def _abs_Z(self) -> np.ndarray:  # for switch_signs, cached like chain
+        return np.abs(self.Z)
+
+    @cached_property
+    def _abs_ML(self) -> np.ndarray:  # for switch_signs, cached like chain
+        return np.abs(self.M) + np.abs(self.L)
 
 
 @dataclass(frozen=True)
@@ -112,8 +126,7 @@ def switch_signs(form: AbsLinearForm, dx, z) -> np.ndarray:
     value that is small only because all its terms are, as near a smooth
     minimum, keeps its sign."""
     az = np.abs(z)
-    terms = (np.abs(form.c) + np.abs(form.Z) @ (1.0 + np.abs(dx))
-             + (np.abs(form.M) + np.abs(form.L)) @ az)
+    terms = np.abs(form.c) + form._abs_Z @ (1.0 + np.abs(dx)) + form._abs_ML @ az
     sig = np.sign(z).astype(int)
     sig[az <= DEFAULT_SIGNATURE_TOL * terms] = 0
     return sig
@@ -159,22 +172,23 @@ def signature_constraints(res: AffineRestriction, sigma) -> tuple[np.ndarray, ..
 
 
 def affine_substitute(form: AbsLinearForm, scale: float, shift) -> AbsLinearForm:
-    """Change of variables dx = scale*v + shift; the result is a form in v."""
+    """Change of variables dx = scale*v + shift; the result is a form in v.
+    It shares form's M, L, b and babs, with their ``chain`` and |M| + |L|,
+    and checks only the blocks it computes."""
     if scale == 0:
         raise ValueError("scale must be nonzero")
     shift = np.asarray(shift, dtype=float)
-    return AbsLinearForm(
-        n=form.n,
-        s=form.s,
-        Z=scale * form.Z,
-        M=form.M,
-        L=form.L,
-        a=scale * form.a,
-        b=form.b,
-        babs=form.babs,
-        c=form.c + form.Z @ shift,
-        d=form.d + form.a @ shift,
-    )
+    if shift.shape != (form.n,):
+        raise ValueError("shift has wrong length")
+    with np.errstate(all="ignore"):  # a block that is not finite is reported below
+        Z, a = scale * form.Z, scale * form.a
+        c, d = form.c + form.Z @ shift, float(form.d + form.a @ shift)
+    if not all(np.isfinite(v).all() for v in (Z, a, c, d)):
+        raise ValueError("form data must be finite")
+    sub = AbsLinearForm._trusted(n=form.n, s=form.s, Z=Z, M=form.M, L=form.L, a=a,
+                                 b=form.b, babs=form.babs, c=c, d=d)
+    sub.__dict__.update(chain=form.chain, _abs_ML=form._abs_ML)
+    return sub
 
 
 _FORM_BLOCKS = ("Z", "M", "L", "a", "b", "babs", "c", "d")

@@ -2,7 +2,9 @@
 
 A polyhedron keeps equalities, inequalities, and box bounds separate so the
 LP core can treat bounds natively; intersecting with extra constraints just
-appends row blocks.
+appends row blocks.  ``Polyhedron(...)`` checks everything it is given; the
+solver's own polyhedra, made of rows it checked when it computed them, come
+from ``Polyhedron._trusted`` and are checked nowhere.
 """
 from __future__ import annotations
 
@@ -11,6 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_FEAS_TOL = 1e-9
+
+
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` over ``fields``, its arrays
+    frozen, without ``__post_init__``'s checks: for data the solver already
+    checked or just made.  Each checked type binds it as ``cls._trusted``,
+    and only solver code calls that."""
+    obj = object.__new__(cls)
+    for v in fields.values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,8 @@ class Polyhedron:
             raise ValueError("lo must not exceed hi")
         for arr in ("Aeq", "beq", "Ain", "bin", "lo", "hi"):
             getattr(self, arr).setflags(write=False)
+
+    _trusted = classmethod(unchecked)
 
     @property
     def dim(self) -> int:

@@ -6,6 +6,8 @@ expectations and run metadata.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -25,6 +27,7 @@ class CounterRng:
     """Stateful façade over the stateless (seed, index) -> value map."""
 
     def __init__(self, seed: int):
+        seed = operator.index(seed)  # an int or numpy integer; a float raises TypeError
         if not 0 <= seed < 2 ** 64:  # each seed its own stream: no wrap-around
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = np.uint64(seed)

@@ -8,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import absfw.lp as lpmod
+from absfw.plmodel import AbsLinearForm
+from absfw.polyhedron import Polyhedron
 from absfw.tape import TapeBuilder
 
 
@@ -98,3 +100,11 @@ def phase1_calls(monkeypatch):
 def lp_solves(monkeypatch):
     """One ``Call`` per ``lp.solve``: ``args[0]`` is the problem, ``result`` the solution."""
     return spy(monkeypatch, lpmod, "solve")
+
+
+@pytest.fixture
+def constructor_checks(monkeypatch):
+    """One ``Call`` per check a public constructor runs, its ``__post_init__``,
+    keyed by class name: ``AbsLinearForm``, ``Polyhedron`` and ``LpProblem``."""
+    return {cls.__name__: spy(monkeypatch, cls, "__post_init__")
+            for cls in (AbsLinearForm, Polyhedron, lpmod.LpProblem)}

@@ -570,6 +570,68 @@ class TestLiftedLp:
         assert free > 0
 
 
+def resolve_public(lp_solves) -> int:
+    """Rebuild each LP in ``lp_solves`` with the public ``Polyhedron`` and
+    ``LpProblem``, whose checks must pass, and solve it again with the same
+    warm start: the same bytes.  Returns the number of LPs."""
+    recorded = list(lp_solves)  # the solves below are recorded too
+    for (lp,), kwargs, sol in recorded:
+        P = lp.P
+        public = LpProblem(c=lp.c, twins=lp.twins, P=Polyhedron(
+            Aeq=P.Aeq, beq=P.beq, Ain=P.Ain, bin=P.bin, lo=P.lo, hi=P.hi))
+        again = lpmod.solve(public, **kwargs)
+        assert (again.status, again.basis, again.simplex_iters) == (sol.status, sol.basis, sol.simplex_iters)
+        assert np.float64(again.objective).tobytes() == np.float64(sol.objective).tobytes()
+        for name in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
+            assert getattr(again, name).tobytes() == getattr(sol, name).tobytes()
+    return len(recorded)
+
+
+class TestCheckedOnce:
+    """AASM poses its forms and LPs from checked data through the internal
+    constructors, which check only the blocks AASM computes; these tests
+    hold what it poses to the public checks."""
+
+    @pytest.mark.parametrize("build, iters", [
+        (lambda: bench.chained_lq(100), 2),
+        (lambda: bench.maxq(20, "C2"), 200),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 3),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_bench_lps_pass_the_public_checks(self, lp_solves, build, iters):
+        inst = build()
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert resolve_public(lp_solves) == sum(row.lp_calls for row in res.trace.rows) > 0
+
+    def test_chain_forms_with_inequality_rows(self, rng, lp_solves):
+        """Forms with chain rows (M or L entries) and a C with Ain rows, whose
+        slacks enter the crash basis."""
+        for _ in range(8):
+            form = random_pl_form(rng, 3, 6, convex=False)
+            assert form.chain
+            C = intersect(cube(3, 2.0), Ain=rng.normal(size=(2, 3)), bin=np.ones(2))
+            aasm_minimize(form, C, np.zeros(3))
+        assert resolve_public(lp_solves) >= 8
+
+    @pytest.mark.parametrize("block, match", [
+        ("rows", "constraint rows must be finite"), ("cost", "objective must be finite")])
+    def test_overflow_of_a_computed_block_rejected(self, block, match):
+        """Every entry is finite, but M[1, 0] = L[1, 0] = 1e308 makes the
+        lifted row's I - M - L entry -inf, and b = babs = 1e308 the cost
+        b + babs.  ``_Lifted`` builds its blocks with overflow warnings off
+        and reports an overflow by this ValueError alone, so no
+        RuntimeWarning comes first (the suite turns warnings into errors)."""
+        M, L = np.zeros((2, 2)), np.zeros((2, 2))
+        b = np.array([1.0, 1.0])
+        if block == "rows":
+            M[1, 0] = L[1, 0] = 1e308
+        else:
+            b[0] = 1e308
+        form = AbsLinearForm(n=1, s=2, Z=[[1.0], [1.0]], M=M, L=L, a=[0.0], b=b,
+                             babs=b, c=[0.0, 0.0], d=0.0)
+        with pytest.raises(ValueError, match=match):
+            aasm_minimize(form, cube(1, 1.0), [0.5])
+
+
 class TestProbePricing:
     def test_priced_out_flips_never_descend(self, rng, monkeypatch):
         """Every flip the parent's duals price out is re-solved by a cold LP,

@@ -284,6 +284,29 @@ class TestBenchWork:
         assert phase1_calls == []
 
 
+class TestCheckWork:
+    """The constructor checks of the perfbench workloads, pinned: each outer
+    iteration checks the one form its linearization makes, and nothing more.
+    ``affine_substitute``'s form and every LP's polyhedron and problem are
+    made from checked data by the internal constructors, which check only
+    the blocks they compute."""
+
+    @pytest.mark.parametrize("build, iters, solves", [
+        (lambda: bench.chained_lq(100), 5, 5),
+        (lambda: bench.maxq(20, "C2"), 200, 56),
+        (lambda: bench.constrained_lasso(50, 100, rho=1.0, seed=0, variant="box"), 20, 20),
+    ], ids=["chained_lq-n100", "maxq_C2-n20", "lasso_box-n50-p100"])
+    def test_one_form_check_per_iteration(self, constructor_checks, lp_solves, build, iters,
+                                          solves):
+        inst = build()
+        for calls in constructor_checks.values():
+            calls.clear()  # the instance's own
+        res = asfw_run(inst.tape, inst.C, inst.x0, StepRule.open_loop_sqrt(), max_iters=iters)
+        assert len(constructor_checks["AbsLinearForm"]) == len(res.trace.rows)
+        assert constructor_checks["Polyhedron"] == constructor_checks["LpProblem"] == []
+        assert len(lp_solves) == solves
+
+
 class TestPricingWork:
     """The flips the walks price from their parent LP, pinned: on maxq every
     one is settled without a probe LP."""
@@ -313,6 +336,14 @@ class TestRng:
         z = CounterRng(7).normals(200_000)
         assert abs(float(np.mean(z))) < 0.01
         assert abs(float(np.std(z)) - 1.0) < 0.01
+
+    def test_seed_must_be_an_integer(self):
+        # a float seed was truncated: 1.5 drew seed 1's stream
+        with pytest.raises(TypeError):
+            CounterRng(1.5)
+        with pytest.raises(TypeError):
+            bench.constrained_lasso(3, 4, seed=1.5)
+        assert np.array_equal(CounterRng(np.int64(7)).normals(16), CounterRng(7).normals(16))
 
     def test_uniform_open_interval(self):
         u = CounterRng(9).uniform(10_000)

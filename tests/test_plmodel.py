@@ -163,6 +163,25 @@ class TestAffineSubstitute:
         assert back.d == pytest.approx(kink3_form.d, abs=1e-14)
 
 
+    def test_shares_the_blocks_it_keeps(self, kink3_form):
+        sub = affine_substitute(kink3_form, 0.5, [0.25])
+        for name in ("M", "L", "b", "babs"):
+            assert np.shares_memory(getattr(sub, name), getattr(kink3_form, name))
+        for name in ("Z", "M", "L", "a", "b", "babs", "c"):
+            assert not getattr(sub, name).flags.writeable
+        assert sub.chain is kink3_form.chain
+
+    @pytest.mark.parametrize("scale, shift", [(1e308, [0.0]), (1.0, [1e308]), (np.nan, [0.0])])
+    def test_non_finite_result_rejected(self, kink3_form, scale, shift):
+        # computed without overflow warnings: the ValueError reports it
+        with pytest.raises(ValueError, match="form data must be finite"):
+            affine_substitute(kink3_form, scale, shift)
+
+    def test_shift_length_checked(self, kink3_form):
+        with pytest.raises(ValueError, match="shift has wrong length"):
+            affine_substitute(kink3_form, 1.0, [0.0, 0.0])
+
+
 class TestFormProperties:
     def test_eval_matches_restriction_random_forms(self, rng):
         for k in range(20):
