@@ -315,13 +315,16 @@ def aasm_minimize(
 
 def local_optimality_test(form: AbsLinearForm, C: Polyhedron, v) -> bool:
     """True iff the model is first-order minimal at ``v`` in C (at most 16
-    kinks at ``v``).  The closed domains that keep v's nonzero signs and give
-    each kink at v both signs hold v, the model is linear on each, and they
-    cover a neighbourhood of v in C: their minimum is below the model at v
-    exactly when some direction from v descends."""
+    kinks at ``v``); v must lie in C to ``lp.WARM_TOL``.  The closed domains
+    that keep v's nonzero signs and give each kink at v both signs hold v,
+    the model is linear on each, and they cover a neighbourhood of v in C:
+    their minimum is below the model at v exactly when some direction from v
+    descends."""
     _check_dims(form, C)
     if np.shape(v) != (C.dim,):
         raise ValueError(f"v has shape {np.shape(v)} but C has dimension {C.dim}")
+    if not contains(C, v, lpmod.WARM_TOL):  # v's domains may meet C only where the model is higher
+        raise ValueError("v is not in C")
     psi_v, z = eval_pl(form, v)
     return not _descends(_enumerated_min(form, C, switch_signs(form, v, z))[1], psi_v)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyhedron import Polyhedron, box, contains, cube, intersect
+from .polyhedron import Polyhedron, box, contains, cube, frozen, intersect
 from .rng import CounterRng, GENERATOR_NAME
 from .tape import Tape, TapeBuilder
 
@@ -29,6 +29,7 @@ class BenchmarkInstance:
     def __post_init__(self):
         if self.tape.num_inputs != self.C.dim:
             raise ValueError("tape dimension does not match feasible set")
+        object.__setattr__(self, "x0", frozen("x0", self.x0, (self.C.dim,)))
         if not contains(self.C, self.x0):
             raise ValueError("x0 must be feasible")
 

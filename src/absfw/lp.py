@@ -35,10 +35,11 @@ A warm start is a basis together with its point, which places the nonbasic
 columns: from a nonsingular basis feasible to ``WARM_TOL`` there, only
 phase 2 runs; any other hint silently falls back to the cold start.
 
-``LpProblem(...)`` checks its cost and twins against P; the solver's own
-LPs, made from data it checked, come from ``LpProblem._trusted`` and are
-checked nowhere.  ``solve`` reads a polyhedron with no inequality rows, and
-its cost, in place.
+``LpProblem(...)`` copies, shape-checks and freezes its cost through
+``polyhedron.frozen`` and checks it and its twins against P; the solver's
+own LPs, made from data it checked, share frozen arrays through
+``LpProblem._trusted`` and are checked nowhere.  ``solve`` reads a
+polyhedron with no inequality rows, and its cost, in place.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polyhedron import Polyhedron, unchecked
+from .polyhedron import Polyhedron, frozen, unchecked
 
 DEFAULT_TOL = 1e-9
 FIXED_TOL = 1e-12
@@ -83,9 +84,7 @@ class LpProblem:
     twins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
-        if self.c.shape[0] != self.P.dim:
-            raise ValueError("objective length does not match polyhedron dimension")
+        object.__setattr__(self, "c", frozen("c", self.c, (self.P.dim,)))
         if not np.isfinite(self.c).all():
             raise ValueError("objective must be finite")
         pairs = np.asarray(self.twins, dtype=np.int64)
@@ -427,14 +426,14 @@ def solve(lp: LpProblem, *, basis_hint: tuple[int, ...] | None = None, start=Non
         if cols.shape == (m,) and np.all((cols >= 0) & (cols < n_real)):
             xN = sx.xN  # the bound point; phase 1 makes its own
             xN[:n] = np.clip(start, P.lo, P.hi)
-            # before set_basis, which keeps xN and zeroes its basic entries
-            near = np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL
-            try:
-                sx.set_basis(cols, xN)
-                # a B^-1 that is not finite makes xB, and so this test, fail too
-                warm_ok = near and sx.primal_infeasibility() <= WARM_TOL
-            except np.linalg.LinAlgError:
-                warm_ok = False
+            # a start off its bounds by more than WARM_TOL falls back before B is inverted
+            if np.max(np.abs(xN[:n] - start), initial=0.0) <= WARM_TOL:
+                try:
+                    sx.set_basis(cols, xN)
+                    # a B^-1 that is not finite makes xB, and so this test, fail too
+                    warm_ok = sx.primal_infeasibility() <= WARM_TOL
+                except np.linalg.LinAlgError:
+                    warm_ok = False
             if warm_ok:
                 fixed = np.flatnonzero(~sx.movable()[sx.basis])
                 if fixed.size:

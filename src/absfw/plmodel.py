@@ -14,11 +14,13 @@ keep it explicit so the switch count always equals the number of abs nodes of
 the originating tape.
 
 All values are plain numpy arrays, frozen read-only after construction; every
-operation here is pure.  ``AbsLinearForm(...)`` checks everything it is
-given; ``affine_substitute``'s form, derived from a checked one, shares the
-blocks it keeps and checks only those it computes.  A signature domain's
-closure is described by the row blocks of ``signature_constraints``, which
-``polyhedron.intersect`` appends to a feasible set.
+operation here is pure.  ``AbsLinearForm(...)`` copies, shape-checks and
+freezes each block through ``polyhedron.frozen`` and checks its values;
+``affine_substitute``'s form, derived from a checked one, shares the blocks
+it keeps through ``_trusted`` and checks only those it computes.  A
+signature domain's closure is described by the row blocks of
+``signature_constraints``, which ``polyhedron.intersect`` appends to a
+feasible set.
 """
 from __future__ import annotations
 
@@ -27,13 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polyhedron import unchecked
-
-
-def _frozen(arr, shape) -> np.ndarray:
-    out = np.array(arr, dtype=float).reshape(shape)
-    out.setflags(write=False)
-    return out
+from .polyhedron import frozen, unchecked
 
 
 @dataclass(frozen=True)
@@ -51,13 +47,9 @@ class AbsLinearForm:
 
     def __post_init__(self):
         s, n = self.s, self.n
-        object.__setattr__(self, "Z", _frozen(self.Z, (s, n)))
-        object.__setattr__(self, "M", _frozen(self.M, (s, s)))
-        object.__setattr__(self, "L", _frozen(self.L, (s, s)))
-        object.__setattr__(self, "a", _frozen(self.a, (n,)))
-        object.__setattr__(self, "b", _frozen(self.b, (s,)))
-        object.__setattr__(self, "babs", _frozen(self.babs, (s,)))
-        object.__setattr__(self, "c", _frozen(self.c, (s,)))
+        for name, shape in (("Z", (s, n)), ("M", (s, s)), ("L", (s, s)), ("a", (n,)),
+                            ("b", (s,)), ("babs", (s,)), ("c", (s,))):
+            object.__setattr__(self, name, frozen(name, getattr(self, name), shape))
         object.__setattr__(self, "d", float(self.d))
         upper = ~np.tri(s, k=-1, dtype=bool)  # on and above the diagonal
         if self.M[upper].any() or self.L[upper].any():

@@ -2,17 +2,33 @@
 
 A polyhedron keeps equalities, inequalities, and box bounds separate so the
 LP core can treat bounds natively; intersecting with extra constraints just
-appends row blocks.  ``Polyhedron(...)`` checks everything it is given; the
-solver's own polyhedra, made of rows it checked when it computed them, come
-from ``Polyhedron._trusted`` and are checked nowhere.
+appends row blocks.  The public constructor of each checked type (this
+``Polyhedron``, ``LpProblem``, ``AbsLinearForm`` and ``BenchmarkInstance``)
+copies, shape-checks and freezes every array through ``frozen``, then checks
+its values; the solver's own objects, made of data it checked, share frozen
+arrays through ``cls._trusted`` and are checked nowhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_FEAS_TOL = 1e-9
+
+
+def frozen(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float copy of ``value``, the block ``name`` of ``shape``
+    or a flat sequence of exactly as many entries (read row by row); any
+    other shape raises ValueError naming the block and both shapes."""
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        if out.ndim != 1 or out.size != math.prod(shape):
+            raise ValueError(f"{name} has shape {out.shape}, not {shape}")
+        out = out.reshape(shape)
+    out.setflags(write=False)
+    return out
 
 
 def unchecked(cls, **fields):
@@ -41,15 +57,10 @@ class Polyhedron:
     hi: np.ndarray
 
     def __post_init__(self):
-        n = len(self.lo)
-        object.__setattr__(self, "Aeq", np.asarray(self.Aeq, dtype=float).reshape(-1, n))
-        object.__setattr__(self, "beq", np.asarray(self.beq, dtype=float).ravel())
-        object.__setattr__(self, "Ain", np.asarray(self.Ain, dtype=float).reshape(-1, n))
-        object.__setattr__(self, "bin", np.asarray(self.bin, dtype=float).ravel())
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float).ravel())
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).ravel())
-        if self.Aeq.shape[0] != self.beq.shape[0] or self.Ain.shape[0] != self.bin.shape[0]:
-            raise ValueError("row dimensions inconsistent")
+        me, mi, n = np.size(self.beq), np.size(self.bin), np.size(self.lo)  # rows, columns
+        for name, shape in (("Aeq", (me, n)), ("beq", (me,)), ("Ain", (mi, n)),
+                            ("bin", (mi,)), ("lo", (n,)), ("hi", (n,))):
+            object.__setattr__(self, name, frozen(name, getattr(self, name), shape))
         if not (np.isfinite(self.Aeq).all() and np.isfinite(self.beq).all()
                 and np.isfinite(self.Ain).all() and np.isfinite(self.bin).all()):
             raise ValueError("constraint rows must be finite")
@@ -58,8 +69,6 @@ class Polyhedron:
             raise ValueError("bounds must not be NaN, lo = +inf or hi = -inf")
         if np.any(self.lo > self.hi):
             raise ValueError("lo must not exceed hi")
-        for arr in ("Aeq", "beq", "Ain", "bin", "lo", "hi"):
-            getattr(self, arr).setflags(write=False)
 
     _trusted = classmethod(unchecked)
 
@@ -72,14 +81,7 @@ class Polyhedron:
 
 
 def box(lo, hi) -> Polyhedron:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = len(lo)
-    return Polyhedron(
-        Aeq=np.zeros((0, n)), beq=np.zeros(0),
-        Ain=np.zeros((0, n)), bin=np.zeros(0),
-        lo=lo, hi=hi,
-    )
+    return Polyhedron(Aeq=(), beq=(), Ain=(), bin=(), lo=lo, hi=hi)
 
 
 def cube(n: int, radius: float) -> Polyhedron:
@@ -101,8 +103,11 @@ def contains(P: Polyhedron, x, tol: float = DEFAULT_FEAS_TOL) -> bool:
 def intersect(P: Polyhedron, Aeq=(), beq=(), Ain=(), bin=()) -> Polyhedron:
     """P with the rows Aeq x = beq and Ain x <= bin appended below its own;
     no simplification is performed."""
+    me, mi, n = np.size(beq), np.size(bin), P.dim
     return Polyhedron(
-        Aeq=np.vstack([P.Aeq, np.reshape(Aeq, (-1, P.dim))]), beq=np.concatenate([P.beq, beq]),
-        Ain=np.vstack([P.Ain, np.reshape(Ain, (-1, P.dim))]), bin=np.concatenate([P.bin, bin]),
+        Aeq=np.vstack([P.Aeq, frozen("Aeq", Aeq, (me, n))]),
+        beq=np.concatenate([P.beq, frozen("beq", beq, (me,))]),
+        Ain=np.vstack([P.Ain, frozen("Ain", Ain, (mi, n))]),
+        bin=np.concatenate([P.bin, frozen("bin", bin, (mi,))]),
         lo=P.lo, hi=P.hi,
     )

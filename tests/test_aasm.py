@@ -389,6 +389,22 @@ class TestLocalOptimality:
             else:
                 local_optimality_test(abs_v_form, cube(dim, 1.0), v)
 
+    def test_point_outside_c_rejected(self, abs_v_form):
+        # v = 0's domains meet [1, 2] only at 1, where |v| is higher, so the
+        # test returned True for a point that is not in C
+        with pytest.raises(ValueError, match="v is not in C"):
+            local_optimality_test(abs_v_form, box([1.0], [2.0]), [0.0])
+        assert local_optimality_test(abs_v_form, box([1.0], [2.0]), [1.0 - 0.5 * lpmod.WARM_TOL])
+
+    @pytest.mark.parametrize("C, error, match", [
+        (box([-1.0], [np.inf]), ValueError, r"feasible set must be bounded \(boxed\)"),
+        (intersect(cube(1, 1.0), Aeq=[[1.0]], beq=[10.0]), AasmError,
+         "no signature domain intersected the feasible set"),
+    ], ids=["unboxed", "empty"])
+    def test_brute_force_set_errors(self, abs_v_form, C, error, match):
+        with pytest.raises(error, match=match):
+            brute_force_pl_min(abs_v_form, C)
+
     def test_more_than_16_kinks_rejected(self):
         # maxq C2 n=20's optimum 0 lies on all 19 kinks
         inst = bench.maxq(20, "C2")

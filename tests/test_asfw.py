@@ -97,6 +97,16 @@ class TestStepRule:
             StepRule(kind="fixed")
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: StepRule(kind="bogus"), "unknown step rule 'bogus'"),
+    (lambda: StepRule.short_step(1.0).alpha(0), "short-step alpha is computed from the subproblem"),
+    (lambda: loglog_slope([1, 5, 20], [1.0, 0.5, 0.1], t_min=10), "need at least two trace points past t_min"),
+], ids=["unknown-rule", "short-step-alpha", "slope-one-point"])
+def test_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestAsfwRun:
     def test_abs_converges_to_zero(self, abs_tape):
         res = asfw_run(abs_tape, cube(1, 5.0), [3.0], StepRule.open_loop_sqrt(),

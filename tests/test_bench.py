@@ -6,7 +6,7 @@ from absfw import lp as lpmod
 from absfw.aasm import _Lifted
 from absfw.asfw import StepRule, asfw_run
 from absfw.plmodel import eval_pl
-from absfw.polyhedron import contains
+from absfw.polyhedron import box, contains, cube
 from absfw.randgen import midpoint_convex
 from absfw.rng import CounterRng
 from absfw.tape import abs_linearize, evaluate
@@ -213,6 +213,49 @@ class TestLasso:
         for variant in ("box", "ordered"):
             inst = bench.constrained_lasso(8, 12, seed=11, variant=variant)
             assert contains(inst.C, inst.x0, 1e-9)
+
+
+def _instance(C=None, x0=(0.5, 0.5)):
+    """maxq_C1 n=2's tape over C, the unit box by default, from x0."""
+    C = box([0.0, 0.0], [1.0, 1.0]) if C is None else C
+    return bench.BenchmarkInstance(name="t", tape=bench.maxq(2).tape, C=C, x0=x0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: bench.maxq(1), "maxq needs n >= 2"),
+    (lambda: bench.maxq(4, "C4"), "feasible_set must be one of C1, C2, C3"),
+    (lambda: bench.chained_lq(1), "chained_lq needs n >= 2"),
+    (lambda: bench.rosenbrock_nesterov1(1), "rosenbrock_nesterov1 needs n >= 2"),
+    (lambda: bench.rosenbrock_nesterov2(0), "rosenbrock_nesterov2 needs n >= 1"),
+    (lambda: bench.chained_crescent1(1), "chained_crescent1 needs n >= 2"),
+    (lambda: bench.chained_mifflin2(1), "chained_mifflin2 needs n >= 2"),
+    (lambda: bench.chained_crescent2(1), "chained_crescent2 needs n >= 2"),
+    (lambda: bench.constrained_lasso(0, 4), "n and p must be positive"),
+    (lambda: bench.constrained_lasso(3, 4, variant="sorted"), "variant must be 'box' or 'ordered'"),
+    (lambda: _instance(C=cube(3, 1.0), x0=np.zeros(3)), "tape dimension does not match feasible set"),
+    (lambda: _instance(x0=[2.0, 0.5]), "x0 must be feasible"),
+], ids=["maxq-n", "maxq-set", "chained_lq-n", "rn1-n", "rn2-n", "cc1-n", "chained_mifflin2-n",
+        "cc2-n", "lasso-size", "lasso-variant", "instance-dimension", "instance-infeasible"])
+def test_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+class TestBoundary:
+    def test_caller_edits_do_not_reach_x0(self):
+        x0 = np.array([0.5, 0.5])
+        inst = _instance(x0=x0)
+        x0[0] = 7.0  # outside C
+        np.testing.assert_array_equal(inst.x0, [0.5, 0.5])
+        assert not inst.x0.flags.writeable
+
+    @pytest.mark.parametrize("x0, match", [
+        ([[0.5, 0.5]], r"x0 has shape \(1, 2\), not \(2,\)"),
+        ([0.5, 0.5, 0.5], r"x0 has shape \(3,\), not \(2,\)"),
+    ], ids=["row", "long"])
+    def test_wrong_shape_names_the_block(self, x0, match):
+        with pytest.raises(ValueError, match=match):
+            _instance(x0=x0)
 
 
 class TestBenchWork:

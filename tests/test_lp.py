@@ -349,6 +349,19 @@ class TestWarmStart:
         for field in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
             assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes()
 
+    def test_far_start_is_not_inverted(self, rng, monkeypatch):
+        # a start off its bounds falls back before its basis is inverted:
+        # phase 1's basis and the final one are the cold solve's two inverses
+        c, P, _ = random_lp(rng, n=8, m_eq=2, m_in=6)
+        lp = LpProblem(c=c, P=P)
+        cold = solve(lp)
+        refactors = spy(monkeypatch, _Factor, "refactor")
+        warm = solve(lp, basis_hint=cold.basis, start=cold.x + 100.0)
+        assert len(refactors) == 2
+        assert warm.basis == cold.basis
+        for field in ("x", "dual_eq", "dual_in", "dual_lo", "dual_hi"):
+            assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes()
+
     def test_hint_with_changed_objective(self, rng):
         c, P, _ = random_lp(rng, n=8, m_eq=1, m_in=5)
         cold = solve(LpProblem(c=c, P=P))
@@ -561,6 +574,25 @@ class TestTwins:
         LpProblem(c=plain.c, P=P, twins=twins)
         with pytest.raises(ValueError, match="exact negatives"):
             LpProblem(c=plain.c, P=bent, twins=twins)
+
+
+class TestBoundary:
+    """``LpProblem(...)`` copies, shape-checks and freezes its cost."""
+
+    def test_caller_edits_do_not_reach_it(self):
+        c = np.array([1.0, -1.0])
+        lp = LpProblem(c=c, P=box([0.0, 0.0], [1.0, 1.0]))
+        c[0] = -5.0
+        np.testing.assert_array_equal(lp.c, [1.0, -1.0])
+        assert not lp.c.flags.writeable
+
+    @pytest.mark.parametrize("c, match", [
+        ([1.0, 2.0, 3.0], r"c has shape \(3,\), not \(2,\)"),
+        ([[1.0, 2.0]], r"c has shape \(1, 2\), not \(2,\)"),
+    ], ids=["long", "2d"])
+    def test_wrong_shape_names_the_block(self, c, match):
+        with pytest.raises(ValueError, match=match):
+            LpProblem(c=c, P=box([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestBoundGuard:

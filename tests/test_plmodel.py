@@ -297,6 +297,43 @@ class TestFormProperties:
             form_from_text(bad)
 
 
+class TestBoundary:
+    """``AbsLinearForm(...)`` takes each block at its shape, or flat with
+    exactly as many entries, as ``form_from_text`` passes it."""
+
+    @staticmethod
+    def data():
+        return dict(n=3, s=2, Z=np.ones((2, 3)), M=np.zeros((2, 2)), L=np.zeros((2, 2)),
+                    a=np.zeros(3), b=np.zeros(2), babs=np.ones(2), c=np.zeros(2), d=0.0)
+
+    @pytest.mark.parametrize("block, value, match", [
+        ("Z", np.ones((3, 2)), r"Z has shape \(3, 2\), not \(2, 3\)"),
+        ("Z", np.ones(5), r"Z has shape \(5,\), not \(2, 3\)"),
+        ("M", np.zeros((1, 4)), r"M has shape \(1, 4\), not \(2, 2\)"),
+        ("a", np.zeros(2), r"a has shape \(2,\), not \(3,\)"),
+        ("c", np.zeros((2, 1)), r"c has shape \(2, 1\), not \(2,\)"),
+    ], ids=["Z-transposed", "Z-flat-short", "M-1x4", "a-short", "c-column"])
+    def test_wrong_shape_names_the_block(self, block, value, match):
+        AbsLinearForm(**self.data())
+        with pytest.raises(ValueError, match=match):
+            AbsLinearForm(**{**self.data(), block: value})
+
+    def test_flat_blocks_read_row_by_row(self):
+        form = AbsLinearForm(**{**self.data(), "Z": np.arange(6.0)})
+        np.testing.assert_array_equal(form.Z, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        back = form_from_text(form_to_text(form))
+        assert back.Z.tobytes() == form.Z.tobytes() and back.Z.shape == (2, 3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda f: restrict(f, [1, 1]), "sigma has wrong length"),
+    (lambda f: affine_substitute(f, 0.0, [0.0]), "scale must be nonzero"),
+], ids=["restrict-sigma-length", "substitute-zero-scale"])
+def test_argument_errors(kink3_form, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(kink3_form)
+
+
 def _substitute_every_row(form, dx):
     """Forward substitution through all s rows, the reference for eval_pl."""
     z = np.empty(form.s)

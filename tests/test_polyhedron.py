@@ -104,3 +104,50 @@ class TestValidation:
     def test_boxedness(self):
         assert cube(2, 1.0).is_boxed()
         assert not box([-1.0], [np.inf]).is_boxed()
+
+
+class TestBoundary:
+    """``Polyhedron(...)`` copies, shape-checks and freezes every array it is
+    given, so the checks it made hold for as long as it lives."""
+
+    def test_caller_edits_do_not_reach_it(self):
+        data = dict(Aeq=np.ones((1, 2)), beq=np.ones(1), Ain=np.ones((1, 2)), bin=np.ones(1),
+                    lo=np.zeros(2), hi=np.ones(2))
+        P = Polyhedron(**data)
+        kept = {name: arr.copy() for name, arr in data.items()}
+        for arr in data.values():
+            arr[0] = np.nan  # in Aeq, solve raised LpError
+        for name, arr in kept.items():
+            np.testing.assert_array_equal(getattr(P, name), arr)
+            assert not getattr(P, name).flags.writeable
+
+    def test_box_keeps_its_bounds(self):
+        lo = np.zeros(2)
+        P = box(lo, np.ones(2))
+        lo[0] = 5.0  # would put P.lo above P.hi
+        np.testing.assert_array_equal(P.lo, [0.0, 0.0])
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Polyhedron(Aeq=(), beq=(), Ain=(), bin=(), lo=[0.0, 0.0], hi=[1.0]),
+         r"hi has shape \(1,\), not \(2,\)"),
+        (lambda: box([0.0, 0.0, 0.0], [1.0, 1.0]), r"hi has shape \(2,\), not \(3,\)"),
+        (lambda: box([[0.0, 0.0]], [1.0, 1.0]), r"lo has shape \(1, 2\), not \(2,\)"),
+        (lambda: Polyhedron(Aeq=[[1.0, 2.0, 3.0, 4.0]], beq=[1.0, 2.0], Ain=(), bin=(),
+                            lo=[0.0, 0.0], hi=[1.0, 1.0]),
+         r"Aeq has shape \(1, 4\), not \(2, 2\)"),
+        (lambda: intersect(cube(2, 1.0), Aeq=[[1.0, 2.0, 3.0, 4.0]], beq=[1.0, 2.0]),
+         r"Aeq has shape \(1, 4\), not \(2, 2\)"),
+        (lambda: intersect(cube(2, 1.0), Ain=[[1.0, 2.0]], bin=[1.0, 2.0]),
+         r"Ain has shape \(1, 2\), not \(2, 2\)"),
+        (lambda: intersect(cube(2, 1.0), Ain=[1.0, 2.0, 3.0], bin=[1.0]),
+         r"Ain has shape \(3,\), not \(1, 2\)"),
+    ], ids=["hi-short", "box-hi-short", "lo-2d", "Aeq-1x4", "intersect-Aeq-1x4",
+            "intersect-Ain-rows", "intersect-flat-Ain-long"])
+    def test_wrong_shape_names_the_block(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_flat_row_accepted(self):
+        P = intersect(cube(2, 1.0), Ain=[1.0, -1.0], bin=[0.0])
+        np.testing.assert_array_equal(P.Ain, [[1.0, -1.0]])
+        assert contains(P, np.array([0.0, 0.5])) and not contains(P, np.array([0.5, 0.0]))

@@ -373,6 +373,36 @@ class TestBuilderHelpers:
             assert evaluate(tape, [xv]).y == pytest.approx(max(0.0, xv, 2 * xv + 1))
 
 
+def _mixed_builders():
+    (x,), (y,) = TapeBuilder(1).inputs(), TapeBuilder(1).inputs()
+    return x + y
+
+
+def _foreign_output():
+    (x,) = TapeBuilder(1).inputs()
+    return TapeBuilder(1).build(x)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Tape(nodes=(TapeNode("bogus"),), num_inputs=0, output=0), TapeError,
+     "node 0: unknown op 'bogus'"),
+    (lambda: Tape(nodes=(TapeNode("const", value=1.0),), num_inputs=0, output=1), TapeError,
+     "output index out of range"),
+    (lambda: evaluate(bench.mifflin2().tape, [1.0]), ValueError,
+     re.escape("expected input of length 2, got (1,)")),
+    (_mixed_builders, TapeError, "mixing expressions from different builders"),
+    (lambda: TapeBuilder(1).max_list([]), TapeError, "max_list needs at least one expression"),
+    (_foreign_output, TapeError, "output belongs to a different builder"),
+    (lambda: tape_from_text("n=1 s=0\n1 input 0\n"), TapeError, "node index out of order"),
+    (lambda: tape_from_text("n=1 s=1\n0 input 0\n"), TapeError,
+     "header switch count does not match abs nodes"),
+], ids=["unknown-op", "output-range", "input-length", "mixed-builders", "empty-max-list",
+        "foreign-output", "text-index-order", "text-switch-count"])
+def test_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def _affine_pair(seed, n=5):
     """One random function recorded twice: with ``affine`` nodes, and with
     each affine node written as a ``const`` plus a ``scale``/``add`` chain.
